@@ -98,8 +98,9 @@ def bind_instances(result: SystemSchedule) -> InstanceBinding:
     for key in colorings:
         for op_key, color in colorings[key].items():
             binding.binding[op_key] = color
+    local_limits: Dict[Tuple[str, str], int] = {}
     for (process_name, block_name), sched in result.block_schedules.items():
-        _bind_block(binding, process_name, block_name, colorings)
+        _bind_block(binding, process_name, block_name, colorings, local_limits)
     binding.validate()
     return binding
 
@@ -109,7 +110,10 @@ def _bind_block(
     process_name: str,
     block_name: str,
     colorings: Dict[str, Dict[OpKey, int]],
+    local_limits: Dict[Tuple[str, str], int],
 ) -> None:
+    """Bind one block; ``local_limits`` memoizes the local pool size of
+    each (process, type) across the process's blocks."""
     result = binding.result
     sched = result.block_schedules[(process_name, block_name)]
     # Group operations by resource type, then bind each group left-edge.
@@ -122,6 +126,14 @@ def _bind_block(
         if shared and type_name in colorings:
             continue  # multicycle global type: colored in bind_instances
         table = binding.tables.get(type_name) if shared else None
+        local_candidates = range(0)
+        if table is None:
+            key = (process_name, type_name)
+            if key not in local_limits:
+                local_limits[key] = max(
+                    1, result.local_instances(process_name, type_name)
+                )
+            local_candidates = range(local_limits[key])
         # (instance, step) -> ops holding it (mutually exclusive ops may
         # share an instance at the same step: only one of them executes).
         busy: Dict[Tuple[int, int], List[str]] = {}
@@ -134,8 +146,8 @@ def _bind_block(
             # start at absolute times ≡ offset, so shift relative steps.
             slots = range(start + offset, start + offset + rtype.occupancy)
             instance = _first_free_instance(
-                binding, process_name, type_name, table, busy, steps,
-                slots, op, sched.graph,
+                process_name, table, local_candidates, busy, steps, slots, op,
+                sched.graph,
             )
             if instance is None:
                 raise BindingError(
@@ -148,21 +160,19 @@ def _bind_block(
 
 
 def _first_free_instance(
-    binding: InstanceBinding,
     process_name: str,
-    type_name: str,
     table: Optional[AccessAuthorizationTable],
+    local_candidates: range,
     busy: Dict[Tuple[int, int], List[str]],
     steps: range,
     slots: range,
     op,
     graph,
 ) -> Optional[int]:
+    """Smallest compatible instance: from ``local_candidates`` for a local
+    type, from the ids ``table`` authorizes at every slot otherwise."""
     if table is None:
-        limit = max(
-            1, binding.result.local_instances(process_name, type_name)
-        )
-        candidates = range(limit)
+        candidates = local_candidates
     else:
         # Ids usable at every absolute slot the occupancy spans.
         usable = None

@@ -17,7 +17,7 @@ paper's evaluation reports:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -74,11 +74,32 @@ class SystemSchedule:
             ) from None
 
     def blocks_of(self, process_name: str) -> List[Tuple[str, BlockSchedule]]:
-        return [
-            (block, sched)
-            for (process, block), sched in self.block_schedules.items()
-            if process == process_name
-        ]
+        """``(block name, schedule)`` of every scheduled block of a process.
+
+        Walks the process's own blocks in specification order (the order
+        the schedulers fill ``block_schedules`` in); a block without a
+        schedule is skipped.
+        """
+        if process_name not in self.system:
+            return []
+        pairs = []
+        for block in self.system.process(process_name).blocks:
+            sched = self.block_schedules.get((process_name, block.name))
+            if sched is not None:
+                pairs.append((block.name, sched))
+        return pairs
+
+    def types_used(self, process_name: str) -> Set[str]:
+        """Names of the resource types a process's scheduled blocks use.
+
+        Every other type has an all-zero usage profile in the process.
+        """
+        type_of = self.library.type_of
+        return {
+            type_of(op).name
+            for _, sched in self.blocks_of(process_name)
+            for op in sched.graph
+        }
 
     # ------------------------------------------------------------------
     # Authorizations and instance counts
@@ -157,22 +178,28 @@ class SystemSchedule:
 
     def instance_counts(self) -> Dict[str, int]:
         """Total instances per resource type (global pool + local sums)."""
+        local: Dict[str, int] = {}
+        for process in self.system.processes:
+            for type_name in self.types_used(process.name):
+                local[type_name] = local.get(type_name, 0) + self.local_instances(
+                    process.name, type_name
+                )
         counts: Dict[str, int] = {}
         for rtype in self.library.types:
-            total = 0
+            total = local.get(rtype.name, 0)
             if self.assignment.is_global(rtype.name):
                 total += self.global_instances(rtype.name)
-            for process in self.system.processes:
-                total += self.local_instances(process.name, rtype.name)
             if total:
                 counts[rtype.name] = total
         return counts
 
     def total_area(self) -> float:
         """Sum of instance counts weighted by the types' area costs."""
+        return self._area_of(self.instance_counts())
+
+    def _area_of(self, counts: Dict[str, int]) -> float:
         return sum(
-            count * self.library.type(name).area
-            for name, count in self.instance_counts().items()
+            count * self.library.type(name).area for name, count in counts.items()
         )
 
     # ------------------------------------------------------------------
@@ -200,6 +227,6 @@ class SystemSchedule:
         return (
             f"system {self.system.name!r}: "
             + ", ".join(parts)
-            + f"; area {self.total_area():g}"
+            + f"; area {self._area_of(counts):g}"
             + (f"; {self.iterations} iterations" if self.iterations else "")
         )

@@ -976,8 +976,8 @@ class _SystemKernel:
         if all(scope == "clean" for scope in scopes.values()):
             return
         process_name = self.entries[entry_index].process_name
-        for index, entry in enumerate(self.entries):
-            if index != entry_index and entry.process_name == process_name:
+        for index in self.coupling.process_entries(process_name):
+            if index != entry_index:
                 self._dirty[index] = True
                 self._dirty_set.add(index)
 
@@ -1871,14 +1871,13 @@ class ModuloSystemScheduler:
         caches[entry_index].invalidate_after_commit(effect)
         if not (self.periodical_alignment and self.global_balancing):
             return
-        process_name = entries[entry_index].process_name
+        siblings = coupling.process_entries(entries[entry_index].process_name)
         for type_name, scope in scopes.items():
             if scope == "clean":
                 continue
-            for index, entry in enumerate(entries):
-                if index == entry_index or entry.process_name != process_name:
-                    continue
-                caches[index].invalidate_type(type_name)
+            for index in siblings:
+                if index != entry_index:
+                    caches[index].invalidate_type(type_name)
 
     def _placement_force(
         self,
@@ -2003,6 +2002,10 @@ class _GlobalCoupling:
 
     def is_shared(self, process_name: str, type_name: str) -> bool:
         return self.assignment.shares_globally(type_name, process_name)
+
+    def process_entries(self, process_name: str) -> List[int]:
+        """Entry indices of one process's blocks, in ascending order."""
+        return self._process_entries[process_name]
 
     def block_q(self, entry_index: int, type_name: str) -> np.ndarray:
         key = (entry_index, type_name)

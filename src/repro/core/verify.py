@@ -160,8 +160,12 @@ def _pool_conflict_detail(
 
 def _check_local_counts(result: SystemSchedule, report: VerificationReport) -> None:
     for process in result.system.processes:
+        # An unused type has peak 0 everywhere, which adds no check.
+        used = result.types_used(process.name)
         for rtype in result.library.types:
-            if result.assignment.shares_globally(rtype.name, process.name):
+            if rtype.name not in used or result.assignment.shares_globally(
+                rtype.name, process.name
+            ):
                 continue
             declared = result.local_instances(process.name, rtype.name)
             peak = 0

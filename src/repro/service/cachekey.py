@@ -38,6 +38,7 @@ __all__ = [
     "cache_key",
     "canonical_options",
     "canonical_problem_text",
+    "key_of_canonical",
 ]
 
 #: Version tag folded into every key; bump on incompatible envelope or
@@ -85,11 +86,25 @@ def cache_key(
     the resource library live inside it), ``options`` the
     result-affecting scheduler options.
     """
+    return key_of_canonical(
+        kind, canonical_problem_text(problem_text), canonical_options(options)
+    )
+
+
+def key_of_canonical(
+    kind: str, canonical_text: str, canonical_opts: Mapping[str, object]
+) -> str:
+    """The :func:`cache_key` of parts that are already canonical.
+
+    ``canonical_text`` must come from :func:`canonical_problem_text` and
+    ``canonical_opts`` from :func:`canonical_options`; nothing is parsed
+    again here.
+    """
     envelope = {
         "format": CACHE_KEY_FORMAT,
         "kind": kind,
-        "problem": canonical_problem_text(problem_text),
-        "options": canonical_options(options),
+        "problem": canonical_text,
+        "options": canonical_opts,
     }
     blob = json.dumps(
         envelope, sort_keys=True, separators=(",", ":")

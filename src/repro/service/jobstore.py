@@ -48,13 +48,14 @@ hook (``repro serve --inject-fault``).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from collections import OrderedDict, deque
+from dataclasses import dataclass, field, replace
 from typing import IO, TYPE_CHECKING, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ReproError
@@ -63,7 +64,7 @@ from ..obs.metrics import MetricsRegistry
 from ..parallel.checkpoint import load_jsonl_tolerant
 from ..parallel.jobs import FaultPlan
 from ..parallel.retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from .cachekey import cache_key, canonical_options, canonical_problem_text
+from .cachekey import canonical_options, canonical_problem_text, key_of_canonical
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.events import EventBus
@@ -72,6 +73,10 @@ _log = get_logger(__name__)
 
 #: Job journal schema version.
 JOB_JOURNAL_VERSION = 1
+
+#: Entries of a store's submit memo (raw-request digest -> cache key),
+#: evicted least recently used first.
+SUBMIT_MEMO_SIZE = 4096
 
 #: Job kinds the runner knows how to execute.
 JOB_KINDS = ("schedule", "sweep", "certify")
@@ -114,6 +119,33 @@ class JobCancelled(Exception):
     """Raised inside a job attempt when its cancellation was requested."""
 
 
+def request_digest(
+    kind: str,
+    problem_text: str,
+    options: Optional[Mapping[str, object]] = None,
+) -> Optional[str]:
+    """SHA-256 of a raw request: kind, JSON-canonical options, raw text.
+
+    Equal digests mean the same kind, equal options and byte-identical
+    texts, hence equal cache keys, without parsing anything.  None when the options are not
+    JSON-serializable: such a request has no key, and
+    :meth:`JobSpec.create` raises its error.
+    """
+    try:
+        header = json.dumps(
+            [kind, dict(options) if options else {}],
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+    except (TypeError, ValueError):
+        return None
+    # The JSON header holds no raw newline, so the first one ends it.
+    digest = hashlib.sha256(header.encode("utf-8"))
+    digest.update(b"\n")
+    digest.update(problem_text.encode("utf-8", "surrogatepass"))
+    return digest.hexdigest()
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """What one job computes, as canonical plain data.
@@ -148,7 +180,7 @@ class JobSpec:
         canonical = canonical_problem_text(problem_text)
         opts = canonical_options(options)
         validate_options(kind, opts)
-        key = cache_key(kind, canonical, opts)
+        key = key_of_canonical(kind, canonical, opts)
         return cls(kind, canonical, opts, fault), key
 
     def as_dict(self) -> Dict[str, object]:
@@ -260,6 +292,9 @@ class JobStore:
         self._cond = threading.Condition(self._lock)
         self._jobs: Dict[str, JobRecord] = {}
         self._queue: Deque[str] = deque()
+        #: Submit memo: :func:`request_digest` -> cache key, LRU-bounded
+        #: by :data:`SUBMIT_MEMO_SIZE`.
+        self._memo: "OrderedDict[str, str]" = OrderedDict()
         self._journal_handle: Optional[IO[str]] = None
         #: Attempt starts across this store's lifetime (fault-plan index).
         self._executions = 0
@@ -282,10 +317,20 @@ class JobStore:
         when its result bytes are already durable).  A key whose cached
         payload survives on disk — from any previous store lifetime —
         is answered without any scheduling at all.
+
+        A request byte-identical to one this store has already keyed is
+        not parsed again: its :func:`request_digest` finds the key in
+        the submit memo, and the canonical spec is the job record's.
         """
-        spec, key = JobSpec.create(kind, problem_text, options, fault)
+        digest = request_digest(kind, problem_text, options)
+        known = self._recall(digest, fault)
+        if known is None:
+            spec, key = JobSpec.create(kind, problem_text, options, fault)
+        else:
+            spec, key = known
         with self._cond:
             self._check_open()
+            self._remember(digest, key)
             record = self._jobs.get(key)
             if record is not None and not (
                 record.state in (STATE_FAILED, STATE_CANCELLED, STATE_EVICTED)
@@ -650,6 +695,37 @@ class JobStore:
     def _check_open(self) -> None:
         if self._closed:
             raise ServiceError("job store is closed")
+
+    def _recall(
+        self, digest: Optional[str], fault: Optional[str]
+    ) -> Optional[Tuple[JobSpec, str]]:
+        """``(spec, key)`` of a memoized request, carrying this ``fault``.
+
+        None unless the digest is memoized and its job's record holds
+        the canonical spec (a record restored without its journaled spec
+        carries an empty placeholder).
+        """
+        if digest is None:
+            return None
+        with self._lock:
+            key = self._memo.get(digest)
+            record = None if key is None else self._jobs.get(key)
+            if key is None or record is None or not record.spec.problem_text:
+                return None
+            return replace(record.spec, fault=fault), key
+
+    def _remember(self, digest: Optional[str], key: str) -> None:
+        """Memoize ``digest -> key`` as most recently used (under the lock).
+
+        Only keyed requests get here: a request whose text or options
+        are invalid raises before, on every submission.
+        """
+        if digest is None:
+            return
+        self._memo[digest] = key
+        self._memo.move_to_end(digest)
+        if len(self._memo) > SUBMIT_MEMO_SIZE:
+            self._memo.popitem(last=False)
 
     def _cache_path(self, job_id: str) -> str:
         return os.path.join(self.cache_dir, f"{job_id}.json")
