@@ -6,7 +6,7 @@ install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -30,6 +30,7 @@ import numpy as np
 from ..errors import SchedulingError
 from ..ir.process import Block, Process, SystemSpec
 from ..obs import FORCE_EVALUATIONS, SCHEDULER_ITERATIONS, as_tracer, get_logger
+from ..obs import counters as _ambient
 from ..obs.audit import (
     CACHE_ASSEMBLED,
     CACHE_FRESH,
@@ -46,10 +47,12 @@ from ..obs.counters import (
     SELECTION_RESCORED,
     SELECTION_SKIPPED,
     count,
+    observe_many,
 )
 from ..obs.events import EVENT_COMMIT, EVENT_DEGRADE, EVENT_REDUCTION
 from ..obs.metrics import (
     CANDIDATES_SCANNED,
+    FORCE_EVAL_SECONDS,
     FRAMES_REMAINING,
     REDUCTION_SCORE,
     SELECT_SECONDS,
@@ -209,6 +212,11 @@ class _SystemKernel:
         # sides, so a re-evaluation can free exactly its own rows.
         self._assigned_low: List[Tuple[str, ...]] = [()] * n
         self._assigned_high: List[Tuple[str, ...]] = [()] * n
+        # Per entry: type order -> its balanced types (those holding a
+        # G row), a static property of the entry's process.
+        self._balanced_part: List[Dict[Tuple[str, ...], Tuple[str, ...]]] = [
+            {} for _ in entries
+        ]
         self._scan_no = 0
 
         # Per-entry candidate lists persist between scans; a commit only
@@ -993,7 +1001,16 @@ class _SystemKernel:
         branch for branch.  Constants, ``w * delta_S`` rows, and their
         current-``S`` dots are written into the persistent arrays; the
         wholesale refold in :meth:`select` produces the forces.
+
+        A pair's constant is the sum of its per-type values in type
+        order; summing column by column of a (position × pair) matrix
+        performs the same additions in the same order as a per-pair
+        scalar loop.  A slot side whose balanced types are unchanged
+        keeps its G rows and has them rewritten in place; freeing and
+        re-allocating them would hand back the same row ids.
         """
+        registry_active = _ambient._active is not None
+        started = time.perf_counter() if registry_active else 0.0
         coupling = self.coupling
         state = entry.state
         frames = state.frames
@@ -1001,25 +1018,27 @@ class _SystemKernel:
         lookahead = self.lookahead
         weights = self.weights
         process_name = entry.process_name
+        slots_map = self.slot_of[index]
         pairs: List[Tuple[str, int]] = []
+        slots: List[int] = []
+        etas: List[float] = []
         for op_id in fresh_ops:
             lo, hi = frames.frame(op_id)
             pairs.append((op_id, lo))
             pairs.append((op_id, hi))
+            slots.append(slots_map[op_id])
+            etas.append(1.0 if hi - lo + 1 <= 2 else 0.5)
         batch = DeltaBatch(state, pairs)
         type_orders = batch.type_orders
-        # Per type: S-independent value per participating row, plus (for
-        # balanced shared types) the pre-weighted delta_S row and its
-        # current-S dot.
-        const_parts: Dict[str, Dict[int, float]] = {}
-        gvec_parts: Dict[str, Tuple[np.ndarray, np.ndarray, Dict[int, int]]] = {}
+        # columns[p, row]: the value of the type at position p of the
+        # row's type order (0.0 past its end).
+        columns = np.zeros((max(map(len, type_orders)), len(pairs)), dtype=float)
+        # Balanced shared types: the pre-weighted delta_S rows of the
+        # participants and their current-S dots.
+        gvec_parts: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         for type_name, matrix in batch.deltas.items():
-            participants = [
-                row for row, order in enumerate(type_orders) if type_name in order
-            ]
-            if not participants:
-                continue
-            deltas = matrix[np.asarray(participants, dtype=np.intp)]
+            participants = batch.participants[type_name]
+            deltas = matrix[participants]
             weight = 1.0 if weights is None else float(weights.get(type_name, 1.0))
             count(FORCE_EVALUATIONS, len(participants))
             if self.alignment and coupling.is_shared(process_name, type_name):
@@ -1035,95 +1054,73 @@ class _SystemKernel:
                         row_dots(q_new, q_old)
                         + lookahead * row_self_dots(q_new)
                     )
-                    const_parts[type_name] = dict(zip(participants, vals.tolist()))
                 else:
                     others = coupling.other_blocks_max(index, type_name)
                     m_old = coupling.process_max(process_name, type_name)
                     np.maximum(others, q_new, out=q_new)
                     q_new -= m_old
                     delta_s = q_new
-                    frozen = (weight * lookahead) * row_self_dots(delta_s)
+                    vals = (weight * lookahead) * row_self_dots(delta_s)
                     delta_s *= weight
-                    weighted = delta_s
-                    gdot_vals = row_dots(
-                        weighted, coupling.system_distribution(type_name)
-                    )
-                    const_parts[type_name] = dict(
-                        zip(participants, frozen.tolist())
-                    )
                     gvec_parts[type_name] = (
-                        weighted,
-                        gdot_vals,
-                        {row: i for i, row in enumerate(participants)},
+                        delta_s,
+                        row_dots(delta_s, coupling.system_distribution(type_name)),
                     )
             else:
                 vals = weight * (
                     row_dots(deltas, dist.array(type_name))
                     + lookahead * row_self_dots(deltas)
                 )
-                const_parts[type_name] = dict(zip(participants, vals.tolist()))
+            columns[batch.positions[type_name], participants] = vals
+        consts = np.zeros(len(pairs), dtype=float)
+        for column in columns:
+            consts += column
 
-        slots_map = self.slot_of[index]
-        # Per-slot scalar array writes are collected in python lists and
-        # flushed as one fancy write per target array (and per type for
-        # the G rows — allocation may grow those, so the flush re-reads
-        # them); the bookkeeping loop itself touches no numpy state.
-        pending: Dict[str, Tuple[List[int], List[int]]] = {}
-        gslot_writes: Dict[Tuple[str, int], Tuple[List[int], List[int]]] = {}
-        slots_list: List[int] = []
-        const_lows: List[float] = []
-        const_highs: List[float] = []
-        etas: List[float] = []
+        # A slot side keeps its G rows when its balanced-type tuple is
+        # unchanged.  Otherwise it releases the old rows and allocates
+        # new ones, in row order: releasing and re-allocating an
+        # unchanged side would hand back the very same ids, so the free
+        # lists evolve exactly as if every side did.
         gslot = self._gslot
-        for k, op_id in enumerate(fresh_ops):
-            slot = slots_map[op_id]
-            slots_list.append(slot)
-            for side, row, assigned in (
-                (0, 2 * k, self._assigned_low),
-                (1, 2 * k + 1, self._assigned_high),
-            ):
-                for type_name in assigned[slot]:
-                    stale_rows = gslot[type_name]
-                    self._free[type_name].append(int(stale_rows[side, slot]))
-                    stale_rows[side, slot] = 0
-                const = 0.0
-                new_types: List[str] = []
-                for type_name in type_orders[row]:
-                    const += const_parts[type_name][row]
-                    per_type = gvec_parts.get(type_name)
-                    if per_type is not None:
-                        i = per_type[2].get(row)
-                        if i is not None:
-                            row_id = self._alloc_row(type_name)
-                            g_slots, g_rows = gslot_writes.setdefault(
-                                (type_name, side), ([], [])
-                            )
-                            g_slots.append(slot)
-                            g_rows.append(row_id)
-                            row_ids, sources = pending.setdefault(
-                                type_name, ([], [])
-                            )
-                            row_ids.append(row_id)
-                            sources.append(i)
-                            new_types.append(type_name)
-                if side == 0:
-                    const_lows.append(const)
-                else:
-                    const_highs.append(const)
-                assigned[slot] = tuple(new_types)
-            lo, hi = frames.frame(op_id)
-            etas.append(1.0 if hi - lo + 1 <= 2 else 0.5)
-        slots_arr = np.asarray(slots_list, dtype=np.intp)
-        self._const[0, slots_arr] = const_lows
-        self._const[1, slots_arr] = const_highs
+        balanced_part = self._balanced_part[index]
+        balancing = self.alignment and self.balancing
+        assigned_sides = (self._assigned_low, self._assigned_high)
+        for row, order in enumerate(type_orders):
+            new = balanced_part.get(order)
+            if new is None:
+                new = balanced_part[order] = tuple(
+                    name
+                    for name in order
+                    if balancing and coupling.is_shared(process_name, name)
+                )
+            side = row & 1
+            slot = slots[row >> 1]
+            assigned = assigned_sides[side]
+            old = assigned[slot]
+            if new == old:
+                continue
+            for type_name in old:
+                stale_rows = gslot[type_name]
+                self._free[type_name].append(int(stale_rows[side, slot]))
+                stale_rows[side, slot] = 0
+            for type_name in new:
+                gslot[type_name][side, slot] = self._alloc_row(type_name)
+            assigned[slot] = new
+        slots_arr = np.asarray(slots, dtype=np.intp)
+        self._const[0, slots_arr] = consts[0::2]
+        self._const[1, slots_arr] = consts[1::2]
         self._eta[slots_arr] = etas
         self._fold_stamp[slots_arr] = scan_no
-        for (type_name, side), (g_slots, g_rows) in gslot_writes.items():
-            gslot[type_name][side, g_slots] = g_rows
-        for type_name, (row_ids, sources) in pending.items():
-            weighted, gdot_vals, _rowmap = gvec_parts[type_name]
-            self._g[type_name][row_ids] = weighted[sources]
-            self._gdots[type_name][row_ids] = gdot_vals[sources]
+        # Allocation may have grown the G arrays; read them afresh.
+        for type_name, (weighted, gdot_vals) in gvec_parts.items():
+            participants = batch.participants[type_name]
+            ids = gslot[type_name][participants & 1, slots_arr[participants >> 1]]
+            self._g[type_name][ids] = weighted
+            self._gdots[type_name][ids] = gdot_vals
+        if registry_active:
+            rows = len(pairs)
+            elapsed = time.perf_counter() - started
+            observe_many(FORCE_EVAL_SECONDS, elapsed / rows, rows)
 
     def _alloc_row(self, type_name: str) -> int:
         """Next free G row of a type, growing the arrays by doubling."""

@@ -114,7 +114,7 @@ class BlockDistributions:
         self._sums: Dict[str, np.ndarray] = {}
         self._ops_of_type: Dict[str, List[str]] = {}
         self._guarded_types: Set[str] = set()
-        self._row_cache: Dict[Tuple[str, int, int], np.ndarray] = {}
+        self._row_cache: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {}
         for op in graph:
             rtype = library.type_of(op)
             self.type_of[op.op_id] = rtype.name
@@ -173,15 +173,20 @@ class BlockDistributions:
     def tentative_row(self, op_id: str, lo: int, hi: int) -> np.ndarray:
         """Row the operation would have with frame ``[lo, hi]``.
 
-        Rows are memoized per ``(op, lo, hi)`` — the same tentative
-        placements are evaluated over and over between commits — and must
-        therefore be treated as read-only by callers.
+        Rows are memoized per operation and ``(lo, hi)`` — the same
+        tentative placements are evaluated over and over between commits —
+        and must therefore be treated as read-only by callers.  The memo
+        keeps live frames only: frames never widen, so :meth:`refresh`
+        drops every key of a changed operation that no longer fits inside
+        its frame.
         """
-        key = (op_id, lo, hi)
-        row = self._row_cache.get(key)
+        rows = self._row_cache.get(op_id)
+        if rows is None:
+            rows = self._row_cache[op_id] = {}
+        row = rows.get((lo, hi))
         if row is None:
             row = occupancy_row(lo, hi, self.occupancy_of[op_id], self.horizon)
-            self._row_cache[key] = row
+            rows[(lo, hi)] = row
         return row
 
     def tentative_array(
@@ -219,11 +224,17 @@ class BlockDistributions:
         """Recompute rows of operations whose frames changed.
 
         Returns the names of the resource types whose distribution graph
-        was affected.
+        was affected.  Memoized tentative rows of the changed operations
+        that fall outside their new frames are dropped: a frame only
+        narrows, so those keys can never be asked for again.
         """
         touched: Set[str] = set()
         for op_id in changed_ops:
             lo, hi = self.frames.frame(op_id)
+            memo = self._row_cache.get(op_id)
+            if memo:
+                for key in [k for k in memo if k[0] < lo or k[1] > hi]:
+                    del memo[key]
             new_row = self.tentative_row(op_id, lo, hi)
             type_name = self.type_of[op_id]
             if type_name not in self._guarded_types:

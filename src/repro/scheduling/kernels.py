@@ -175,13 +175,14 @@ class DeltaBatch:
 
     Two internal build paths cover the two batch shapes the schedulers
     produce.  *Narrow* batches — at most two candidate slots per
-    operation, the IFDS/system frame-end case — replay the scalar
-    ``placement_deltas`` accumulation per candidate against the memoized
-    tentative rows, which is both cheaper than stacking occupancy
-    batches at that width and bit-exact by construction.  *Wide* batches
-    (whole-frame FDS scans) assemble one flattened occupancy batch per
-    operation covering the own row and every neighbor row of every
-    candidate in a single :func:`batched_occupancy_rows` call.
+    operation, the IFDS/system frame-end case — read each candidate's
+    override set from the state's displacement row table
+    (:meth:`BlockState.displacement_record`) and replay the scalar
+    ``placement_deltas`` accumulation for all of them in one stacked
+    pass.  *Wide* batches (whole-frame FDS scans) assemble one flattened
+    occupancy batch per operation covering the own row and every
+    neighbor row of every candidate in a single
+    :func:`batched_occupancy_rows` call.
 
     Attributes:
         candidates: The ``(op_id, start)`` pairs, batch order.
@@ -192,18 +193,26 @@ class DeltaBatch:
             displacement matrix; rows of candidates that do not displace
             the type are never consumed (the narrow path leaves them
             uninitialized, the wide path zero).
+        participants: Per type, the ascending batch rows that displace
+            it — exactly the rows whose ``type_orders`` entry names it.
+            Filled by the narrow build only.
+        positions: Per type, the type's index in each participant's
+            ``type_orders`` entry, aligned with ``participants``.
+            Filled by the narrow build only.
 
     Candidates must not have a guarded force footprint — callers route
     those through the scalar reference path.
     """
 
-    __slots__ = ("candidates", "type_orders", "deltas")
+    __slots__ = ("candidates", "type_orders", "deltas", "participants", "positions")
 
     def __init__(self, state: BlockState, candidates: Sequence[Tuple[str, int]]):
         n = len(candidates)
         self.candidates = list(candidates)
         self.type_orders: List[Tuple[str, ...]] = [()] * n
         self.deltas: Dict[str, np.ndarray] = {}
+        self.participants: Dict[str, np.ndarray] = {}
+        self.positions: Dict[str, np.ndarray] = {}
 
         # Group batch rows by operation: all of an op's candidate slots
         # share the same neighbor structure and vectorize together.
@@ -217,130 +226,85 @@ class DeltaBatch:
             self._build_wide(state, groups)
 
     def _build_narrow(self, state: BlockState) -> None:
-        """Per-candidate replay of the scalar delta accumulation.
+        """Stacked replay of the scalar delta accumulation.
 
         Each row reproduces bit for bit what
-        :meth:`BlockState.placement_deltas` computes.  The common case —
-        one overridden row per displaced type — replays the scalar
-        round trip ``(S + (row - old_row)) - S`` elementwise but stacked
-        over every (candidate, type) pair of the type at once, three
-        vector operations per type instead of four per pair (IEEE
-        addition commutes, so folding the increment first is
-        bit-identical).  Pairs with several overridden rows of one type,
-        or a guarded type, fall back to the literal per-candidate
-        ``tentative_array`` round trip.
+        :meth:`BlockState.placement_deltas` computes: the scalar
+        ``tentative_array`` round trip ``((S + inc_1) + inc_2 ...) - S``,
+        with ``inc_k = new_k - old_k`` in override order.  The round trip
+        runs for every (candidate, type) pair of the batch at once,
+        grouped by type: the first increments stack into one matrix, each
+        type's block adds its distribution (IEEE addition commutes, so
+        ``inc_1 + S`` equals ``S + inc_1``), the further increments add
+        into their pairs, and one subtraction per type closes the trip.
         """
         dist = state.dist
-        frames = state.frames
-        type_of = dist.type_of
-        horizon = dist.horizon
-        n = len(self.candidates)
-        deltas = self.deltas
-        # Static per-op structure (own latency, predecessors with their
-        # latencies, successors), memoized on the state: the narrow path
-        # re-walks it for the same operations on every invalidation.
-        meta = getattr(state, "_narrow_meta", None)
-        if meta is None:
-            graph = state.graph
-            latency = frames._latency
-            meta = {
-                op_id: (
-                    latency[op_id],
-                    [(pred, latency[pred]) for pred in graph.predecessors(op_id)],
-                    list(graph.successors(op_id)),
-                )
-                for op_id in graph.op_ids
-            }
-            state._narrow_meta = meta
-        lo_of = frames._lo
-        hi_of = frames._hi
-        current_rows = dist._rows
-        tentative_row = dist.tentative_row
-        # singles[type] = (batch rows, new rows, current rows) of every
-        # candidate displacing the type through exactly one override.
-        singles: Dict[str, Tuple[List[int], List[np.ndarray], List[np.ndarray]]] = {}
-        multis: List[Tuple[int, str, List[Tuple[str, np.ndarray]]]] = []
+        type_orders = self.type_orders
+        # Per type: participant rows, type-order positions, and their
+        # first (override, current) rows, in candidate order.
+        by_type: Dict[str, Tuple[List[int], List[int], List[np.ndarray]]] = {}
+        # Further overrides: (type, participant index) and their rows.
+        extra_at: List[Tuple[str, int]] = []
+        extra_flat: List[np.ndarray] = []
         for row, (op_id, start) in enumerate(self.candidates):
-            latency, preds, succs = meta[op_id]
-            # (oid, overriding row) pairs in the scalar override-dict
-            # order: the operation itself, predecessors, successors.
-            overrides: List[Tuple[str, np.ndarray]] = [
-                (op_id, tentative_row(op_id, start, start))
-            ]
-            for pred, pred_latency in preds:
-                new_hi = start - pred_latency
-                if new_hi < hi_of[pred]:
-                    overrides.append(
-                        (pred, tentative_row(pred, lo_of[pred], new_hi))
-                    )
-            finish = start + latency
-            for succ in succs:
-                if finish > lo_of[succ]:
-                    overrides.append(
-                        (succ, tentative_row(succ, finish, hi_of[succ]))
-                    )
-            order: List[str] = []
-            per_type: Dict[str, List[int]] = {}
-            for position, (oid, _new_row) in enumerate(overrides):
-                type_name = type_of[oid]
-                bucket = per_type.get(type_name)
-                if bucket is None:
-                    per_type[type_name] = [position]
-                    order.append(type_name)
-                else:
-                    bucket.append(position)
-            self.type_orders[row] = tuple(order)
-            for type_name in order:
-                positions = per_type[type_name]
-                if len(positions) == 1 and not dist.has_guards(type_name):
-                    oid, new_row = overrides[positions[0]]
-                    lists = singles.setdefault(type_name, ([], [], []))
-                    lists[0].append(row)
-                    lists[1].append(new_row)
-                    lists[2].append(current_rows[oid])
-                else:
-                    multis.append((row, type_name, overrides))
-        # One stacked round trip for every single-override pair of every
-        # type at once: row ``i`` still computes exactly
-        # ``(new - old) + S_t - S_t`` elementwise, so each row is
-        # bit-identical to the per-type version while the numpy call
-        # count per batch stays constant instead of linear in the
-        # number of displaced types.  Rows a candidate does not displace
-        # are never consumed (``type_orders`` gates every consumer), so
-        # the matrices need no zero fill.
-        if singles:
-            news_all: List[np.ndarray] = []
-            olds_all: List[np.ndarray] = []
-            bases_all: List[np.ndarray] = []
-            spans: List[Tuple[str, List[int], int, int]] = []
-            offset = 0
-            for type_name, (rows, news, olds) in singles.items():
-                news_all.extend(news)
-                olds_all.extend(olds)
-                bases_all.extend([dist.array(type_name)] * len(rows))
-                spans.append((type_name, rows, offset, offset + len(rows)))
-                offset += len(rows)
-            inc = np.asarray(news_all) - np.asarray(olds_all)
-            base_stack = np.asarray(bases_all)
-            inc += base_stack
-            inc -= base_stack
-            for type_name, rows, lo, hi in spans:
-                matrix = deltas.get(type_name)
-                if matrix is None:
-                    matrix = np.empty((n, horizon), dtype=float)
-                    deltas[type_name] = matrix
-                matrix[rows] = inc[lo:hi]
-        if multis:
-            scratch = state._scratch
-            for row, type_name, overrides in multis:
-                matrix = deltas.get(type_name)
-                if matrix is None:
-                    matrix = np.empty((n, horizon), dtype=float)
-                    deltas[type_name] = matrix
-                after = dist.tentative_array(
-                    type_name, dict(overrides), out=scratch
-                )
-                np.subtract(after, dist.array(type_name), out=matrix[row])
+            order, rows, more = state.displacement_record(op_id, start)
+            type_orders[row] = order
+            i = 0
+            for position, type_name in enumerate(order):
+                group = by_type.get(type_name)
+                if group is None:
+                    group = by_type[type_name] = ([], [], [])
+                group[0].append(row)
+                group[1].append(position)
+                group[2].append(rows[i])
+                group[2].append(rows[i + 1])
+                i += 2
+            if more:
+                spots, extra_rows = more
+                for spot in spots:
+                    type_name = order[spot]
+                    extra_at.append((type_name, len(by_type[type_name][0]) - 1))
+                extra_flat.extend(extra_rows)
+        if not by_type:
+            return
+
+        horizon = dist.horizon
+        offsets: Dict[str, int] = {}
+        flat: List[np.ndarray] = []
+        for type_name, (_rows, _positions, pair_rows) in by_type.items():
+            offsets[type_name] = len(flat) // 2
+            flat.extend(pair_rows)
+        pairs = np.concatenate(flat).reshape(-1, 2, horizon)
+        stacked = pairs[:, 0] - pairs[:, 1]
+        for type_name, offset in offsets.items():
+            stacked[offset : offset + len(by_type[type_name][0])] += dist.array(
+                type_name
+            )
+        if extra_at:
+            # ``add.at`` applies repeated indices one after another in
+            # index order, i.e. each pair's further increments in
+            # override order.
+            more_pairs = np.concatenate(extra_flat).reshape(-1, 2, horizon)
+            np.add.at(
+                stacked,
+                [offsets[type_name] + index for type_name, index in extra_at],
+                more_pairs[:, 0] - more_pairs[:, 1],
+            )
+
+        # Rows a candidate does not displace are never consumed
+        # (``type_orders`` gates every consumer), so the matrices need
+        # no zero fill.
+        shape = (len(self.candidates), horizon)
+        for type_name, (rows_of, positions, _pair_rows) in by_type.items():
+            offset = offsets[type_name]
+            block = stacked[offset : offset + len(rows_of)]
+            block -= dist.array(type_name)
+            participants = np.asarray(rows_of, dtype=np.intp)
+            matrix = np.empty(shape, dtype=float)
+            matrix[participants] = block
+            self.deltas[type_name] = matrix
+            self.participants[type_name] = participants
+            self.positions[type_name] = np.asarray(positions, dtype=np.intp)
 
     def _build_wide(self, state: BlockState, groups: Dict[str, List[int]]) -> None:
         """Stacked-occupancy path for wide batches (whole-frame scans).

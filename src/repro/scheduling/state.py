@@ -10,7 +10,8 @@ forces are computed — without mutating anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Set
+from itertools import chain
+from typing import Dict, FrozenSet, List, Set, Tuple, Union
 
 import numpy as np
 
@@ -19,6 +20,26 @@ from ..obs.counters import FRAME_REDUCTIONS, count
 from ..resources.library import ResourceLibrary
 from .distribution import BlockDistributions
 from .timeframes import FrameTable
+
+#: Static neighbour structure of one operation: its latency, its direct
+#: predecessors with their latencies, and its direct successors, both in
+#: graph order.
+OpLinks = Tuple[int, Tuple[Tuple[str, int], ...], Tuple[str, ...]]
+
+#: Override set of one tentative placement ``(op, start)``:
+#: ``(order, rows, more)``.  ``order`` lists the displaced resource
+#: types in first-occurrence order (own type, then reduced predecessors',
+#: then reduced successors'); ``rows`` holds, per type in that order, the
+#: first override row followed by the current row it replaces.  ``more``
+#: is empty unless some type has further overrides; then it is ``(spots,
+#: rows)``: the type-order position of each further override, and their
+#: (override, current) rows in override order.  Rows are references into
+#: the distribution memo, never new arrays.
+DisplacementRecord = Tuple[
+    Tuple[str, ...],
+    Tuple[np.ndarray, ...],
+    Union[Tuple[()], Tuple[Tuple[int, ...], Tuple[np.ndarray, ...]]],
+]
 
 
 @dataclass(frozen=True)
@@ -36,7 +57,16 @@ class ReductionEffect:
 
 
 class BlockState:
-    """Frames + distributions of one block under construction."""
+    """Frames + distributions of one block under construction.
+
+    Besides frames and distributions the state keeps the *displacement
+    row table*: one :data:`DisplacementRecord` per evaluated ``(op,
+    start)``.  A record reads only the frames of the operation and its
+    direct neighbours, so it stays valid across commits until one of
+    those frames moves; :meth:`commit_reduce_effect` drops exactly those
+    records.  The distributions a record's rows displace may move in the
+    meantime — consumers read them at use time.
+    """
 
     def __init__(self, block: Block, library: ResourceLibrary) -> None:
         self.block = block
@@ -49,6 +79,21 @@ class BlockState:
         # fresh allocation per (candidate, type).  Single-threaded use
         # only, like the rest of the scheduling state.
         self._scratch = np.empty(self.frames.deadline, dtype=float)
+        latency = self.frames._latency
+        graph = self.graph
+        self.links: Dict[str, OpLinks] = {
+            op_id: (
+                latency[op_id],
+                tuple((pred, latency[pred]) for pred in graph.predecessors(op_id)),
+                tuple(graph.successors(op_id)),
+            )
+            for op_id in graph.op_ids
+        }
+        #: Displacement row table: op -> start -> record.
+        self.row_table: Dict[str, Dict[int, DisplacementRecord]] = {}
+        # One tuple per distinct type order, shared by every record (and
+        # batch ``type_orders`` entry) with that order.
+        self._orders: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     @property
     def deadline(self) -> int:
@@ -79,6 +124,62 @@ class BlockState:
             deltas[type_name] = after - self.dist.array(type_name)
         return deltas
 
+    def displacement_record(self, op_id: str, start: int) -> DisplacementRecord:
+        """The override set of placing ``op_id`` at ``start``, from the
+        row table or built into it.
+
+        Overrides follow :meth:`placement_deltas`: the operation's own
+        single-step row, then each predecessor whose frame the placement
+        cuts from above and each successor it cuts from below, both in
+        graph order.
+        """
+        by_start = self.row_table.get(op_id)
+        if by_start is None:
+            by_start = self.row_table[op_id] = {}
+        else:
+            record = by_start.get(start)
+            if record is not None:
+                return record
+        dist = self.dist
+        tentative_row = dist.tentative_row
+        current = dist._rows
+        type_of = dist.type_of
+        lo_of = self.frames._lo
+        hi_of = self.frames._hi
+        latency, preds, succs = self.links[op_id]
+        per_type: Dict[str, List[np.ndarray]] = {
+            type_of[op_id]: [tentative_row(op_id, start, start), current[op_id]]
+        }
+        for pred, pred_latency in preds:
+            new_hi = start - pred_latency
+            if new_hi < hi_of[pred]:
+                per_type.setdefault(type_of[pred], []).extend(
+                    (tentative_row(pred, lo_of[pred], new_hi), current[pred])
+                )
+        finish = start + latency
+        for succ in succs:
+            if finish > lo_of[succ]:
+                per_type.setdefault(type_of[succ], []).extend(
+                    (tentative_row(succ, finish, hi_of[succ]), current[succ])
+                )
+        order = tuple(per_type)
+        order = self._orders.setdefault(order, order)
+        groups = per_type.values()
+        spots = tuple(
+            position
+            for position, rows in enumerate(groups)
+            for _extra in range(len(rows) // 2 - 1)
+        )
+        record = (
+            order,
+            tuple(chain.from_iterable(rows[:2] for rows in groups)),
+            (spots, tuple(chain.from_iterable(rows[2:] for rows in groups)))
+            if spots
+            else (),
+        )
+        by_start[start] = record
+        return record
+
     def commit_reduce(self, op_id: str, lo: int, hi: int) -> Set[str]:
         """Reduce a frame for real, propagate, refresh distributions.
 
@@ -92,10 +193,22 @@ class BlockState:
         Incremental schedulers need both halves of the perturbation: the
         operations whose frames moved (their own and their neighbors'
         cached forces are stale) and the types whose distributions moved.
+        The same rule drops row-table records: those of every changed
+        operation and of its direct predecessors and successors.
         """
         count(FRAME_REDUCTIONS)
         changed_ops = self.frames.reduce(op_id, lo, hi)
         touched = self.dist.refresh(changed_ops)
+        table = self.row_table
+        if table:
+            links = self.links
+            for oid in changed_ops:
+                table.pop(oid, None)
+                _latency, preds, succs = links[oid]
+                for pred, _pred_latency in preds:
+                    table.pop(pred, None)
+                for succ in succs:
+                    table.pop(succ, None)
         return ReductionEffect(frozenset(changed_ops), frozenset(touched))
 
     def commit_fix(self, op_id: str, start: int) -> Set[str]:

@@ -29,6 +29,8 @@ from repro import (
     default_library,
     loads_problem,
 )
+from repro.scheduling.forces import area_weights
+from repro.workloads import paper_assignment, paper_periods, paper_system
 
 GLOBAL_SYS = """\
 system demo
@@ -102,6 +104,23 @@ class TestExactCounters:
         first = problem.schedule(tracer=Tracer()).telemetry["counters"]
         second = problem.schedule(tracer=Tracer()).telemetry["counters"]
         assert first == second
+
+
+class TestForceEvalHistogram:
+    def test_paper_run_records_one_observation_per_frame_end(self):
+        """The coupled engine evaluates both frame ends of every
+        force-cache miss in one batch; the paper system has no guarded
+        operations, so nothing else records ``force_eval_seconds``."""
+        system, library = paper_system()
+        tracer = Tracer()
+        ModuloSystemScheduler(
+            library, weights=area_weights(library), tracer=tracer
+        ).schedule(system, paper_assignment(library), paper_periods())
+        summary = tracer.summary()
+        misses = summary["counters"]["force_cache_misses"]
+        assert misses > 0
+        histogram = summary["histograms"]["force_eval_seconds"]
+        assert histogram["count"] == 2 * misses
 
 
 class TestNoOpParity:

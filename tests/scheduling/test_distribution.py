@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.core import scheduler as scheduler_module
+from repro.core.scheduler import ModuloSystemScheduler
 from repro.errors import SchedulingError
 from repro.ir.dfg import DataFlowGraph
 from repro.ir.operation import OpKind
 from repro.resources.library import default_library
 from repro.scheduling.distribution import BlockDistributions, occupancy_row
+from repro.scheduling.forces import area_weights
+from repro.scheduling.state import BlockState
 from repro.scheduling.timeframes import FrameTable
+from repro.workloads import paper_assignment, paper_periods, paper_system
 
 
 class TestOccupancyRow:
@@ -133,3 +138,51 @@ class TestBlockDistributions:
         mass_before = dist.array("adder").sum()
         dist.refresh(frames.reduce("a2", 4, 5))
         assert dist.array("adder").sum() == pytest.approx(mass_before)
+
+
+def memo_keys(dist, op_id):
+    return set(dist._row_cache.get(op_id, {}))
+
+
+class TestTentativeRowMemo:
+    """The tentative-row memo keeps live frames only: frames never
+    widen, so refresh drops every key a changed op can no longer ask
+    for, and a dropped key recomputes to the same row."""
+
+    def test_refresh_drops_keys_outside_the_new_frame(self):
+        frames, dist = make_block_distributions()
+        lo, hi = frames.frame("a1")
+        for key in [(lo, lo), (lo, hi), (hi, hi)]:
+            dist.tentative_row("a1", *key)
+        dist.refresh(frames.reduce("a1", lo, lo))
+        assert memo_keys(dist, "a1") == {(lo, lo)}
+
+    def test_paper_schedule_leaves_only_live_keys(self, monkeypatch):
+        states = []
+
+        class RecordingState(BlockState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append((self, self.frames.frames()))
+
+        monkeypatch.setattr(scheduler_module, "BlockState", RecordingState)
+        system, library = paper_system()
+        ModuloSystemScheduler(library, weights=area_weights(library)).schedule(
+            system, paper_assignment(library), paper_periods()
+        )
+        assert states
+        pruned = 0
+        for state, initial in states:
+            dist = state.dist
+            for op_id in state.graph.op_ids:
+                lo, hi = state.frames.frame(op_id)
+                keys = memo_keys(dist, op_id)
+                assert all(lo <= k_lo and k_hi <= hi for k_lo, k_hi in keys)
+                first = initial[op_id]
+                if first in keys:
+                    continue
+                pruned += 1
+                row = dist.tentative_row(op_id, *first)
+                want = occupancy_row(*first, dist.occupancy_of[op_id], dist.horizon)
+                assert row.tobytes() == want.tobytes()
+        assert pruned > 0

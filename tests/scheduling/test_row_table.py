@@ -1,0 +1,184 @@
+"""Property tests for the displacement row table (docs/performance.md).
+
+``BlockState`` keeps one override record per evaluated ``(op, start)``
+and drops, on every commit, the records of the changed operations and
+of their direct predecessors and successors.  The narrow
+:class:`DeltaBatch` path builds every row from those records, so a
+stale record would show up as a row that differs from the scalar
+:meth:`BlockState.placement_deltas` oracle.  Random frame-end commits
+drive the table over the paper system, the guarded workload and random
+blocks; after every commit each mobile operation's two frame-end rows
+must equal the oracle bit for bit, with the displaced types in
+first-occurrence order.
+"""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from repro.ir.operation import OpKind
+from repro.ir.process import Block
+from repro.resources.library import default_library
+from repro.scheduling.kernels import DeltaBatch, guarded_footprint_ops
+from repro.scheduling.state import BlockState
+from repro.workloads import mode_switching_filter, paper_system, random_dfg
+
+LIBRARY = default_library()
+
+#: Commits driven per block; enough to fix most small blocks.
+COMMITS = 40
+
+
+def expected_order(state, op_id, start):
+    """Own type, then the types of the implicitly reduced neighbours
+    (predecessors, then successors, graph order), first occurrence."""
+    type_of = state.dist.type_of
+    order = [type_of[op_id]]
+    for oid in state.frames.implied_neighbor_frames(op_id, start):
+        if type_of[oid] not in order:
+            order.append(type_of[oid])
+    return tuple(order)
+
+
+def check_frame_ends(state, skip=frozenset()):
+    """Every mobile op's frame-end rows against the scalar oracle."""
+    candidates = []
+    for op_id in state.frames.unfixed():
+        if op_id not in skip:
+            lo, hi = state.frames.frame(op_id)
+            candidates.extend([(op_id, lo), (op_id, hi)])
+    if not candidates:
+        return
+    batch = DeltaBatch(state, candidates)
+    for row, (op_id, start) in enumerate(candidates):
+        scalar = state.placement_deltas(op_id, start)
+        assert batch.type_orders[row] == expected_order(state, op_id, start)
+        assert set(batch.type_orders[row]) == set(scalar)
+        for type_name, delta in scalar.items():
+            got = batch.deltas[type_name][row]
+            assert got.tobytes() == delta.tobytes(), f"{op_id}@{start} {type_name}"
+    for type_name, participants in batch.participants.items():
+        for row, position in zip(participants, batch.positions[type_name]):
+            assert batch.type_orders[row][position] == type_name
+
+
+def record_objects(state):
+    return {
+        (op_id, start): record
+        for op_id, by_start in state.row_table.items()
+        for start, record in by_start.items()
+    }
+
+
+def drive(state, seed):
+    """Random frame-end commits, checking the table after each one.
+
+    Returns (records reused across a commit, records with several
+    overrides of one type) so callers can assert both cases occurred.
+    """
+    skip = guarded_footprint_ops(state)
+    rng = np.random.default_rng(seed)
+    reused = multi = 0
+    check_frame_ends(state, skip)
+    for _ in range(COMMITS):
+        mobile = state.frames.unfixed()
+        if not mobile:
+            break
+        before = record_objects(state)
+        op_id = mobile[int(rng.integers(len(mobile)))]
+        lo, hi = state.frames.frame(op_id)
+        if rng.integers(2):
+            state.commit_reduce_effect(op_id, lo + 1, hi)
+        else:
+            state.commit_reduce_effect(op_id, lo, hi - 1)
+        check_frame_ends(state, skip)
+        after = record_objects(state)
+        reused += sum(1 for key, record in before.items() if after.get(key) is record)
+        multi += sum(1 for record in after.values() if record[2])
+    return reused, multi
+
+
+def states_of(system, library):
+    return [BlockState(block, library) for _process, block in system.iter_blocks()]
+
+
+def guarded_state():
+    """The mode-switching filter plus an unguarded subtracter tail, so
+    commits on guarded operations propagate into kernel-evaluated ones."""
+    graph = mode_switching_filter(4, name="modal")
+    prev = "scale"
+    for index in range(3):
+        op = graph.add(f"post{index}", OpKind.SUB)
+        graph.add_edge(prev, op.op_id)
+        prev = op.op_id
+    deadline = graph.critical_path_length(LIBRARY.latency_of) + 4
+    return BlockState(Block(name="modal", graph=graph, deadline=deadline), LIBRARY)
+
+
+def random_state(seed):
+    graph = random_dfg(12, seed=seed)
+    deadline = graph.critical_path_length(LIBRARY.latency_of) + 5
+    return BlockState(Block(name=f"r{seed}", graph=graph, deadline=deadline), LIBRARY)
+
+
+def test_paper_system_rows_match_oracle_after_every_commit():
+    system, library = paper_system()
+    reused = multi = 0
+    for seed, state in enumerate(states_of(system, library)):
+        got_reused, got_multi = drive(state, seed)
+        reused += got_reused
+        multi += got_multi
+    # The table must actually serve records across commits, and the
+    # adder chains must produce rows with several overrides of one type.
+    assert reused > 0
+    assert multi > 0
+
+
+def test_guarded_workload_rows_match_oracle_after_every_commit():
+    state = guarded_state()
+    skip = guarded_footprint_ops(state)
+    assert skip and set(state.frames.unfixed()) - skip
+    drive(state, 7)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_block_rows_match_oracle_after_every_commit(seed):
+    drive(random_state(seed), seed)
+
+
+def references(state, op_id, row):
+    """Whether any of the op's records holds ``row``."""
+    return any(
+        candidate is row
+        for _order, rows, more in state.row_table.get(op_id, {}).values()
+        for candidate in rows + (more[1] if more else ())
+    )
+
+
+def test_commit_moving_only_a_neighbour_drops_the_record():
+    """The op's own frame stays put, but its records hold the old row of
+    a neighbour whose frame the commit moved: they must be dropped."""
+    system, library = paper_system()
+    for index, block_state in enumerate(states_of(system, library)):
+        for op_id in block_state.frames.unfixed():
+            _latency, preds, succs = block_state.links[op_id]
+            for neighbour in [pred for pred, _ in preds] + list(succs):
+                n_lo, n_hi = block_state.frames.frame(neighbour)
+                for bounds in ((n_lo + 1, n_hi), (n_lo, n_hi - 1)):
+                    if bounds[0] > bounds[1]:
+                        continue
+                    state = states_of(system, library)[index]
+                    lo, hi = state.frames.frame(op_id)
+                    DeltaBatch(state, [(op_id, lo), (op_id, hi)])
+                    old_row = state.dist.row(neighbour)
+                    if not references(state, op_id, old_row):
+                        continue
+                    effect = state.commit_reduce_effect(neighbour, *bounds)
+                    if effect.changed_ops != {neighbour}:
+                        continue
+                    assert state.frames.frame(op_id) == (lo, hi)
+                    assert state.dist.row(neighbour) is not old_row
+                    assert op_id not in state.row_table
+                    check_frame_ends(state, guarded_footprint_ops(state))
+                    return
+    raise AssertionError("no neighbour-only commit found")
