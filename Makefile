@@ -9,18 +9,18 @@ test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/multi_process_sharing.py
-	$(PYTHON) examples/reactive_loops.py
-	$(PYTHON) examples/period_exploration.py
-	$(PYTHON) examples/hdl_generation.py
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/multi_process_sharing.py
+	PYTHONPATH=src $(PYTHON) examples/reactive_loops.py
+	PYTHONPATH=src $(PYTHON) examples/period_exploration.py
+	PYTHONPATH=src $(PYTHON) examples/hdl_generation.py
 
 artifacts:
-	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache

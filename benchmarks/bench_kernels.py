@@ -1,4 +1,4 @@
-"""Kernel microbenchmarks and end-to-end kernel A/B → BENCH_kernel.json.
+"""Kernel microbenchmarks → BENCH_kernel.json.
 
 Measures the batched array kernels (:mod:`repro.scheduling.kernels`)
 against their scalar reference paths on identical inputs harvested from
@@ -12,16 +12,13 @@ real scheduling states, per system size:
 * **delta_build** — :class:`DeltaBatch` vs one
   ``BlockState.placement_deltas`` call per candidate;
 * **force_fold** — :meth:`PlacementKernel.forces` (whole frame per
-  call) vs one ``placement_force`` call per (op, step);
-* **end_to_end** — ``ModuloSystemScheduler`` with ``use_kernels`` on vs
-  off (force cache enabled in both arms, i.e. against PR 2's
-  configuration), best-of-``--repeats`` wall time to suppress machine
-  noise.
+  call) vs one ``placement_force`` call per (op, step).
 
-Decisions are identical in both arms of every comparison (pinned by
-``tests/core/test_kernel_parity.py``); only wall time differs.  Scalar
-arms loop enough iterations to stay well above the regression gate's
-noise floor.  Runnable standalone for CI smoke checks::
+Both arms of every comparison compute the same values (pinned by
+``tests/scheduling/test_kernels.py``); only wall time differs, taken
+best-of-``--repeats`` to suppress machine noise.  Scalar arms loop
+enough iterations to stay well above the regression gate's noise
+floor.  Runnable standalone for CI smoke checks::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --processes 6 \
         --repeats 2 --out BENCH_kernel.json
@@ -36,10 +33,6 @@ import numpy as np
 
 from conftest import save_artifact
 from repro.core.modulo import modulo_max_reference, modulo_max_rows
-from repro.core.periods import PeriodAssignment
-from repro.core.scheduler import ModuloSystemScheduler
-from repro.obs import Tracer
-from repro.resources.assignment import ResourceAssignment
 from repro.resources.library import default_library
 from repro.scheduling.distribution import occupancy_row
 from repro.scheduling.forces import placement_force
@@ -54,11 +47,6 @@ from repro.scheduling.state import BlockState
 from bench_scaling import PERIOD, build_system
 
 PROCESS_COUNTS = (6, 12)
-
-#: Wall time of the cached arm at 12 processes recorded by PR 2 in
-#: BENCH_scaling.json before the kernels landed (cached_scalar is the
-#: same configuration re-measured on the current machine).
-PR2_RECORDED_WALL_TIME_12P = 0.567
 
 #: Scalar-arm loop counts, sized so every scalar measurement clears the
 #: regression gate's 0.05 s noise floor with margin at 6 processes.
@@ -209,67 +197,15 @@ def bench_kernels_at(n_processes, library, repeats):
     return results
 
 
-def run_end_to_end(n_processes, library, repeats):
-    """Best-of-``repeats`` coupled runs, kernels on vs off."""
-    system = build_system(n_processes, library)
-    assignment = ResourceAssignment.all_global(library, system)
-    periods = PeriodAssignment({name: PERIOD for name in assignment.global_types})
-
-    def arm(use_kernels):
-        best = None
-        for _ in range(repeats):
-            tracer = Tracer()
-            scheduler = ModuloSystemScheduler(
-                library, use_kernels=use_kernels, tracer=tracer
-            )
-            started = time.perf_counter()
-            result = scheduler.schedule(system, assignment, periods)
-            elapsed = time.perf_counter() - started
-            if best is None or elapsed < best["wall_time"]:
-                counters = tracer.counters.as_dict()
-                best = {
-                    "wall_time": elapsed,
-                    "iterations": result.iterations,
-                    "area": result.total_area(),
-                    "force_evaluations": counters.get("force_evaluations", 0),
-                }
-        return best
-
-    kernel = arm(True)
-    scalar = arm(False)
-    row = {
-        "processes": n_processes,
-        "operations": system.operation_count,
-        "kernel": kernel,
-        "scalar": scalar,
-        "speedup": (
-            scalar["wall_time"] / kernel["wall_time"]
-            if kernel["wall_time"]
-            else float("inf")
-        ),
-    }
-    if n_processes == 12:
-        row["pr2_recorded_wall_time"] = PR2_RECORDED_WALL_TIME_12P
-        row["speedup_vs_pr2_recorded"] = (
-            PR2_RECORDED_WALL_TIME_12P / kernel["wall_time"]
-            if kernel["wall_time"]
-            else float("inf")
-        )
-    return row
-
-
 def run_bench(process_counts=PROCESS_COUNTS, *, repeats=3):
     library = default_library()
     kernels = []
-    end_to_end = []
     for n_processes in process_counts:
         kernels.extend(bench_kernels_at(n_processes, library, repeats))
-        end_to_end.append(run_end_to_end(n_processes, library, repeats))
     return {
         "config": {"repeats": repeats, "period": PERIOD,
                    "processes": list(process_counts)},
         "kernels": kernels,
-        "end_to_end": end_to_end,
     }
 
 
@@ -287,23 +223,6 @@ def format_report(report):
             f"{row['scalar_seconds']:>9.3f} {row['vector_seconds']:>9.3f} "
             f"{row['speedup']:>7.1f}x"
         )
-    lines.append("")
-    lines.append(
-        f"{'end-to-end':>18} {'procs':>5} {'ops':>6} {'scalar_s':>9} "
-        f"{'kernel_s':>9} {'speedup':>8}"
-    )
-    for row in report["end_to_end"]:
-        lines.append(
-            f"{'coupled run':>18} {row['processes']:>5} "
-            f"{row['operations']:>6} {row['scalar']['wall_time']:>9.3f} "
-            f"{row['kernel']['wall_time']:>9.3f} {row['speedup']:>7.1f}x"
-        )
-        if "speedup_vs_pr2_recorded" in row:
-            lines.append(
-                f"{'':>18} vs PR 2 recorded cached baseline "
-                f"({row['pr2_recorded_wall_time']:.3f}s): "
-                f"{row['speedup_vs_pr2_recorded']:.1f}x"
-            )
     return "\n".join(lines)
 
 
@@ -314,22 +233,13 @@ def test_kernels(benchmark):
     for row in report["kernels"]:
         # The pure-array kernels must win outright; the build/fold
         # drivers batch small per-op candidate sets at block level, so
-        # "no slower than scalar with margin" is the invariant (their
-        # system-level win is the end_to_end rows).
+        # "no slower than scalar with margin" is the invariant.
         if row["name"] in ("modulo_max", "occupancy_rows"):
             assert row["vector_seconds"] < row["scalar_seconds"], row["name"]
         else:
             assert (
                 row["vector_seconds"] < row["scalar_seconds"] * 1.5
             ), row["name"]
-    for row in report["end_to_end"]:
-        # Decision parity: the kernels must not change the outcome.
-        assert row["kernel"]["iterations"] == row["scalar"]["iterations"]
-        assert row["kernel"]["area"] == row["scalar"]["area"]
-        assert (
-            row["kernel"]["force_evaluations"]
-            == row["scalar"]["force_evaluations"]
-        )
     save_artifact("kernels", format_report(report), data=report)
 
 

@@ -10,7 +10,7 @@ tolerance (default 25%) on either axis:
   machines; growth means the algorithm started doing more work.
 * **wall time** — compared only through dimensionless same-run ratios
   (cached/uncached for the scaling bench, pruned/unpruned for the
-  sweep bench, vector/scalar and kernel/scalar for the kernels bench),
+  sweep bench, vector/scalar for the kernels bench),
   so a slower or faster CI machine cannot trip or mask the gate; only
   a change in the *relative* benefit of the optimization can.
 
@@ -28,9 +28,6 @@ Usage::
     PYTHONPATH=src python benchmarks/check_regression.py \
         --kind kernels --current BENCH_kernel.json \
         --baseline benchmarks/baselines/BENCH_kernel_smoke.json
-    PYTHONPATH=src python benchmarks/check_regression.py \
-        --kind scale --current BENCH_scale.json \
-        --baseline benchmarks/baselines/BENCH_scale_smoke.json
     PYTHONPATH=src python benchmarks/check_regression.py \
         --kind service --current BENCH_service.json \
         --baseline benchmarks/baselines/BENCH_service_smoke.json
@@ -135,56 +132,6 @@ def check_scaling(gate, current, baseline):
         )
     if matched == 0:
         gate.failures.append("no scaling rows matched the baseline")
-
-
-def check_scale(gate, current, baseline):
-    """Scoreboard A/B rows on the scenario corpus (bench_scale.py)."""
-    base_rows = {row["processes"]: row for row in baseline}
-    matched = 0
-    for row in current:
-        base = base_rows.get(row["processes"])
-        if base is None:
-            gate.skip(f"no baseline row for processes={row['processes']}")
-            continue
-        matched += 1
-        n = row["processes"]
-        on = row["scoreboard_on"]
-        off = row["scoreboard_off"]
-        # Decision parity between the arms is a hard invariant, not a
-        # tolerance check: the scoreboard must replay the scan exactly.
-        if (on["iterations"], on["area"]) != (off["iterations"], off["area"]):
-            gate.failures.append(
-                f"[{n}p] scoreboard arm parity violated: "
-                f"{on['iterations']}/{on['area']} vs "
-                f"{off['iterations']}/{off['area']}"
-            )
-            continue
-        gate.check_quality(f"[{n}p] area", row["area"], base["area"])
-        gate.check_count(
-            f"[{n}p] iterations", row["iterations"], base["iterations"]
-        )
-        for arm in ("scoreboard_on", "scoreboard_off"):
-            gate.check_count(
-                f"[{n}p] {arm} force_evaluations",
-                row[arm]["force_evaluations"],
-                base[arm]["force_evaluations"],
-            )
-        # Deterministic scoreboard work split: more rescoring means the
-        # dirty cone grew (an incremental-selection regression).
-        gate.check_count(
-            f"[{n}p] selection_rescored",
-            on["selection_rescored"],
-            base["scoreboard_on"]["selection_rescored"],
-        )
-        _wall_ratio(
-            gate,
-            f"[{n}p] scoreboard/scan wall-time ratio",
-            on["wall_time"], off["wall_time"],
-            base["scoreboard_on"]["wall_time"],
-            base["scoreboard_off"]["wall_time"],
-        )
-    if matched == 0:
-        gate.failures.append("no scale rows matched the baseline")
 
 
 def check_sweep(gate, current, baseline):
@@ -337,7 +284,7 @@ def check_absint(gate, current, baseline):
 
 
 def check_kernels(gate, current, baseline):
-    """Per-kernel and end-to-end kernel A/B rows (bench_kernels.py)."""
+    """Per-kernel vector-vs-scalar rows (bench_kernels.py)."""
     base_kernels = {
         (row["name"], row["processes"]): row for row in baseline["kernels"]
     }
@@ -362,34 +309,6 @@ def check_kernels(gate, current, baseline):
             row["vector_seconds"], row["scalar_seconds"],
             base["vector_seconds"], base["scalar_seconds"],
         )
-    base_rows = {row["processes"]: row for row in baseline["end_to_end"]}
-    for row in current["end_to_end"]:
-        base = base_rows.get(row["processes"])
-        if base is None:
-            gate.skip(f"no baseline end-to-end row for "
-                      f"processes={row['processes']}")
-            continue
-        matched += 1
-        n = row["processes"]
-        for arm in ("kernel", "scalar"):
-            gate.check_quality(
-                f"[{n}p] {arm} area", row[arm]["area"], base[arm]["area"]
-            )
-            gate.check_count(
-                f"[{n}p] {arm} iterations",
-                row[arm]["iterations"], base[arm]["iterations"],
-            )
-            gate.check_count(
-                f"[{n}p] {arm} force_evaluations",
-                row[arm]["force_evaluations"],
-                base[arm]["force_evaluations"],
-            )
-        _wall_ratio(
-            gate,
-            f"[{n}p] kernel/scalar wall-time ratio",
-            row["kernel"]["wall_time"], row["scalar"]["wall_time"],
-            base["kernel"]["wall_time"], base["scalar"]["wall_time"],
-        )
     if matched == 0:
         gate.failures.append("no kernel rows matched the baseline")
 
@@ -398,7 +317,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--kind",
-        choices=("scaling", "sweep", "kernels", "scale", "service", "absint"),
+        choices=("scaling", "sweep", "kernels", "service", "absint"),
         required=True,
     )
     parser.add_argument("--current", required=True,
@@ -419,8 +338,6 @@ def main(argv=None):
         check_scaling(gate, current, baseline)
     elif args.kind == "kernels":
         check_kernels(gate, current, baseline)
-    elif args.kind == "scale":
-        check_scale(gate, current, baseline)
     elif args.kind == "service":
         check_service(gate, current, baseline)
     elif args.kind == "absint":

@@ -35,7 +35,6 @@ from ..obs.audit import (
     CACHE_ASSEMBLED,
     CACHE_FRESH,
     CACHE_HIT,
-    CACHE_UNCACHED,
     CandidateAudit,
     DecisionAudit,
 )
@@ -68,7 +67,7 @@ from ..scheduling.kernels import (
     row_self_dots,
 )
 from ..scheduling.schedule import BlockSchedule
-from ..scheduling.scoreboard import SelectionScoreboard, prefix_maxima_positions
+from ..scheduling.scoreboard import SelectionScoreboard
 from ..scheduling.selection_cache import BlockSelectionCache
 from ..scheduling.state import BlockState, ReductionEffect
 from ..validation.budget import RunBudget
@@ -81,17 +80,11 @@ _log = get_logger(__name__)
 
 @dataclass
 class _Entry:
-    """One block being scheduled, with its system coordinates.
-
-    ``scalar_ops`` (kernel mode only) holds the operations whose force
-    footprint contains a guarded type; they always evaluate through the
-    scalar reference machinery, in both kernel and scalar modes.
-    """
+    """One block being scheduled, with its system coordinates."""
 
     process_name: str
     block: Block
     state: BlockState
-    scalar_ops: frozenset = frozenset()
     #: ``(frames.version(), hash)`` memo for ``_system_state_hash``; the
     #: frame version pins exactly when the hash can be reused.
     hash_memo: Optional[Tuple[int, int]] = None
@@ -132,18 +125,16 @@ class _CachedScore:
 
 #: Marker stored in a :class:`BlockSelectionCache` for operations whose
 #: selection state lives in the :class:`_SystemKernel` flat arrays.  The
-#: cache keeps exactly one entry per evaluated operation either way, so
-#: hit/miss/invalidation accounting is identical to the scalar mode.
+#: cache keeps exactly one entry per evaluated operation, so its
+#: hit/miss/invalidation accounting follows the per-operation probe model.
 _KERNEL_EVALUATED = object()
 
 
 class _SystemKernel:
-    """Persistent array-backed selection engine (kernel mode).
+    """Persistent array-backed selection engine with a dirty-cone scoreboard.
 
-    Replaces the per-candidate scalar fold of
-    :meth:`ModuloSystemScheduler._select_reduction` with flat
-    system-wide arrays.  Every operation owns one *slot*, and each of
-    its two frame-end forces is decomposed as::
+    Every operation owns one *slot*, and each of its two frame-end
+    forces is decomposed as::
 
         force = const + sum over balanced types T of (w * delta_S_T) . S_T
 
@@ -152,28 +143,31 @@ class _SystemKernel:
     ``alpha * delta_S . delta_S`` look-ahead parts — while the
     pre-weighted ``w * delta_S`` vectors live as rows of one per-type
     matrix ``G`` (row 0 is a permanent all-zero sentinel for slots that
-    do not touch the type).  A scan is then three vectorized steps:
+    do not touch the type).  A scan is then a few vectorized steps:
 
     * types whose ``S`` moved re-dot their whole ``G`` matrix against
       the new ``S`` in one matrix–vector product;
-    * every slot's forces refold as ``const + gathered dots``;
-    * scores ``eta * |F_low - F_high|`` come from one gathered
-      elementwise pass, folded in scan order with the scalar epsilons.
+    * only the entries in the commit's dirty cone (see
+      :class:`~repro.scheduling.scoreboard.SelectionScoreboard`) refold
+      their slots as ``const + gathered dots`` and rescore them as
+      ``eta * |F_low - F_high|``; every other slot keeps its score;
+    * the winner comes from one strict-prefix-maxima pass over the
+      persistent per-slot scores, replaying the scan-order hysteresis
+      fold with the scalar epsilons.
 
     Only invalidated operations do real work: their frame-end deltas are
     built in one :class:`~repro.scheduling.kernels.DeltaBatch` per block
     and folded per displaced type with batched matrix products.
 
-    Parity with the scalar scan is kept exactly where it is observable:
-    the per-block :class:`BlockSelectionCache` stores one marker per
-    evaluated operation (hits, misses, invalidations, and dirty-set
-    sizes are unchanged); the staleness mask counts one
-    ``force_cache_assemblies`` per cached operation whose folded force
-    predates an ``S`` bump of a type it touches — the same set the
-    scalar version-tuple comparison re-assembles; and operations with a
-    guarded force footprint keep using the scalar :class:`_CachedScore`
-    machinery in both modes.  Decision parity is pinned by
-    ``tests/core/test_kernel_parity.py``.
+    The telemetry follows the per-operation probe model of the force
+    cache: the per-block :class:`BlockSelectionCache` stores one marker
+    per evaluated operation (hits, misses, invalidations, and dirty-set
+    sizes); the staleness mask counts one ``force_cache_assemblies`` per
+    cached operation whose folded force predates an ``S`` bump of a type
+    it touches; and operations with a guarded force footprint keep
+    using the scalar :class:`_CachedScore` machinery.  Decisions agree
+    with the brute-force :class:`~repro.core.reference.ReferenceScheduler`,
+    pinned by ``tests/core/test_oracle_parity.py``.
     """
 
     def __init__(
@@ -181,12 +175,14 @@ class _SystemKernel:
         scheduler: "ModuloSystemScheduler",
         entries: List[_Entry],
         coupling: "_GlobalCoupling",
-        caches: List[BlockSelectionCache],
     ) -> None:
         self.scheduler = scheduler
         self.entries = entries
         self.coupling = coupling
-        self.caches = caches
+        self.caches = [BlockSelectionCache(entry.state) for entry in entries]
+        # Operations whose force footprint contains a guarded type: they
+        # evaluate through the scalar _CachedScore machinery.
+        self._scalar_ops = [guarded_footprint_ops(entry.state) for entry in entries]
         self.lookahead = scheduler.lookahead
         self.weights = scheduler.weights
         self.alignment = scheduler.periodical_alignment
@@ -200,7 +196,6 @@ class _SystemKernel:
                 mapping[op_id] = n
                 n += 1
             self.slot_of.append(mapping)
-        self.n_slots = n
         # Row 0 holds the low frame end, row 1 the high end: fusing the
         # two sides into (2, n) arrays halves the per-scan numpy call
         # count of the refold/gather phases.
@@ -224,22 +219,16 @@ class _SystemKernel:
         # same-process siblings), which :meth:`note_commit` marks dirty.
         # Clean entries skip classification wholesale: their candidates,
         # guarded jobs, and hit totals are unchanged by construction.
-        self._dirty: List[bool] = [True] * len(entries)
+        self._dirty = set(range(len(entries)))
         self._cand_ops: List[List[str]] = [[] for _ in entries]
         self._cand_slots: List[np.ndarray] = [
             np.empty(0, dtype=np.intp) for _ in entries
         ]
-        self._guarded_jobs: List[List[Tuple[str, int]]] = [[] for _ in entries]
         self._hit_counts: List[int] = [0] * len(entries)
-        # Scoreboard mode: persistent per-entry incumbents (see
-        # repro.scheduling.scoreboard); only the commit's dirty cone is
-        # rescored per scan, everything else folds from the records.
-        self.scoreboard = (
-            SelectionScoreboard(len(entries))
-            if scheduler.use_scoreboard
-            else None
-        )
-        self._dirty_set = set(range(len(entries)))
+        # Per-entry subscriptions and skip-hit shares (see
+        # repro.scheduling.scoreboard): only the commit's dirty cone is
+        # rescored per scan.
+        self.scoreboard = SelectionScoreboard(len(entries))
         # Per-entry staleness-active slots (mobile, non-guarded) and the
         # candidate-list positions of the guarded jobs, rebuilt whenever
         # the entry is reclassified.
@@ -254,35 +243,16 @@ class _SystemKernel:
         # as a sorted list, recomputed on (re)classification from the
         # per-slot ``_assigned_*`` tuples, which mirror ``gslot > 0``.
         self._act_types: List[List[str]] = [[] for _ in entries]
-        # Scoreboard mode keeps the scored state *per slot* between
-        # scans: the winner is then extracted with the same vectorized
-        # prefix-maxima pass as the full scan, over a persistent
-        # concatenated candidate-slot array maintained by splicing only
-        # reclassified entries' spans (``_sb_splices``).
+        # The scored state persists *per slot* between scans: the winner
+        # is extracted with one vectorized prefix-maxima pass over a
+        # persistent concatenated candidate-slot array, maintained by
+        # splicing only reclassified entries' spans (``_sb_splices``).
         self._scores_g = np.zeros(n, dtype=float)
         self._sb_idx = np.empty(0, dtype=np.intp)
         self._sb_sizes = np.zeros(len(entries), dtype=np.int64)
         self._sb_bounds = np.zeros(len(entries), dtype=np.int64)
         self._sb_splices: List[int] = []
-        self._mobile = np.zeros(n, dtype=bool)
-        self._guarded_mask = np.zeros(n, dtype=bool)
-        self._has_guards = any(entry.scalar_ops for entry in entries)
-        # Scan-order cache: the concatenated candidate slots, their owner
-        # entries, and the staleness-active mask only change when an op
-        # becomes fixed (144 events across ~1000 scans at 12 processes).
-        self._order_dirty = True
-        self._sel_owners: List[int] = []
-        self._sel_idx = np.empty(0, dtype=np.intp)
-        self._act_idx = np.empty(0, dtype=np.intp)
-        for index, entry in enumerate(entries):
-            frames = entry.state.frames
-            slots_map = self.slot_of[index]
-            scalar_ops = entry.scalar_ops
-            for op_id in entry.state.graph.op_ids:
-                slot = slots_map[op_id]
-                self._mobile[slot] = not frames.is_fixed(op_id)
-                if op_id in scalar_ops:
-                    self._guarded_mask[slot] = True
+        self._has_guards = any(self._scalar_ops)
 
         # Sorted so cross-run accumulation order never depends on set
         # (hash) iteration order.
@@ -313,252 +283,21 @@ class _SystemKernel:
     def select(
         self, *, collect: Optional[list] = None, want_detail: bool = False
     ) -> Optional[Tuple[int, str, bool, float, int, Optional[Tuple]]]:
-        """One selection scan; same contract as ``_select_reduction``."""
-        if self.scoreboard is not None:
-            return self._select_scoreboard(collect, want_detail)
-        track = want_detail or collect is not None
-        coupling = self.coupling
-        self._scan_no += 1
-        scan_no = self._scan_no
+        """Pick the IFDS reduction with the largest weighted force difference.
 
-        # (1) Sync to S: every type whose system distribution moved
-        # since the last scan re-dots its G matrix in one matvec.
-        for type_name in self._balanced_types:
-            version = coupling.s_version(type_name)
-            if version != self._seen_version[type_name]:
-                self._seen_version[type_name] = version
-                self._changed_scan[type_name] = scan_no
-                top = self._top[type_name]
-                if top > 1:
-                    np.matmul(
-                        self._g[type_name][:top],
-                        coupling.system_distribution(type_name),
-                        out=self._gdots[type_name][:top],
-                    )
+        Returns ``(entry_index, op_id, shrink_low, score, candidates,
+        detail)`` where ``candidates`` is the number of mobile operations
+        in the scan, or ``None`` once every frame has collapsed.
 
-        # (2) Classify the candidates of *dirty* entries: marker present
-        # -> hit, absent -> fresh (batch-evaluated per block), guarded
-        # footprint -> scalar job.  Clean entries reuse last scan's
-        # candidate lists — every non-guarded candidate is a hit by
-        # construction — so aggregated hit/miss totals still equal the
-        # scalar per-probe counts.
-        kinds: Optional[Dict[int, str]] = {} if track else None
-        for index, entry in enumerate(self.entries):
-            if not self._dirty[index]:
-                hits = self._hit_counts[index]
-                if hits:
-                    count(FORCE_CACHE_HITS, hits)
-                continue
-            self._dirty[index] = False
-            unfixed = entry.state.frames.unfixed()
-            self._cand_ops[index] = unfixed
-            store = self.caches[index]._store
-            slots_map = self.slot_of[index]
-            scalar_ops = entry.scalar_ops
-            slots = np.empty(len(unfixed), dtype=np.intp)
-            guarded: List[Tuple[str, int]] = []
-            fresh_ops: List[str] = []
-            hits = 0
-            for pos, op_id in enumerate(unfixed):
-                slot = slots_map[op_id]
-                slots[pos] = slot
-                if op_id in scalar_ops:
-                    guarded.append((op_id, slot))
-                elif op_id in store:
-                    hits += 1
-                else:
-                    fresh_ops.append(op_id)
-                    store[op_id] = _KERNEL_EVALUATED
-                    if kinds is not None:
-                        kinds[slot] = CACHE_FRESH
-            self._cand_slots[index] = slots
-            self._guarded_jobs[index] = guarded
-            # Once this entry is clean every non-guarded candidate —
-            # fresh ones included — probes as a hit.
-            self._hit_counts[index] = hits + len(fresh_ops)
-            if hits:
-                count(FORCE_CACHE_HITS, hits)
-            if fresh_ops:
-                count(FORCE_CACHE_MISSES, len(fresh_ops))
-                self._fresh_eval(index, entry, fresh_ops, scan_no)
+        Audit support is opt-in and observation-only: with ``want_detail``
+        the winner's ``(force_low, force_high, cache_kind)`` triple is
+        returned as ``detail`` (else ``None``); with ``collect`` a
+        :class:`~repro.obs.audit.CandidateAudit` is appended for every
+        candidate.  Neither changes the winner.
 
-        if self._order_dirty:
-            self._order_dirty = False
-            self._sel_owners = [
-                index
-                for index in range(len(self.entries))
-                if self._cand_slots[index].size
-            ]
-            self._sel_idx = (
-                np.concatenate(
-                    [self._cand_slots[index] for index in self._sel_owners]
-                )
-                if self._sel_owners
-                else np.empty(0, dtype=np.intp)
-            )
-            self._act_idx = np.nonzero(self._mobile & ~self._guarded_mask)[0]
-
-        # (3) Staleness: one assembly per cached op holding a G row of
-        # a type whose S moved after the op's last fold — exactly the
-        # set the scalar version-tuple comparison re-assembles.  Freshly
-        # evaluated slots carry this scan's stamp and drop out; guarded
-        # and fixed slots are masked off.
-        act_idx = self._act_idx if self._balanced_types else None
-        if act_idx is not None and act_idx.size:
-            stamps = self._fold_stamp[act_idx]
-            min_stamp = int(stamps.min())
-            stale = None
-            for type_name in self._balanced_types:
-                changed = self._changed_scan[type_name]
-                if changed <= min_stamp:
-                    continue
-                has_row = (self._gslot[type_name][:, act_idx] > 0).any(axis=0)
-                mask = has_row & (stamps < changed)
-                stale = mask if stale is None else (stale | mask)
-            if stale is not None:
-                assembled = int(stale.sum())
-                if assembled:
-                    count(FORCE_CACHE_ASSEMBLIES, assembled)
-                    self._fold_stamp[act_idx[stale]] = scan_no
-                    if kinds is not None:
-                        for slot in act_idx[stale].tolist():
-                            kinds[slot] = CACHE_ASSEMBLED
-
-        # (4) Refold every slot: constants plus the gathered per-type
-        # dots (the sentinel row contributes an exact 0.0).
-        np.copyto(self._force, self._const)
-        for type_name in self._balanced_types:
-            if self._top[type_name] > 1:
-                self._force += self._gdots[type_name][self._gslot[type_name]]
-
-        # (5) Guarded ops: scalar _CachedScore machinery, written into
-        # their slots after the wholesale refold.  Probed every scan so
-        # the cache's own hit/miss accounting matches the scalar path.
-        scheduler = self.scheduler
-        for index, entry in enumerate(self.entries):
-            jobs = self._guarded_jobs[index]
-            if not jobs:
-                continue
-            cache = self.caches[index]
-            frames = entry.state.frames
-            for op_id, slot in jobs:
-                cached = cache.get(op_id)
-                kind = CACHE_HIT
-                if cached is None:
-                    lo, hi = frames.frame(op_id)
-                    cached = scheduler._evaluate_cached(
-                        index, entry, coupling, op_id, lo, hi
-                    )
-                    cache.put(op_id, cached)
-                    kind = CACHE_FRESH
-                elif cached.global_types:
-                    versions = tuple(
-                        coupling.s_version(t) for t in cached.global_types
-                    )
-                    if versions != cached.versions:
-                        count(FORCE_CACHE_ASSEMBLIES)
-                        if cached.terms_low is not None:
-                            cached.force_low = scheduler._assemble(
-                                cached.terms_low, coupling
-                            )
-                        if cached.terms_high is not None:
-                            cached.force_high = scheduler._assemble(
-                                cached.terms_high, coupling
-                            )
-                        cached.versions = versions
-                        kind = CACHE_ASSEMBLED
-                self._force[0, slot] = cached.force_low
-                self._force[1, slot] = cached.force_high
-                lo, hi = frames.frame(op_id)
-                self._eta[slot] = 1.0 if hi - lo + 1 <= 2 else 0.5
-                if kinds is not None:
-                    kinds[slot] = kind
-
-        # (6) Score and fold in scan order with the scalar epsilons.
-        owners = self._sel_owners
-        if not owners:
-            return None
-        idx = self._sel_idx
-        fpair = self._force[:, idx]
-        flows = fpair[0]
-        fhighs = fpair[1]
-        scores = self._eta[idx] * np.abs(flows - fhighs)
-        # The scan-order hysteresis fold (``score > best + 1e-12``) only
-        # ever accepts strict prefix maxima: the running best never drops
-        # more than the epsilon below the prefix maximum, so an accepted
-        # score strictly exceeds every earlier one.  Replaying the fold
-        # over just that (short) subsequence is therefore exact.
-        total = scores.shape[0]
-        if total > 1:
-            prefix = np.maximum.accumulate(scores[:-1])
-            front = np.nonzero(scores[1:] > prefix)[0]
-            positions = [0] + (front + 1).tolist()
-        else:
-            positions = [0]
-        best_pos = -1
-        best_score = None
-        for pos in positions:
-            score = float(scores[pos])
-            if best_score is None or score > best_score + 1e-12:
-                best_score = score
-                best_pos = pos
-        if collect is not None:
-            flow_list = flows.tolist()
-            fhigh_list = fhighs.tolist()
-            score_list = scores.tolist()
-            idx_list = idx.tolist()
-            pos = 0
-            for index in owners:
-                entry = self.entries[index]
-                for op_id in self._cand_ops[index]:
-                    collect.append(
-                        CandidateAudit(
-                            process=entry.process_name,
-                            block=entry.block.name,
-                            op=op_id,
-                            force_low=flow_list[pos],
-                            force_high=fhigh_list[pos],
-                            score=score_list[pos],
-                            cache=kinds.get(idx_list[pos], CACHE_HIT),
-                        )
-                    )
-                    pos += 1
-        best_entry = -1
-        offset = best_pos
-        for index in owners:
-            size = self._cand_slots[index].size
-            if offset < size:
-                best_entry = index
-                break
-            offset -= size
-        force_low = float(flows[best_pos])
-        force_high = float(fhighs[best_pos])
-        detail = None
-        if want_detail:
-            detail = (
-                force_low,
-                force_high,
-                kinds.get(int(idx[best_pos]), CACHE_HIT),
-            )
-        assert best_score is not None
-        return (
-            best_entry,
-            self._cand_ops[best_entry][offset],
-            force_low > force_high + 1e-12,
-            float(best_score),
-            total,
-            detail,
-        )
-
-    # -- scoreboard scan ------------------------------------------------
-    def _select_scoreboard(
-        self, collect: Optional[list], want_detail: bool
-    ) -> Optional[Tuple[int, str, bool, float, int, Optional[Tuple]]]:
-        """Dirty-cone scan: rescore only perturbed entries, fold the rest
-        from their cached incumbents.
-
-        Exactness and counter parity with :meth:`select` rest on three
-        facts (docs/performance.md, "Selection scoreboard"):
+        Only perturbed entries are rescored; the rest keep their stored
+        scores.  Exactness rests on three facts (docs/performance.md,
+        "Selection scoreboard"):
 
         * a clean entry's forces are bit-unchanged — its constants moved
           only through a fresh evaluation (needs a dirty entry) and its
@@ -567,8 +306,11 @@ class _SystemKernel:
         * its counters are unchanged too: every candidate probe would be
           a hit (charged in bulk from the record) and the staleness mask
           over its slots would be empty, so zero assemblies are lost;
-        * the hysteresis fold over the concatenated per-entry strict
-          prefix maxima is bit-identical to the full scan-order fold.
+        * the scan-order hysteresis fold (``score > best + 1e-12``) only
+          ever accepts strict prefix maxima — the running best never
+          drops more than the epsilon below the prefix maximum — so
+          replaying it over the strict prefix maxima of the persistent
+          per-slot scores picks the same winner.
 
         ``collect`` (audit candidate capture) needs every candidate's
         force, so it degrades to rescore-all — rescoring a clean entry
@@ -577,11 +319,9 @@ class _SystemKernel:
 
         The rescored entries are processed as *one* batch: their slots
         concatenate into a single index array and the staleness mask,
-        the refold, and the score pass each run once over it — the same
-        elementwise operations as the full scan, restricted to the
-        rescored columns, so every per-slot value stays bit-identical
-        while the per-scan numpy call count stays constant instead of
-        linear in the rescore-set size.
+        the refold, and the score pass each run once over it, so the
+        per-scan numpy call count stays constant instead of linear in
+        the rescore-set size.
         """
         track = want_detail or collect is not None
         coupling = self.coupling
@@ -607,11 +347,11 @@ class _SystemKernel:
         # (2) The rescore set: the commit's dirty cone plus every entry
         # subscribed to a bumped type.
         board = self.scoreboard
-        assert board is not None
+        dirty = self._dirty
         if collect is not None:
             rescore = list(range(len(self.entries)))
         else:
-            rescore = board.rescore_set(self._dirty_set, bumped)
+            rescore = board.rescore_set(dirty, bumped)
 
         # (3) Charge the hits skipped entries would have probed, in one
         # aggregated count: total over all records minus the rescored
@@ -623,23 +363,23 @@ class _SystemKernel:
         if skip_hits:
             count(FORCE_CACHE_HITS, skip_hits)
 
-        # (4) Classify dirty rescored entries — the same python pass as
-        # the full scan, restricted to the rescore set; clean rescored
-        # entries just re-count their candidate probes as hits.  Only
+        # (4) Classify dirty rescored entries (the rescore set contains
+        # every dirty entry); clean rescored entries just re-count their
+        # candidate probes as hits.  Only
         # the classified (dirty) entries need their records restored
         # afterwards: a clean rescored entry's counters, subscriptions,
         # and candidate span are all provably unchanged.
         kinds: Optional[Dict[int, str]] = {} if track else None
         classified: List[int] = []
         for index in rescore:
-            if self._dirty[index]:
+            if index in dirty:
                 self._classify_entry(index, scan_no, kinds)
                 classified.append(index)
             else:
                 hits = self._hit_counts[index]
                 if hits:
                     count(FORCE_CACHE_HITS, hits)
-        self._dirty_set.clear()
+        dirty.clear()
         count(SELECTION_RESCORED, len(rescore))
         count(SELECTION_SKIPPED, len(self.entries) - len(rescore))
 
@@ -704,9 +444,11 @@ class _SystemKernel:
         for index in rescore:
             act_union.update(self._act_types[index])
 
-        # (6) Staleness over the rescored act slots — the full scan's
-        # mask restricted to those columns (a skipped entry's share is
-        # provably empty, see above).
+        # (6) Staleness over the rescored act slots: one assembly per
+        # cached op holding a G row of a type whose S moved after the
+        # op's last fold.  Freshly evaluated slots carry this scan's
+        # stamp and drop out; a skipped entry's share is provably empty
+        # (see above).
         if act_union and cat_act.size:
             stamps = self._fold_stamp[cat_act]
             min_stamp = int(stamps.min())
@@ -727,8 +469,8 @@ class _SystemKernel:
                         for slot in cat_act[stale].tolist():
                             kinds[slot] = CACHE_ASSEMBLED
 
-        # (7) Refold the rescored slots: same additions, same type order
-        # as the wholesale refold — elementwise bit-identical.
+        # (7) Refold the rescored slots: constants plus the gathered
+        # per-type dots (the sentinel row contributes an exact 0.0).
         guard_types: Dict[int, set] = {}
         if cat_slots.size:
             force = self._const[:, cat_slots]
@@ -738,7 +480,9 @@ class _SystemKernel:
                         self._gslot[type_name][:, cat_slots]
                     ]
 
-            # (8) Guarded ops: scalar machinery written over the refold.
+            # (8) Guarded ops: scalar _CachedScore machinery written over
+            # the refold, probed every rescore so the cache's own
+            # hit/miss accounting follows the probe model.
             scheduler = self.scheduler
             base = 0
             for index in rescore if self._has_guards else ():
@@ -789,10 +533,8 @@ class _SystemKernel:
                 base += self._cand_slots[index].size
 
             # (9) Score the rescored columns once and scatter forces and
-            # scores into the persistent per-slot arrays — the same
-            # elementwise operations the full scan applies, so every
-            # stored value is bit-identical to a full recompute; the
-            # skipped columns provably kept theirs.
+            # scores into the persistent per-slot arrays; the skipped
+            # columns provably kept theirs.
             flows = force[0]
             fhighs = force[1]
             scores = self._eta[cat_slots] * np.abs(flows - fhighs)
@@ -800,7 +542,7 @@ class _SystemKernel:
             self._scores_g[cat_slots] = scores
 
         # Record bookkeeping for the classified entries only: a clean
-        # rescored entry's candidate count, skip-hit share, and type
+        # rescored entry's skip-hit share and type
         # subscriptions cannot have changed (its candidates and cached
         # recipes are untouched; ``global_types`` of a guarded op is
         # static while its cache entry lives).
@@ -811,11 +553,9 @@ class _SystemKernel:
                 touched.update(gset)
             board.store(
                 index,
-                n_candidates=self._cand_slots[index].size,
                 skip_hits=self._hit_counts[index]
-                + len(self._guarded_jobs[index]),
+                + len(self._guarded_pos[index]),
                 touched_types=sorted(touched),
-                scan_no=scan_no,
             )
 
         if collect is not None and cat_slots.size:
@@ -844,8 +584,8 @@ class _SystemKernel:
                     )
                 base += self._cand_slots[index].size
 
-        # (10) Winner extraction: the full scan's vectorized strict
-        # prefix-maxima fold, over the persistent gathered scores.
+        # (10) Winner extraction: replay the hysteresis fold over the
+        # strict prefix maxima of the persistent gathered scores.
         idx = self._sb_idx
         total = int(idx.size)
         if not total:
@@ -891,23 +631,20 @@ class _SystemKernel:
         scan_no: int,
         kinds: Optional[Dict[int, str]],
     ) -> None:
-        """Reclassify one dirty entry's candidates (scoreboard mode).
+        """Reclassify one dirty entry's candidates.
 
-        The same python pass as the full scan's step 2 — probe counting,
-        fresh batch evaluation, guarded-job split — plus the candidate
-        *positions* of the guarded jobs and the act-derived touched-type
-        list the batched rescore consumes.
+        Marker present -> hit, absent -> fresh (batch-evaluated),
+        guarded footprint -> scalar job at its candidate position; then
+        the act-derived touched-type list the batched rescore consumes.
         """
         entry = self.entries[index]
-        self._dirty[index] = False
         unfixed = entry.state.frames.unfixed()
         self._cand_ops[index] = unfixed
         store = self.caches[index]._store
         slots_map = self.slot_of[index]
-        scalar_ops = entry.scalar_ops
+        scalar_ops = self._scalar_ops[index]
         slots = np.empty(len(unfixed), dtype=np.intp)
         act_list: List[int] = []
-        guarded: List[Tuple[str, int]] = []
         guarded_pos: List[Tuple[str, int, int]] = []
         fresh_ops: List[str] = []
         hits = 0
@@ -915,7 +652,6 @@ class _SystemKernel:
             slot = slots_map[op_id]
             slots[pos] = slot
             if op_id in scalar_ops:
-                guarded.append((op_id, slot))
                 guarded_pos.append((op_id, slot, pos))
                 continue
             act_list.append(slot)
@@ -932,7 +668,6 @@ class _SystemKernel:
             self._sb_splices.append(index)
         self._cand_slots[index] = slots
         self._entry_act[index] = np.asarray(act_list, dtype=np.intp)
-        self._guarded_jobs[index] = guarded
         self._guarded_pos[index] = guarded_pos
         self._hit_counts[index] = hits + len(fresh_ops)
         if hits:
@@ -943,7 +678,7 @@ class _SystemKernel:
         # Act-derived touched types, read *after* the fresh evaluation
         # reassigned G rows: ``_assigned_*[slot]`` is nonempty exactly
         # when ``gslot[type][:, slot] > 0`` for the type, so this union
-        # equals the full scan's per-type ``(gslot[:, act] > 0).any()``.
+        # equals the per-type ``(gslot[:, act] > 0).any()``.
         assigned_low = self._assigned_low
         assigned_high = self._assigned_high
         acts: set = set()
@@ -962,32 +697,45 @@ class _SystemKernel:
         effect: ReductionEffect,
         scopes: Mapping[str, str],
     ) -> None:
-        """Record a committed reduction, mirroring ``_invalidate_caches``.
+        """Drop exactly the cached state the committed reduction perturbed.
 
-        The committed entry always reclassifies next scan; same-process
-        siblings only do when the commit moved any shared type's ``Q``
-        (a non-``clean`` scope) — exactly the condition under which the
-        scalar path invalidates their stores.
+        Within the committing block the local dirty-set rules apply
+        (changed frames, their direct neighbors, touched types).  For a
+        touched **global** type the perturbation travels through the
+        coupling — but only as far as the re-folded arrays actually
+        changed, which :meth:`_GlobalCoupling.refresh` reports per type:
+
+        * ``"clean"`` — the displacement was hidden under the modulo
+          maximum; ``Q`` is unchanged and no other block is dirty.
+        * ``"process"`` / ``"system"`` — ``Q`` changed, so sibling blocks
+          of the *same* process see it through eq. 9's cross-block
+          maximum and the old process maximum: their forces are stale.
+          Blocks of **other** processes keep valid forces even when
+          ``S`` changed (``"system"``), because their ``delta_S`` only
+          reads their own process's coupling state; the S-version bump
+          re-dots their G rows at the next scan.
+
+        With global balancing disabled the force of a block depends only
+        on its own ``Q``, so no cross-block invalidation is needed at all.
+        The committed entry, and on a non-``clean`` scope its siblings,
+        reclassify at the next scan.
         """
-        frames = self.entries[entry_index].state.frames
-        slots_map = self.slot_of[entry_index]
-        for op_id in effect.changed_ops:
-            if frames.is_fixed(op_id):
-                slot = slots_map[op_id]
-                if self._mobile[slot]:
-                    self._mobile[slot] = False
-                    self._order_dirty = True
-        self._dirty[entry_index] = True
-        self._dirty_set.add(entry_index)
+        caches = self.caches
+        caches[entry_index].invalidate_after_commit(effect)
+        dirty = self._dirty
+        dirty.add(entry_index)
         if not (self.alignment and self.balancing):
             return
-        if all(scope == "clean" for scope in scopes.values()):
-            return
-        process_name = self.entries[entry_index].process_name
-        for index in self.coupling.process_entries(process_name):
-            if index != entry_index:
-                self._dirty[index] = True
-                self._dirty_set.add(index)
+        siblings = self.coupling.process_entries(
+            self.entries[entry_index].process_name
+        )
+        for type_name, scope in scopes.items():
+            if scope == "clean":
+                continue
+            for index in siblings:
+                if index != entry_index:
+                    caches[index].invalidate_type(type_name)
+                    dirty.add(index)
 
     # -- fresh evaluation ----------------------------------------------
     def _fresh_eval(
@@ -1000,7 +748,7 @@ class _SystemKernel:
         products, mirroring :meth:`ModuloSystemScheduler._force_terms`
         branch for branch.  Constants, ``w * delta_S`` rows, and their
         current-``S`` dots are written into the persistent arrays; the
-        wholesale refold in :meth:`select` produces the forces.
+        refold in :meth:`select` produces the forces.
 
         A pair's constant is the sum of its per-type values in type
         order; summing column by column of a (position × pair) matrix
@@ -1140,177 +888,15 @@ class _SystemKernel:
         return top
 
 
-class _ScalarSelector:
-    """Scoreboard driver for the scalar cached path (kernels disabled).
-
-    Same dirty-cone contract as the kernel scoreboard, with the scalar
-    :class:`_CachedScore` probe loop as the per-entry rescore.  An entry
-    is clean when its :class:`BlockSelectionCache` generation is
-    unchanged since the last rescore (no invalidation touched the block,
-    so every candidate still probes as a hit) *and* no balanced type in
-    the union of its cached ``global_types`` bumped its ``S`` version
-    (so no probe would re-assemble).  Both conditions reduce to integer
-    comparisons; a clean entry's forces, counters, and incumbents are
-    bit-unchanged, so its cached prefix-maxima record folds verbatim.
-    """
-
-    def __init__(
-        self,
-        scheduler: "ModuloSystemScheduler",
-        entries: List[_Entry],
-        coupling: "_GlobalCoupling",
-        caches: List[BlockSelectionCache],
-    ) -> None:
-        self.scheduler = scheduler
-        self.entries = entries
-        self.coupling = coupling
-        self.caches = caches
-        self.board = SelectionScoreboard(len(entries))
-        self._generations = [-1] * len(entries)
-        self._scan_no = 0
-        self._global_types = sorted(coupling.assignment.global_types)
-        self._seen_version = {
-            type_name: coupling.s_version(type_name)
-            for type_name in self._global_types
-        }
-
-    def select(
-        self, collect: Optional[list], want_detail: bool
-    ) -> Optional[Tuple[int, str, bool, float, int, Optional[Tuple]]]:
-        track = want_detail or collect is not None
-        coupling = self.coupling
-        self._scan_no += 1
-        scan_no = self._scan_no
-        bumped: List[str] = []
-        for type_name in self._global_types:
-            version = coupling.s_version(type_name)
-            if version != self._seen_version[type_name]:
-                self._seen_version[type_name] = version
-                bumped.append(type_name)
-        board = self.board
-        caches = self.caches
-        generations = self._generations
-        if collect is not None:
-            rescore = list(range(len(self.entries)))
-        else:
-            dirty = [
-                index
-                for index in range(len(self.entries))
-                if caches[index].generation != generations[index]
-            ]
-            rescore = board.rescore_set(dirty, bumped)
-        records = board.records
-        skip_hits = board.sum_skip_hits
-        for index in rescore:
-            skip_hits -= records[index].skip_hits
-        if skip_hits:
-            count(FORCE_CACHE_HITS, skip_hits)
-        for index in rescore:
-            self._rescore_entry(index, scan_no, track, collect)
-        count(SELECTION_RESCORED, len(rescore))
-        count(SELECTION_SKIPPED, len(self.entries) - len(rescore))
-        winner = board.fold()
-        if winner is None:
-            return None
-        best_score, best_entry, offset, force_low, force_high = winner
-        detail = None
-        if want_detail:
-            record = records[best_entry]
-            kind = CACHE_HIT
-            if record.last_scored == scan_no and record.pm_kinds is not None:
-                kind = record.pm_kinds[record.pm_offsets.index(offset)]
-            detail = (force_low, force_high, kind)
-        entry = self.entries[best_entry]
-        op_id = entry.state.frames.unfixed()[offset]
-        return (
-            best_entry,
-            op_id,
-            force_low > force_high + 1e-12,
-            best_score,
-            board.sum_candidates,
-            detail,
-        )
-
-    def _rescore_entry(
-        self, index: int, scan_no: int, track: bool, collect: Optional[list]
-    ) -> None:
-        """The reference scalar probe loop, restricted to one entry."""
-        entry = self.entries[index]
-        scheduler = self.scheduler
-        coupling = self.coupling
-        cache = self.caches[index]
-        frames = entry.state.frames
-        unfixed = frames.unfixed()
-        scores: List[float] = []
-        flows: List[float] = []
-        fhighs: List[float] = []
-        all_kinds: List[str] = []
-        touched: set = set()
-        for op_id in unfixed:
-            lo, hi = frames.frame(op_id)
-            cached = cache.get(op_id)
-            kind = CACHE_HIT
-            if cached is None:
-                cached = scheduler._evaluate_cached(
-                    index, entry, coupling, op_id, lo, hi
-                )
-                cache.put(op_id, cached)
-                kind = CACHE_FRESH
-            elif cached.global_types:
-                versions = tuple(
-                    coupling.s_version(t) for t in cached.global_types
-                )
-                if versions != cached.versions:
-                    count(FORCE_CACHE_ASSEMBLIES)
-                    if cached.terms_low is not None:
-                        cached.force_low = scheduler._assemble(
-                            cached.terms_low, coupling
-                        )
-                    if cached.terms_high is not None:
-                        cached.force_high = scheduler._assemble(
-                            cached.terms_high, coupling
-                        )
-                    cached.versions = versions
-                    kind = CACHE_ASSEMBLED
-            force_low, force_high = cached.force_low, cached.force_high
-            eta = 1.0 if hi - lo + 1 <= 2 else 0.5
-            score = eta * abs(force_low - force_high)
-            scores.append(score)
-            flows.append(force_low)
-            fhighs.append(force_high)
-            touched.update(cached.global_types)
-            if track:
-                all_kinds.append(kind)
-            if collect is not None:
-                collect.append(
-                    CandidateAudit(
-                        process=entry.process_name,
-                        block=entry.block.name,
-                        op=op_id,
-                        force_low=force_low,
-                        force_high=force_high,
-                        score=score,
-                        cache=kind,
-                    )
-                )
-        positions = prefix_maxima_positions(scores)
-        self.board.store(
-            index,
-            pm_offsets=positions,
-            pm_scores=[scores[p] for p in positions],
-            pm_flows=[flows[p] for p in positions],
-            pm_fhighs=[fhighs[p] for p in positions],
-            pm_kinds=[all_kinds[p] for p in positions] if track else None,
-            n_candidates=len(unfixed),
-            skip_hits=len(unfixed),
-            touched_types=sorted(touched),
-            scan_no=scan_no,
-        )
-        self._generations[index] = cache.generation
-
-
 class ModuloSystemScheduler:
     """Time-constrained modulo scheduling with global resource sharing.
+
+    Selection runs through one engine, :class:`_SystemKernel`: per-block
+    force caches invalidated by each commit's dirty set, batched array
+    kernels for fresh evaluations, and a dirty-cone scoreboard that
+    rescores only the perturbed blocks (see docs/performance.md).
+    Its decisions agree with the brute-force
+    :class:`~repro.core.reference.ReferenceScheduler`.
 
     Args:
         library: Resource library (latencies, occupancies, areas).
@@ -1323,37 +909,6 @@ class ModuloSystemScheduler:
             evaluation (instance counts are still derived globally).
         global_balancing: Enable modification part 2 (§5.2).  Only
             meaningful while alignment is enabled.
-        force_cache: Memoize the per-operation selection forces between
-            iterations and re-evaluate only the dirty set perturbed by
-            each committed reduction (see docs/performance.md).  The
-            reduction sequence is byte-identical to the brute-force scan;
-            disable only for A/B measurement.
-        use_kernels: Evaluate selection forces with the batched array
-            kernels (:mod:`repro.scheduling.kernels`): all dirty
-            operations of a block are freshly evaluated in one
-            (op × slot) pass, and stale cached recipes re-assemble with
-            one stacked dot product per global type instead of one tiny
-            ``np.dot`` per term.  Kernel evaluation engages together
-            with ``force_cache``; with the cache disabled the scan uses
-            the scalar reference path regardless (the brute-force arm
-            exists for A/B measurement and stays the bitwise reference).
-            Decisions agree with the scalar path — pinned at decision
-            level by ``tests/core/test_kernel_parity.py`` (see
-            docs/performance.md, "Batched kernels").
-        use_scoreboard: Keep a persistent per-entry incumbent record
-            (:class:`repro.scheduling.scoreboard.SelectionScoreboard`)
-            and rescore, each iteration, only the entries inside the
-            commit's dirty cone — the committed block, its same-process
-            siblings on a non-``clean`` coupling scope, and the
-            subscribers of every balanced type whose ``S`` bumped; clean
-            entries fold their cached incumbents untouched.  Engages
-            together with ``force_cache`` (in both kernel and scalar
-            modes); decisions, schedules, areas, and telemetry counters
-            are bit-identical to the full scan — pinned by
-            ``tests/core/test_selection_scoreboard_parity.py`` — with
-            the scoreboard's own work split reported via the new
-            ``selection_rescored``/``selection_skipped`` counters.
-            Disable only for A/B measurement.
         budget: Optional :class:`~repro.validation.budget.RunBudget`
             watchdog; on exhaustion (iterations, wall clock, or detected
             oscillation) the run degrades gracefully to the
@@ -1378,9 +933,6 @@ class ModuloSystemScheduler:
         weights: Optional[Mapping[str, float]] = None,
         periodical_alignment: bool = True,
         global_balancing: bool = True,
-        force_cache: bool = True,
-        use_kernels: bool = True,
-        use_scoreboard: bool = True,
         budget: Optional[RunBudget] = None,
         tracer=None,
         audit=None,
@@ -1390,9 +942,6 @@ class ModuloSystemScheduler:
         self.weights = dict(weights) if weights is not None else None
         self.periodical_alignment = periodical_alignment
         self.global_balancing = global_balancing
-        self.force_cache = force_cache
-        self.use_kernels = use_kernels
-        self.use_scoreboard = use_scoreboard
         self.budget = budget
         self.tracer = as_tracer(tracer)
         self.audit = audit
@@ -1453,25 +1002,8 @@ class ModuloSystemScheduler:
                 _Entry(process.name, block, BlockState(block, self.library))
                 for process, block in system.iter_blocks()
             ]
-            if self.use_kernels and self.force_cache:
-                for entry in entries:
-                    entry.scalar_ops = guarded_footprint_ops(entry.state)
             coupling = _GlobalCoupling(entries, assignment, periods)
-            caches = (
-                [BlockSelectionCache(entry.state) for entry in entries]
-                if self.force_cache
-                else None
-            )
-            kernel = (
-                _SystemKernel(self, entries, coupling, caches)
-                if caches is not None and self.use_kernels
-                else None
-            )
-            selector = (
-                _ScalarSelector(self, entries, coupling, caches)
-                if caches is not None and kernel is None and self.use_scoreboard
-                else None
-            )
+            selector = self._selector(entries, coupling)
         setup_done = time.perf_counter()
 
         tracker = self.budget.tracker() if self.budget is not None else None
@@ -1483,14 +1015,8 @@ class ModuloSystemScheduler:
                 collect: Optional[list] = [] if keep_candidates else None
                 if tracer.enabled:
                     select_started = time.perf_counter()
-                best = self._select_reduction(
-                    entries,
-                    coupling,
-                    caches,
-                    kernel=kernel,
-                    selector=selector,
-                    collect=collect,
-                    want_detail=audit is not None,
+                best = selector.select(
+                    collect=collect, want_detail=audit is not None
                 )
                 if tracer.enabled:
                     tracer.observe(
@@ -1525,19 +1051,10 @@ class ModuloSystemScheduler:
                 else:
                     effect = entry.state.commit_reduce_effect(op_id, lo, hi - 1)
                 scopes = coupling.refresh(entry_index, effect.touched_types)
-                if caches is not None:
-                    self._invalidate_caches(
-                        caches, entries, coupling, entry_index, effect, scopes
-                    )
-                if kernel is not None:
-                    kernel.note_commit(entry_index, effect, scopes)
+                selector.note_commit(entry_index, effect, scopes)
                 side = "low" if shrink_low else "high"
                 if audit is not None:
-                    force_low, force_high, cache_kind = detail or (
-                        0.0,
-                        0.0,
-                        CACHE_UNCACHED,
-                    )
+                    force_low, force_high, cache_kind = detail
                     audit.record(
                         DecisionAudit(
                             iteration=iterations,
@@ -1658,6 +1175,13 @@ class ModuloSystemScheduler:
             )
         return result
 
+    def _selector(
+        self, entries: List[_Entry], coupling: "_GlobalCoupling"
+    ) -> "_SystemKernel":
+        """The selection engine of one run: its ``select`` picks each
+        reduction and its ``note_commit`` sees every committed one."""
+        return _SystemKernel(self, entries, coupling)
+
     # ------------------------------------------------------------------
     # Budget support
     # ------------------------------------------------------------------
@@ -1685,113 +1209,6 @@ class ModuloSystemScheduler:
     # ------------------------------------------------------------------
     # Force evaluation
     # ------------------------------------------------------------------
-    def _select_reduction(
-        self,
-        entries: List[_Entry],
-        coupling: "_GlobalCoupling",
-        caches: Optional[List[BlockSelectionCache]] = None,
-        *,
-        kernel: Optional["_SystemKernel"] = None,
-        selector: Optional["_ScalarSelector"] = None,
-        collect: Optional[list] = None,
-        want_detail: bool = False,
-    ) -> Optional[Tuple[int, str, bool, float, int, Optional[Tuple]]]:
-        """Pick the IFDS reduction with the largest weighted force difference.
-
-        Returns ``(entry_index, op_id, shrink_low, score, candidates,
-        detail)`` where ``candidates`` is the number of mobile operations
-        examined, or ``None`` once every frame has collapsed.  With
-        ``caches`` the ``(force_low, force_high)`` pair of each clean
-        operation is reused from the previous scan; the fold over
-        candidates is replayed in the same order either way, so the
-        selected reduction is identical.  With ``kernel`` the whole scan
-        is delegated to the :class:`_SystemKernel` flat arrays.
-
-        Audit support is opt-in and observation-only: with ``want_detail``
-        the winner's ``(force_low, force_high, cache_kind)`` triple is
-        returned as ``detail`` (else ``None``); with ``collect`` a
-        :class:`~repro.obs.audit.CandidateAudit` is appended for every
-        candidate examined.  Neither changes the scan order or the
-        winner.
-        """
-        if kernel is not None:
-            return kernel.select(collect=collect, want_detail=want_detail)
-        if selector is not None:
-            return selector.select(collect, want_detail)
-        track = want_detail or collect is not None
-        best_score = None
-        best: Optional[Tuple[int, str, bool]] = None
-        best_detail: Optional[Tuple[float, float, str]] = None
-        kind = CACHE_UNCACHED
-        candidates = 0
-        for index, entry in enumerate(entries):
-            cache = caches[index] if caches is not None else None
-            unfixed = entry.state.frames.unfixed()
-            if not unfixed:
-                continue
-            for op_id in unfixed:
-                candidates += 1
-                lo, hi = entry.state.frames.frame(op_id)
-                if cache is None:
-                    force_low = self._placement_force(index, entry, coupling, op_id, lo)
-                    force_high = self._placement_force(index, entry, coupling, op_id, hi)
-                    if track:
-                        kind = CACHE_UNCACHED
-                else:
-                    cached = cache.get(op_id)
-                    if cached is None:
-                        cached = self._evaluate_cached(index, entry, coupling, op_id, lo, hi)
-                        cache.put(op_id, cached)
-                        if track:
-                            kind = CACHE_FRESH
-                    elif cached.global_types:
-                        versions = tuple(
-                            coupling.s_version(t) for t in cached.global_types
-                        )
-                        if versions != cached.versions:
-                            # Only S moved (a commit in another process):
-                            # re-assemble from the cached recipe.
-                            count(FORCE_CACHE_ASSEMBLIES)
-                            if cached.terms_low is not None:
-                                cached.force_low = self._assemble(
-                                    cached.terms_low, coupling
-                                )
-                            if cached.terms_high is not None:
-                                cached.force_high = self._assemble(
-                                    cached.terms_high, coupling
-                                )
-                            cached.versions = versions
-                            if track:
-                                kind = CACHE_ASSEMBLED
-                        elif track:
-                            kind = CACHE_HIT
-                    elif track:
-                        kind = CACHE_HIT
-                    force_low, force_high = cached.force_low, cached.force_high
-                eta = 1.0 if hi - lo + 1 <= 2 else 0.5
-                score = eta * abs(force_low - force_high)
-                if collect is not None:
-                    collect.append(
-                        CandidateAudit(
-                            process=entry.process_name,
-                            block=entry.block.name,
-                            op=op_id,
-                            force_low=force_low,
-                            force_high=force_high,
-                            score=score,
-                            cache=kind,
-                        )
-                    )
-                if best_score is None or score > best_score + 1e-12:
-                    best_score = score
-                    best = (index, op_id, force_low > force_high + 1e-12)
-                    if track:
-                        best_detail = (force_low, force_high, kind)
-        if best is None:
-            return None
-        assert best_score is not None
-        return best + (best_score, candidates, best_detail)
-
     def _evaluate_cached(
         self,
         entry_index: int,
@@ -1834,58 +1251,6 @@ class ModuloSystemScheduler:
                     + self.lookahead * self_dot
                 )
         return total
-
-    def _invalidate_caches(
-        self,
-        caches: List[BlockSelectionCache],
-        entries: List[_Entry],
-        coupling: "_GlobalCoupling",
-        entry_index: int,
-        effect: ReductionEffect,
-        scopes: Mapping[str, str],
-    ) -> None:
-        """Drop exactly the cached recipes the committed reduction perturbed.
-
-        Within the committing block the local dirty-set rules apply
-        (changed frames, their direct neighbors, touched types).  For a
-        touched **global** type the perturbation travels through the
-        coupling — but only as far as the re-folded arrays actually
-        changed, which :meth:`_GlobalCoupling.refresh` reports per type:
-
-        * ``"clean"`` — the displacement was hidden under the modulo
-          maximum; ``Q`` is unchanged and no other block is dirty.
-        * ``"process"`` / ``"system"`` — ``Q`` changed, so sibling blocks
-          of the *same* process see it through eq. 9's cross-block
-          maximum and the old process maximum: their recipes are stale.
-          Blocks of **other** processes keep valid recipes even when
-          ``S`` changed (``"system"``), because their ``delta_S`` only
-          reads their own process's coupling state; the S-version bump
-          makes them re-assemble cheaply at the next scan.
-
-        With global balancing disabled the force of a block depends only
-        on its own ``Q``, so no cross-block invalidation is needed at all.
-        """
-        caches[entry_index].invalidate_after_commit(effect)
-        if not (self.periodical_alignment and self.global_balancing):
-            return
-        siblings = coupling.process_entries(entries[entry_index].process_name)
-        for type_name, scope in scopes.items():
-            if scope == "clean":
-                continue
-            for index in siblings:
-                if index != entry_index:
-                    caches[index].invalidate_type(type_name)
-
-    def _placement_force(
-        self,
-        entry_index: int,
-        entry: _Entry,
-        coupling: "_GlobalCoupling",
-        op_id: str,
-        start: int,
-    ) -> float:
-        """Modified force F' (§5.3) of tentatively placing ``op_id`` at ``start``."""
-        return self._force_terms(entry_index, entry, coupling, op_id, start)[0]
 
     def _force_terms(
         self,

@@ -255,7 +255,6 @@ class ExplorationEngine:
         retry_policy: Optional[RetryPolicy] = None,
         checkpoint: Optional[str] = None,
         tracer: "Optional[Tracer | NullTracer]" = None,
-        use_scoreboard: bool = True,
         fault_for: Optional[Callable[[Dict[str, int]], Optional[str]]] = None,
         stop_when: Optional[Callable[[], bool]] = None,
     ) -> None:
@@ -277,7 +276,6 @@ class ExplorationEngine:
             self.retries = max(0, retries)
         self.checkpoint = checkpoint
         self.tracer = as_tracer(tracer)
-        self.use_scoreboard = use_scoreboard
         self.fault_for = fault_for
         self.stop_when = stop_when
         self._problem_text: Optional[str] = None
@@ -433,7 +431,6 @@ class ExplorationEngine:
             self.problem.library,
             weights=area_weights(self.problem.library),
             tracer=self.tracer,
-            use_scoreboard=self.use_scoreboard,
         )
         result = scheduler.schedule(
             self.problem.system,
@@ -477,7 +474,6 @@ class ExplorationEngine:
             self.problem.library,
             weights=area_weights(self.problem.library),
             tracer=self.tracer,
-            use_scoreboard=self.use_scoreboard,
         )
         records: List[CandidateResult] = []
         best_area: Optional[float] = initial_best
@@ -737,7 +733,6 @@ class ExplorationEngine:
             timeout=self.timeout,
             fault=spec.fault,
             attempt=spec.attempt,
-            use_scoreboard=self.use_scoreboard,
         )
 
     def _failed_record(

@@ -91,9 +91,6 @@ class SweepJob:
         fault: Optional fault-injection directive (see the module
             docstring table) for exercising failure handling.
         attempt: 1 for the first try, incremented by the engine's retry.
-        use_scoreboard: Select reductions through the incremental
-            scoreboard (the default) or the full candidate rescan
-            (``repro sweep --no-scoreboard``).
     """
 
     job_id: int
@@ -103,7 +100,6 @@ class SweepJob:
     timeout: Optional[float] = None
     fault: Optional[str] = None
     attempt: int = 1
-    use_scoreboard: bool = True
 
 
 @dataclass
@@ -332,7 +328,6 @@ def run_job(job: SweepJob) -> JobResult:
                 problem.library,
                 weights=area_weights(problem.library),
                 tracer=tracer,
-                use_scoreboard=job.use_scoreboard,
             )
             if job.local:
                 result = scheduler.schedule(

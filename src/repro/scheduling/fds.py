@@ -20,7 +20,7 @@ from ..obs.metrics import CANDIDATES_SCANNED, FRAMES_REMAINING
 from ..resources.library import ResourceLibrary
 from ..validation.budget import RunBudget
 from .fallback import degraded_block_schedule, frames_state_hash
-from .forces import DEFAULT_LOOKAHEAD, placement_force
+from .forces import DEFAULT_LOOKAHEAD
 from .kernels import PlacementKernel
 from .schedule import BlockSchedule
 from .selection_cache import BlockSelectionCache
@@ -36,15 +36,6 @@ class ForceDirectedScheduler:
         library: Resource library (latencies, occupancies).
         lookahead: Paulin look-ahead fraction (0 disables look-ahead).
         weights: Optional per-type spring-constant weights.
-        force_cache: Memoize the per-operation force rows between
-            iterations, re-evaluating only the dirty set of each commit;
-            decisions are identical to the brute-force scan.
-        use_kernels: Evaluate each operation's whole force row with the
-            batched array kernels (:mod:`repro.scheduling.kernels`)
-            instead of one scalar ``placement_force`` call per step.
-            Decisions agree with the scalar reference path (pinned by
-            the kernel parity tests); disable for A/B measurement or to
-            force the scalar path.
         budget: Optional :class:`~repro.validation.budget.RunBudget`;
             on exhaustion the run degrades to the list-scheduling
             fallback (``degraded=True``) instead of continuing.
@@ -56,16 +47,12 @@ class ForceDirectedScheduler:
         *,
         lookahead: float = DEFAULT_LOOKAHEAD,
         weights: Optional[Mapping[str, float]] = None,
-        force_cache: bool = True,
-        use_kernels: bool = True,
         budget: Optional[RunBudget] = None,
         tracer=None,
     ) -> None:
         self.library = library
         self.lookahead = lookahead
         self.weights = weights
-        self.force_cache = force_cache
-        self.use_kernels = use_kernels
         self.budget = budget
         self.tracer = as_tracer(tracer)
 
@@ -73,11 +60,9 @@ class ForceDirectedScheduler:
         """Schedule one block; returns a validated :class:`BlockSchedule`."""
         tracer = self.tracer
         state = BlockState(block, self.library)
-        cache = BlockSelectionCache(state) if self.force_cache else None
-        kernel = (
-            PlacementKernel(state, lookahead=self.lookahead, weights=self.weights)
-            if self.use_kernels
-            else None
+        cache = BlockSelectionCache(state)
+        kernel = PlacementKernel(
+            state, lookahead=self.lookahead, weights=self.weights
         )
         tracker = self.budget.tracker() if self.budget is not None else None
         iterations = 0
@@ -113,33 +98,19 @@ class ForceDirectedScheduler:
                 for op_id in candidates:
                     lo, hi = state.frames.frame(op_id)
                     # The cache stores the whole per-step force row so the
-                    # flat (op, step) fold below replays exactly as the
+                    # flat (op, step) fold below replays exactly as an
                     # uncached scan would.
-                    forces = cache.get(op_id) if cache is not None else None
+                    forces = cache.get(op_id)
                     if forces is None:
-                        if kernel is not None:
-                            forces = kernel.forces(op_id, range(lo, hi + 1))
-                        else:
-                            forces = [
-                                placement_force(
-                                    state,
-                                    op_id,
-                                    step,
-                                    lookahead=self.lookahead,
-                                    weights=self.weights,
-                                )
-                                for step in range(lo, hi + 1)
-                            ]
-                        if cache is not None:
-                            cache.put(op_id, forces)
+                        forces = kernel.forces(op_id, range(lo, hi + 1))
+                        cache.put(op_id, forces)
                     for offset, force in enumerate(forces):
                         if best_force is None or force < best_force - 1e-12:
                             best_force, best_op, best_step = force, op_id, lo + offset
                 if best_op is None:  # pragma: no cover - defensive
                     raise SchedulingError("no feasible placement found")
                 effect = state.commit_reduce_effect(best_op, best_step, best_step)
-                if cache is not None:
-                    cache.invalidate_after_commit(effect)
+                cache.invalidate_after_commit(effect)
                 if tracer.enabled:
                     tracer.count(SCHEDULER_ITERATIONS)
                     tracer.observe(CANDIDATES_SCANNED, len(candidates))

@@ -87,12 +87,11 @@ def evaluate_reduction(
 class ImprovedForceDirectedScheduler:
     """Time-constrained IFDS for a single block.
 
-    With ``force_cache`` enabled (the default) the per-operation
-    :class:`ReductionChoice` evaluations are memoized between iterations
-    and only the dirty set of each committed reduction is re-evaluated;
-    decisions are identical to the brute-force scan.  With
-    ``use_kernels`` (also the default) fresh evaluations go through the
-    batched array kernels; disable for the scalar reference path.
+    The per-operation :class:`ReductionChoice` evaluations are memoized
+    between iterations and only the dirty set of each committed
+    reduction is re-evaluated, through the batched array kernels;
+    decisions are identical to a brute-force scan over
+    :func:`evaluate_reduction` without a kernel.
 
     ``budget`` optionally bounds the run; on exhaustion the block is
     rescheduled by the list-scheduling fallback and the result is tagged
@@ -105,16 +104,12 @@ class ImprovedForceDirectedScheduler:
         *,
         lookahead: float = DEFAULT_LOOKAHEAD,
         weights: Optional[Mapping[str, float]] = None,
-        force_cache: bool = True,
-        use_kernels: bool = True,
         budget: Optional[RunBudget] = None,
         tracer=None,
     ) -> None:
         self.library = library
         self.lookahead = lookahead
         self.weights = weights
-        self.force_cache = force_cache
-        self.use_kernels = use_kernels
         self.budget = budget
         self.tracer = as_tracer(tracer)
 
@@ -122,11 +117,9 @@ class ImprovedForceDirectedScheduler:
         """Schedule one block; returns a validated :class:`BlockSchedule`."""
         tracer = self.tracer
         state = BlockState(block, self.library)
-        cache = BlockSelectionCache(state) if self.force_cache else None
-        kernel = (
-            PlacementKernel(state, lookahead=self.lookahead, weights=self.weights)
-            if self.use_kernels
-            else None
+        cache = BlockSelectionCache(state)
+        kernel = PlacementKernel(
+            state, lookahead=self.lookahead, weights=self.weights
         )
         tracker = self.budget.tracker() if self.budget is not None else None
         iterations = 0
@@ -158,7 +151,7 @@ class ImprovedForceDirectedScheduler:
                 iterations += 1
                 best: Optional[ReductionChoice] = None
                 for op_id in mobile:
-                    choice = cache.get(op_id) if cache is not None else None
+                    choice = cache.get(op_id)
                     if choice is None:
                         choice = evaluate_reduction(
                             state,
@@ -167,8 +160,7 @@ class ImprovedForceDirectedScheduler:
                             weights=self.weights,
                             kernel=kernel,
                         )
-                        if cache is not None:
-                            cache.put(op_id, choice)
+                        cache.put(op_id, choice)
                     if best is None or choice.score > best.score + 1e-12:
                         best = choice
                 assert best is not None
@@ -177,8 +169,7 @@ class ImprovedForceDirectedScheduler:
                     effect = state.commit_reduce_effect(best.op_id, lo + 1, hi)
                 else:
                     effect = state.commit_reduce_effect(best.op_id, lo, hi - 1)
-                if cache is not None:
-                    cache.invalidate_after_commit(effect)
+                cache.invalidate_after_commit(effect)
                 if tracer.enabled:
                     tracer.count(SCHEDULER_ITERATIONS)
                     tracer.observe(REDUCTION_SCORE, best.score)

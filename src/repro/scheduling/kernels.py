@@ -29,17 +29,18 @@ scalar path's delta for the same candidate.  The force *dots* are
 batched matrix products, and BLAS matrix–vector products are not
 bitwise-identical to a sequence of ``np.dot`` calls (ulp-level
 differences, empirically ~1e-16).  Decisions in every scheduler compare
-forces against ``1e-12`` epsilons, so kernel-vs-scalar agreement is
-pinned at the *decision* level by ``tests/core/test_kernel_parity.py``;
-within one mode results are deterministic because all matrix shapes are
-functions of the scheduling state alone.
+forces against ``1e-12`` epsilons, so agreement with the scalar
+reference is pinned at the *decision* level by
+``tests/core/test_oracle_parity.py`` (coupled scheduler) and
+``tests/scheduling/test_selection_cache.py`` (FDS/IFDS); results are
+deterministic because all matrix shapes are functions of the
+scheduling state alone.
 
 Operations whose force footprint (own resource type plus the types of
 direct predecessors/successors) contains a *guarded* type fall back to
 the scalar reference path: guarded displacement goes through branch-max
 recombination, which is not an additive update.  The fallback is decided
-statically per operation, so both kernel and scalar modes agree on which
-machinery evaluates which operation.
+statically per operation.
 """
 
 from __future__ import annotations
@@ -420,8 +421,7 @@ def guarded_footprint_ops(state: BlockState) -> frozenset:
     its direct predecessors and successors; if any of those types has
     guarded operations, tentative displacement needs the branch-max
     recombination and the additive kernels do not apply.  The set is a
-    static property of the block, so kernel and scalar modes partition
-    the operations identically.
+    static property of the block.
     """
     dist = state.dist
     graph = state.graph

@@ -67,11 +67,6 @@ class BlockSelectionCache:
             type_name: tuple(ops) for type_name, ops in ops_touching.items()
         }
         self._store: Dict[str, Any] = {}
-        #: Monotonic counter bumped whenever an invalidation actually
-        #: removes at least one entry.  Selection scoreboards compare it
-        #: to decide, in O(1), whether any cached value of this block
-        #: may have gone stale since their last rescore.
-        self.generation = 0
 
     # ------------------------------------------------------------------
     # Lookup
@@ -98,7 +93,6 @@ class BlockSelectionCache:
             if self._store.pop(op_id, None) is not None:
                 removed += 1
         if removed:
-            self.generation += 1
             count(FORCE_CACHE_INVALIDATIONS, removed)
         return removed
 

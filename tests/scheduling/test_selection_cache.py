@@ -8,7 +8,8 @@ from repro.ir.process import Block
 from repro.obs import Tracer
 from repro.resources.library import default_library
 from repro.scheduling.fds import ForceDirectedScheduler
-from repro.scheduling.ifds import ImprovedForceDirectedScheduler
+from repro.scheduling.forces import placement_force
+from repro.scheduling.ifds import ImprovedForceDirectedScheduler, evaluate_reduction
 from repro.scheduling.selection_cache import BlockSelectionCache
 from repro.scheduling.state import BlockState, ReductionEffect
 from repro.workloads import random_dfg
@@ -103,48 +104,88 @@ def single_block(seed, slack, library):
     return Block(name=f"b{seed}", graph=graph, deadline=deadline)
 
 
+def brute_force_ifds(block, library):
+    """IFDS with a fresh scalar :func:`evaluate_reduction` per candidate
+    and iteration; returns (decisions, starts)."""
+    state = BlockState(block, library)
+    decisions = []
+    while True:
+        mobile = state.frames.unfixed()
+        if not mobile:
+            break
+        best = None
+        for op_id in mobile:
+            choice = evaluate_reduction(state, op_id, kernel=None)
+            if best is None or choice.score > best.score + 1e-12:
+                best = choice
+        lo, hi = state.frames.frame(best.op_id)
+        if best.shrink_low_side:
+            state.commit_reduce_effect(best.op_id, lo + 1, hi)
+        else:
+            state.commit_reduce_effect(best.op_id, lo, hi - 1)
+        decisions.append(
+            (best.op_id, "low" if best.shrink_low_side else "high")
+        )
+    return decisions, state.frames.as_schedule()
+
+
+def brute_force_fds(block, library):
+    """FDS with a fresh scalar :func:`placement_force` per (op, step)
+    and iteration; returns (decisions, starts)."""
+    state = BlockState(block, library)
+    decisions = []
+    while True:
+        candidates = state.frames.unfixed()
+        if not candidates:
+            break
+        best_force = best_op = best_step = None
+        for op_id in candidates:
+            lo, hi = state.frames.frame(op_id)
+            for step in range(lo, hi + 1):
+                force = placement_force(state, op_id, step)
+                if best_force is None or force < best_force - 1e-12:
+                    best_force, best_op, best_step = force, op_id, step
+        state.commit_reduce_effect(best_op, best_step, best_step)
+        decisions.append((best_op, best_step))
+    return decisions, state.frames.as_schedule()
+
+
 class TestSchedulerParity:
     """Cached single-block schedulers replay brute-force decisions exactly."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_ifds_parity(self, seed, library):
-        runs = {}
-        for force_cache in (True, False):
-            tracer = Tracer()
-            scheduler = ImprovedForceDirectedScheduler(
-                library, force_cache=force_cache, tracer=tracer
-            )
-            schedule = scheduler.schedule(single_block(seed, 4, library))
-            decisions = [
-                (e.attrs["op"], e.attrs["side"])
-                for e in tracer.events_named("reduction")
-            ]
-            runs[force_cache] = (decisions, schedule.starts)
-        assert runs[True] == runs[False]
+        tracer = Tracer()
+        scheduler = ImprovedForceDirectedScheduler(library, tracer=tracer)
+        schedule = scheduler.schedule(single_block(seed, 4, library))
+        decisions = [
+            (e.attrs["op"], e.attrs["side"])
+            for e in tracer.events_named("reduction")
+        ]
+        assert (decisions, schedule.starts) == brute_force_ifds(
+            single_block(seed, 4, library), library
+        )
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fds_parity(self, seed, library):
-        runs = {}
-        for force_cache in (True, False):
-            tracer = Tracer()
-            scheduler = ForceDirectedScheduler(
-                library, force_cache=force_cache, tracer=tracer
-            )
-            schedule = scheduler.schedule(single_block(seed, 4, library))
-            decisions = [
-                (e.attrs["op"], e.attrs["step"])
-                for e in tracer.events_named("placement")
-            ]
-            runs[force_cache] = (decisions, schedule.starts)
-        assert runs[True] == runs[False]
+        tracer = Tracer()
+        scheduler = ForceDirectedScheduler(library, tracer=tracer)
+        schedule = scheduler.schedule(single_block(seed, 4, library))
+        decisions = [
+            (e.attrs["op"], e.attrs["step"])
+            for e in tracer.events_named("placement")
+        ]
+        assert (decisions, schedule.starts) == brute_force_fds(
+            single_block(seed, 4, library), library
+        )
 
     def test_ifds_cache_saves_evaluations(self, library):
-        counts = {}
-        for force_cache in (True, False):
-            tracer = Tracer()
-            scheduler = ImprovedForceDirectedScheduler(
-                library, force_cache=force_cache, tracer=tracer
-            )
-            scheduler.schedule(single_block(3, 6, library))
-            counts[force_cache] = tracer.counters.as_dict()["force_evaluations"]
-        assert counts[True] < counts[False]
+        tracer = Tracer()
+        ImprovedForceDirectedScheduler(library, tracer=tracer).schedule(
+            single_block(3, 6, library)
+        )
+        cached = tracer.counters.as_dict()["force_evaluations"]
+        brute = Tracer()
+        with brute.activate():
+            brute_force_ifds(single_block(3, 6, library), library)
+        assert cached < brute.counters.as_dict()["force_evaluations"]

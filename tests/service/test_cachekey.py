@@ -8,6 +8,7 @@ result-affecting change must not.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +164,25 @@ def test_unknown_option_rejected_at_spec_creation():
     with pytest.raises(SpecificationError) as excinfo:
         JobSpec.create("schedule", SMALL_TEXT, {"tpyo": 1})
     assert excinfo.value.code == "SPEC"
+
+
+@pytest.mark.parametrize("kind", ["schedule", "sweep", "certify"])
+def test_scheduler_selection_knob_is_not_an_option(kind):
+    # Selection has one path; a knob that never changed a payload must
+    # not mint a second key for the same computation.
+    with pytest.raises(SpecificationError) as excinfo:
+        JobSpec.create(kind, SMALL_TEXT, {"use_scoreboard": True})
+    assert excinfo.value.code == "SPEC"
+
+
+def test_default_paper_schedule_key_is_stable():
+    # Captured before the selection knob was dropped: the key of a
+    # default submission did not move, so CACHE_KEY_FORMAT stays put.
+    path = Path(__file__).resolve().parents[2] / "examples" / "paper_system.sys"
+    _spec, key = JobSpec.create("schedule", path.read_text(encoding="utf-8"))
+    assert key == (
+        "dae1143a8ece069f5d1c4efa2598c8d3004e45561f9f385ea5cbb42fb87f4b45"
+    )
 
 
 def test_unknown_kind_rejected():

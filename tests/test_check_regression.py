@@ -40,7 +40,7 @@ def _sweep_report(evaluated=10, pruned_wall=0.5):
     }
 
 
-def _kernel_report(vector=0.1, kernel_wall=0.5):
+def _kernel_report(vector=0.1):
     return {
         "kernels": [
             {
@@ -51,24 +51,6 @@ def _kernel_report(vector=0.1, kernel_wall=0.5):
                 "scalar_seconds": 1.0,
                 "vector_seconds": vector,
                 "speedup": 1.0 / vector,
-            },
-        ],
-        "end_to_end": [
-            {
-                "processes": 6,
-                "kernel": {
-                    "area": 10.0,
-                    "iterations": 100,
-                    "force_evaluations": 1000,
-                    "wall_time": kernel_wall,
-                },
-                "scalar": {
-                    "area": 10.0,
-                    "iterations": 100,
-                    "force_evaluations": 1000,
-                    "wall_time": 1.0,
-                },
-                "speedup": 1.0 / kernel_wall,
             },
         ],
     }
@@ -219,17 +201,6 @@ class TestKernelsGate:
         assert _run(tmp_path, "kernels", current, _kernel_report()) == 1
         assert "vector/scalar" in capsys.readouterr().out
 
-    def test_end_to_end_slowdown_fails(self, tmp_path, capsys):
-        current = _kernel_report(kernel_wall=0.9)
-        assert _run(tmp_path, "kernels", current, _kernel_report()) == 1
-        assert "kernel/scalar" in capsys.readouterr().out
-
-    def test_eval_count_regression_fails(self, tmp_path, capsys):
-        current = _kernel_report()
-        current["end_to_end"][0]["kernel"]["force_evaluations"] = 1300
-        assert _run(tmp_path, "kernels", current, _kernel_report()) == 1
-        capsys.readouterr()
-
     def test_workload_mismatch_demands_new_baseline(self, tmp_path, capsys):
         current = _kernel_report()
         current["kernels"][0]["batch"] = 999
@@ -239,16 +210,12 @@ class TestKernelsGate:
     def test_unmatched_rows_are_skipped_not_failed(self, tmp_path, capsys):
         current = _kernel_report()
         current["kernels"].append(dict(current["kernels"][0], processes=12))
-        current["end_to_end"].append(
-            dict(current["end_to_end"][0], processes=12)
-        )
         assert _run(tmp_path, "kernels", current, _kernel_report()) == 0
         assert "SKIP" in capsys.readouterr().out
 
     def test_no_matched_rows_fails(self, tmp_path, capsys):
         current = _kernel_report()
         current["kernels"][0]["processes"] = 12
-        current["end_to_end"][0]["processes"] = 12
         assert _run(tmp_path, "kernels", current, _kernel_report()) == 1
         capsys.readouterr()
 
@@ -310,7 +277,6 @@ class TestCommittedBaselines:
         "BENCH_scaling_smoke.json",
         "BENCH_sweep_smoke.json",
         "BENCH_kernel_smoke.json",
-        "BENCH_scale_smoke.json",
         "BENCH_service_smoke.json",
         "BENCH_absint_smoke.json",
     ])

@@ -47,12 +47,6 @@ class TestScheduleCommand:
         assert main(["schedule", sys_file, "--no-verify"]) == 0
         assert "verified" not in capsys.readouterr().out
 
-    def test_schedule_no_scoreboard_same_result(self, sys_file, capsys):
-        assert main(["schedule", sys_file]) == 0
-        default = capsys.readouterr().out
-        assert main(["schedule", sys_file, "--no-scoreboard"]) == 0
-        assert capsys.readouterr().out == default
-
 
 class TestOtherCommands:
     def test_compare(self, sys_file, capsys):
@@ -118,16 +112,6 @@ class TestSweepEngine:
             l for l in parallel_out.splitlines() if l.startswith("best:")
         ]
         assert best and best == best_par
-
-    def test_sweep_no_scoreboard_same_best(self, sys_file, capsys):
-        assert main(["sweep", sys_file, "--no-prune"]) == 0
-        default_out = capsys.readouterr().out
-        assert main(["sweep", sys_file, "--no-prune", "--no-scoreboard"]) == 0
-        rescan_out = capsys.readouterr().out
-        assert default_out == rescan_out
-        assert any(
-            line.startswith("best:") for line in rescan_out.splitlines()
-        )
 
     def test_limit_truncation_warns(self, sys_file, capsys):
         assert main(["sweep", sys_file, "--limit", "2"]) == 0
