@@ -8,7 +8,7 @@ folds ``eta * |F_low - F_high|`` in scan order.  Nothing is cached, so
 a commit needs no bookkeeping.
 
 Production decisions, schedules and areas must equal the oracle's bit
-for bit (``tests/core/test_oracle_parity.py``).  The oracle is one to
+for bit (the ``tests/core/test_*_parity.py`` suites).  The oracle is one to
 two orders of magnitude slower; use it for tests and for the A5
 scaling bench's ``uncached`` arm, never in production.
 """

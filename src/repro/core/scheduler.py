@@ -167,7 +167,7 @@ class _SystemKernel:
     it touches; and operations with a guarded force footprint keep
     using the scalar :class:`_CachedScore` machinery.  Decisions agree
     with the brute-force :class:`~repro.core.reference.ReferenceScheduler`,
-    pinned by ``tests/core/test_oracle_parity.py``.
+    pinned by the ``tests/core/test_*_parity.py`` suites.
     """
 
     def __init__(

@@ -31,7 +31,7 @@ bitwise-identical to a sequence of ``np.dot`` calls (ulp-level
 differences, empirically ~1e-16).  Decisions in every scheduler compare
 forces against ``1e-12`` epsilons, so agreement with the scalar
 reference is pinned at the *decision* level by
-``tests/core/test_oracle_parity.py`` (coupled scheduler) and
+``tests/core/test_kernel_parity.py`` (coupled scheduler) and
 ``tests/scheduling/test_selection_cache.py`` (FDS/IFDS); results are
 deterministic because all matrix shapes are functions of the
 scheduling state alone.

@@ -1,17 +1,19 @@
 """Decision parity of the incremental force cache (docs/performance.md).
 
-The force cache must change *when* forces are computed, never *what*
-they evaluate to: a cached :class:`ModuloSystemScheduler` run must make
-the byte-identical sequence of reduction decisions — same (process,
-block, op, side) at every iteration — and land on the same final
-schedule and area as the brute-force scan.  These tests pin that over
-the paper workload, a guarded/conditional workload, and a population of
-seeded random systems.
+The per-block force caches must change *when* forces are computed,
+never *what* they evaluate to: a production :class:`ModuloSystemScheduler`
+run must make the identical sequence of reduction decisions — same
+(process, block, op, side) at every iteration — and land on the same
+final schedule and area as the brute-force
+:class:`~repro.core.reference.ReferenceScheduler`, which evaluates every
+candidate afresh every iteration.  Pinned over the paper workload, a
+guarded/conditional workload, and a population of seeded random systems.
 """
 
 import pytest
 
 from repro.core.periods import PeriodAssignment
+from repro.core.reference import ReferenceScheduler
 from repro.core.scheduler import ModuloSystemScheduler
 from repro.ir.process import Block, Process, SystemSpec
 from repro.obs import Tracer
@@ -27,12 +29,10 @@ from repro.workloads import (
 )
 
 
-def run_scheduler(system, library, assignment, periods, *, force_cache, weights=None):
+def run_scheduler(scheduler_class, system, library, assignment, periods, weights):
     """One traced run; returns (decisions, starts, area, counters)."""
     tracer = Tracer()
-    scheduler = ModuloSystemScheduler(
-        library, weights=weights, force_cache=force_cache, tracer=tracer
-    )
+    scheduler = scheduler_class(library, weights=weights, tracer=tracer)
     result = scheduler.schedule(system, assignment, periods)
     decisions = [
         (e.attrs["process"], e.attrs["block"], e.attrs["op"], e.attrs["side"])
@@ -43,26 +43,21 @@ def run_scheduler(system, library, assignment, periods, *, force_cache, weights=
 
 
 def assert_parity(system_factory, library, assignment_factory, periods, weights=None):
-    """Cached and uncached runs must agree on every decision and result.
+    """Cached and brute-force runs must agree on every decision and result.
 
     Factories rebuild the system/assignment per run so no state leaks
-    between the two arms.
+    between the two; returns the (production, oracle) counters.
     """
-    cached = run_scheduler(
-        system_factory(),
-        library,
-        assignment_factory(),
-        periods,
-        force_cache=True,
-        weights=weights,
-    )
-    brute = run_scheduler(
-        system_factory(),
-        library,
-        assignment_factory(),
-        periods,
-        force_cache=False,
-        weights=weights,
+    cached, brute = (
+        run_scheduler(
+            scheduler_class,
+            system_factory(),
+            library,
+            assignment_factory(),
+            periods,
+            weights,
+        )
+        for scheduler_class in (ModuloSystemScheduler, ReferenceScheduler)
     )
     assert cached[0] == brute[0], "reduction sequences diverged"
     assert cached[1] == brute[1], "final schedules diverged"
@@ -72,13 +67,10 @@ def assert_parity(system_factory, library, assignment_factory, periods, weights=
 
 class TestPaperSystemParity:
     def test_paper_system_identical_decisions_and_schedule(self):
-        system, library = paper_system()
-
-        def build_system():
-            return paper_system()[0]
+        _system, library = paper_system()
 
         cached_counters, brute_counters = assert_parity(
-            build_system,
+            lambda: paper_system()[0],
             library,
             lambda: paper_assignment(library),
             paper_periods(),
@@ -89,6 +81,7 @@ class TestPaperSystemParity:
             < brute_counters["force_evaluations"]
         )
         assert cached_counters.get("force_cache_hits", 0) > 0
+        assert "force_cache_hits" not in brute_counters
 
 
 class TestGuardedWorkloadParity:
@@ -113,10 +106,7 @@ class TestGuardedWorkloadParity:
             return ResourceAssignment.all_global(library, build_system())
 
         periods = PeriodAssignment(
-            {
-                name: 3
-                for name in build_assignment().global_types
-            }
+            {name: 3 for name in build_assignment().global_types}
         )
         assert_parity(build_system, library, build_assignment, periods)
 
@@ -149,10 +139,10 @@ class TestRandomPopulationParity:
 
 class TestLocalForceDelegation:
     def test_scheduler_force_matches_shared_kernel_without_globals(self):
-        """With no global types the coupled scheduler's placement force
-        must equal :func:`repro.scheduling.forces.placement_force` — the
-        scheduler delegates purely-local evaluation to the shared kernel
-        rather than duplicating it."""
+        """With no global types the oracle's placement force must equal
+        :func:`repro.scheduling.forces.placement_force` — the scheduler
+        delegates purely-local evaluation to the shared kernel rather
+        than duplicating it."""
         from repro.core.scheduler import _Entry, _GlobalCoupling
         from repro.scheduling.forces import placement_force
         from repro.scheduling.state import BlockState
@@ -162,7 +152,7 @@ class TestLocalForceDelegation:
         deadline = graph.critical_path_length(library.latency_of) + 5
         block = Block(name="main", graph=graph, deadline=deadline)
 
-        scheduler = ModuloSystemScheduler(library)
+        scheduler = ReferenceScheduler(library)
         assignment = ResourceAssignment.all_local(library)
         entries = [_Entry("p0", block, BlockState(block, library))]
         coupling = _GlobalCoupling(entries, assignment, PeriodAssignment({}))
