@@ -40,7 +40,6 @@ from repro.scheduling.kernels import (
     DeltaBatch,
     PlacementKernel,
     batched_occupancy_rows,
-    guarded_footprint_ops,
 )
 from repro.scheduling.state import BlockState
 
@@ -77,7 +76,6 @@ def harvest(n_processes, library):
     candidates = []  # (state, [(op, step), ...]) whole-frame batches
     narrow = []  # (state, [(op, lo), (op, hi), ...]) frame-end batches
     for state in states:
-        fallback = guarded_footprint_ops(state)
         batch = []
         ends = []
         for op_id in state.frames.unfixed():
@@ -85,7 +83,7 @@ def harvest(n_processes, library):
             frames.append(
                 (lo, hi, state.dist.occupancy_of[op_id], state.dist.horizon)
             )
-            if op_id not in fallback:
+            if op_id not in state.guarded_ops:
                 batch.extend((op_id, step) for step in range(lo, hi + 1))
                 ends.extend([(op_id, lo), (op_id, hi)])
         if batch:

@@ -17,7 +17,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..obs.audit import CACHE_UNCACHED, CandidateAudit
+from ..scheduling.forces import force_from_deltas, hooke_force
+from .modulo import modulo_max
 from .scheduler import ModuloSystemScheduler, _Entry, _GlobalCoupling
 
 __all__ = ["ReferenceScheduler"]
@@ -39,8 +43,47 @@ class ReferenceScheduler(ModuloSystemScheduler):
         op_id: str,
         start: int,
     ) -> float:
-        """Modified force F' (§5.3) of tentatively placing ``op_id`` at ``start``."""
-        return self._force_terms(entry_index, entry, coupling, op_id, start)[0]
+        """Modified force F' (§5.3) of tentatively placing ``op_id`` at ``start``.
+
+        Sums, over the displaced types in first-occurrence order, the
+        weighted Hooke force of each type's displacement.  A local type
+        uses the block's own distribution (a purely local placement is
+        :func:`repro.scheduling.forces.force_from_deltas` verbatim).  A
+        shared type is modulo-max folded (eq. 7); with global balancing
+        its displacement is the change of the process maximum (eq. 9)
+        against the system distribution ``S``, without it the change of
+        the block's own fold against that fold.
+        """
+        state = entry.state
+        deltas = state.placement_deltas(op_id, start)
+        process_name = entry.process_name
+        if not self.periodical_alignment or not any(
+            coupling.is_shared(process_name, type_name) for type_name in deltas
+        ):
+            return force_from_deltas(
+                state.dist, deltas, lookahead=self.lookahead, weights=self.weights
+            )
+        total = 0.0
+        for type_name, delta in deltas.items():
+            weight = (
+                1.0 if self.weights is None else float(self.weights.get(type_name, 1.0))
+            )
+            if not coupling.is_shared(process_name, type_name):
+                base, change = state.dist.array(type_name), delta
+            else:
+                displaced = state.dist.array(type_name) + delta
+                q_new = modulo_max(displaced, coupling.period(type_name))
+                if self.global_balancing:
+                    others = coupling.other_blocks_max(entry_index, type_name)
+                    base = coupling.system_distribution(type_name)
+                    change = np.maximum(others, q_new) - coupling.process_max(
+                        process_name, type_name
+                    )
+                else:
+                    base = coupling.block_q(entry_index, type_name)
+                    change = q_new - base
+            total += weight * hooke_force(base, change, self.lookahead)
+        return total
 
 
 class _BruteForceSelector:

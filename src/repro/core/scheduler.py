@@ -31,16 +31,9 @@ from ..errors import SchedulingError
 from ..ir.process import Block, Process, SystemSpec
 from ..obs import FORCE_EVALUATIONS, SCHEDULER_ITERATIONS, as_tracer, get_logger
 from ..obs import counters as _ambient
-from ..obs.audit import (
-    CACHE_ASSEMBLED,
-    CACHE_FRESH,
-    CACHE_HIT,
-    CandidateAudit,
-    DecisionAudit,
-)
+from ..obs.audit import CACHE_FRESH, CACHE_HIT, CandidateAudit, DecisionAudit
 from ..obs.counters import (
     AUDIT_DECISIONS,
-    FORCE_CACHE_ASSEMBLIES,
     FORCE_CACHE_HITS,
     FORCE_CACHE_MISSES,
     SELECTION_RESCORED,
@@ -59,13 +52,8 @@ from ..obs.metrics import (
 from ..resources.assignment import ResourceAssignment
 from ..resources.library import ResourceLibrary
 from ..scheduling.fallback import degraded_block_schedule, frames_state_hash
-from ..scheduling.forces import DEFAULT_LOOKAHEAD, force_from_deltas, hooke_force
-from ..scheduling.kernels import (
-    DeltaBatch,
-    guarded_footprint_ops,
-    row_dots,
-    row_self_dots,
-)
+from ..scheduling.forces import DEFAULT_LOOKAHEAD
+from ..scheduling.kernels import DeltaBatch, row_dots, row_self_dots
 from ..scheduling.schedule import BlockSchedule
 from ..scheduling.scoreboard import SelectionScoreboard
 from ..scheduling.selection_cache import BlockSelectionCache
@@ -90,43 +78,10 @@ class _Entry:
     hash_memo: Optional[Tuple[int, int]] = None
 
 
-class _CachedScore:
-    """Memoized selection forces of one operation at both frame ends.
-
-    ``terms_*`` hold the *force recipe* of each tentative placement: an
-    ordered list of per-type terms in which purely-local types are frozen
-    scalars and globally balanced types keep their system displacement
-    ``delta_S`` (eq. 9 minus the old process maximum).  The recipe stays
-    valid as long as the op's own block and its same-process siblings are
-    untouched; when only the system distribution ``S`` moved (a commit in
-    *another* process), the final force is re-assembled from the recipe
-    with two period-length dot products instead of a full re-evaluation.
-    ``terms_* is None`` marks a purely-local placement whose force is
-    constant until invalidated.
-    """
-
-    __slots__ = (
-        "force_low",
-        "force_high",
-        "terms_low",
-        "terms_high",
-        "global_types",
-        "versions",
-    )
-
-    def __init__(self, force_low, force_high, terms_low, terms_high, global_types, versions):
-        self.force_low = force_low
-        self.force_high = force_high
-        self.terms_low = terms_low
-        self.terms_high = terms_high
-        self.global_types = global_types
-        self.versions = versions
-
-
 #: Marker stored in a :class:`BlockSelectionCache` for operations whose
 #: selection state lives in the :class:`_SystemKernel` flat arrays.  The
 #: cache keeps exactly one entry per evaluated operation, so its
-#: hit/miss/invalidation accounting follows the per-operation probe model.
+#: invalidations count the kernel states a commit really dropped.
 _KERNEL_EVALUATED = object()
 
 
@@ -157,17 +112,18 @@ class _SystemKernel:
 
     Only invalidated operations do real work: their frame-end deltas are
     built in one :class:`~repro.scheduling.kernels.DeltaBatch` per block
-    and folded per displaced type with batched matrix products.
+    and folded per displaced type with batched matrix products.  Guarded
+    (conditional-branch) operations take the same path; only their
+    displacement rows come from the branch-max-combined distribution.
 
-    The telemetry follows the per-operation probe model of the force
-    cache: the per-block :class:`BlockSelectionCache` stores one marker
-    per evaluated operation (hits, misses, invalidations, and dirty-set
-    sizes); the staleness mask counts one ``force_cache_assemblies`` per
-    cached operation whose folded force predates an ``S`` bump of a type
-    it touches; and operations with a guarded force footprint keep
-    using the scalar :class:`_CachedScore` machinery.  Decisions agree
-    with the brute-force :class:`~repro.core.reference.ReferenceScheduler`,
-    pinned by the ``tests/core/test_*_parity.py`` suites.
+    The telemetry counts that work: the per-block
+    :class:`BlockSelectionCache` holds one marker per evaluated
+    operation, so a reclassified entry charges one ``force_cache_hits``
+    per candidate whose kernel state survived the commit and one
+    ``force_cache_misses`` per candidate it re-evaluates; skipped and
+    clean entries charge nothing.  Decisions agree with the brute-force
+    :class:`~repro.core.reference.ReferenceScheduler`, pinned by the
+    ``tests/core/test_*_parity.py`` suites.
     """
 
     def __init__(
@@ -176,13 +132,9 @@ class _SystemKernel:
         entries: List[_Entry],
         coupling: "_GlobalCoupling",
     ) -> None:
-        self.scheduler = scheduler
         self.entries = entries
         self.coupling = coupling
         self.caches = [BlockSelectionCache(entry.state) for entry in entries]
-        # Operations whose force footprint contains a guarded type: they
-        # evaluate through the scalar _CachedScore machinery.
-        self._scalar_ops = [guarded_footprint_ops(entry.state) for entry in entries]
         self.lookahead = scheduler.lookahead
         self.weights = scheduler.weights
         self.alignment = scheduler.periodical_alignment
@@ -201,7 +153,6 @@ class _SystemKernel:
         # count of the refold/gather phases.
         self._const = np.zeros((2, n), dtype=float)
         self._eta = np.ones(n, dtype=float)
-        self._fold_stamp = np.zeros(n, dtype=np.int64)
         self._force = np.empty((2, n), dtype=float)
         # Balanced types currently holding a G row for each slot's two
         # sides, so a re-evaluation can free exactly its own rows.
@@ -212,37 +163,20 @@ class _SystemKernel:
         self._balanced_part: List[Dict[Tuple[str, ...], Tuple[str, ...]]] = [
             {} for _ in entries
         ]
-        self._scan_no = 0
 
         # Per-entry candidate lists persist between scans; a commit only
         # perturbs the committed entry (and, for a non-clean scope, its
         # same-process siblings), which :meth:`note_commit` marks dirty.
-        # Clean entries skip classification wholesale: their candidates,
-        # guarded jobs, and hit totals are unchanged by construction.
+        # Clean entries skip classification wholesale: their candidates
+        # are unchanged by construction.
         self._dirty = set(range(len(entries)))
         self._cand_ops: List[List[str]] = [[] for _ in entries]
         self._cand_slots: List[np.ndarray] = [
             np.empty(0, dtype=np.intp) for _ in entries
         ]
-        self._hit_counts: List[int] = [0] * len(entries)
-        # Per-entry subscriptions and skip-hit shares (see
-        # repro.scheduling.scoreboard): only the commit's dirty cone is
-        # rescored per scan.
+        # Per-entry subscriptions (see repro.scheduling.scoreboard): only
+        # the commit's dirty cone is rescored per scan.
         self.scoreboard = SelectionScoreboard(len(entries))
-        # Per-entry staleness-active slots (mobile, non-guarded) and the
-        # candidate-list positions of the guarded jobs, rebuilt whenever
-        # the entry is reclassified.
-        self._entry_act: List[np.ndarray] = [
-            np.empty(0, dtype=np.intp) for _ in entries
-        ]
-        self._guarded_pos: List[List[Tuple[str, int, int]]] = [
-            [] for _ in entries
-        ]
-        # Balanced types holding a G row among each entry's act slots —
-        # the act-derived half of its record's ``touched_types``.  Kept
-        # as a sorted list, recomputed on (re)classification from the
-        # per-slot ``_assigned_*`` tuples, which mirror ``gslot > 0``.
-        self._act_types: List[List[str]] = [[] for _ in entries]
         # The scored state persists *per slot* between scans: the winner
         # is extracted with one vectorized prefix-maxima pass over a
         # persistent concatenated candidate-slot array, maintained by
@@ -252,7 +186,6 @@ class _SystemKernel:
         self._sb_sizes = np.zeros(len(entries), dtype=np.int64)
         self._sb_bounds = np.zeros(len(entries), dtype=np.int64)
         self._sb_splices: List[int] = []
-        self._has_guards = any(self._scalar_ops)
 
         # Sorted so cross-run accumulation order never depends on set
         # (hash) iteration order.
@@ -268,7 +201,6 @@ class _SystemKernel:
         self._free: Dict[str, List[int]] = {}
         self._gslot: Dict[str, np.ndarray] = {}
         self._seen_version: Dict[str, int] = {}
-        self._changed_scan: Dict[str, int] = {}
         for type_name in balanced:
             period = coupling.period(type_name)
             self._g[type_name] = np.zeros((16, period), dtype=float)
@@ -277,7 +209,6 @@ class _SystemKernel:
             self._free[type_name] = []
             self._gslot[type_name] = np.zeros((2, n), dtype=np.int64)
             self._seen_version[type_name] = coupling.s_version(type_name)
-            self._changed_scan[type_name] = 0
 
     # -- scan ----------------------------------------------------------
     def select(
@@ -296,16 +227,13 @@ class _SystemKernel:
         candidate.  Neither changes the winner.
 
         Only perturbed entries are rescored; the rest keep their stored
-        scores.  Exactness rests on three facts (docs/performance.md,
+        scores.  Exactness rests on two facts (docs/performance.md,
         "Selection scoreboard"):
 
         * a clean entry's forces are bit-unchanged — its constants moved
           only through a fresh evaluation (needs a dirty entry) and its
           per-type dots only through an ``S`` bump of a touched type
           (which puts the entry in the rescore set via its subscription);
-        * its counters are unchanged too: every candidate probe would be
-          a hit (charged in bulk from the record) and the staleness mask
-          over its slots would be empty, so zero assemblies are lost;
         * the scan-order hysteresis fold (``score > best + 1e-12``) only
           ever accepts strict prefix maxima — the running best never
           drops more than the epsilon below the prefix maximum — so
@@ -313,20 +241,16 @@ class _SystemKernel:
           per-slot scores picks the same winner.
 
         ``collect`` (audit candidate capture) needs every candidate's
-        force, so it degrades to rescore-all — rescoring a clean entry
-        re-counts exactly the same hits and zero assemblies, keeping the
-        telemetry contract.
+        force, so it degrades to rescore-all; a clean entry's rescore
+        charges no counter.
 
         The rescored entries are processed as *one* batch: their slots
-        concatenate into a single index array and the staleness mask,
-        the refold, and the score pass each run once over it, so the
-        per-scan numpy call count stays constant instead of linear in
-        the rescore-set size.
+        concatenate into a single index array and the refold and the
+        score pass each run once over it, so the per-scan numpy call
+        count stays constant instead of linear in the rescore-set size.
         """
         track = want_detail or collect is not None
         coupling = self.coupling
-        self._scan_no += 1
-        scan_no = self._scan_no
 
         # (1) Sync to S, remembering which types bumped this scan.
         bumped: List[str] = []
@@ -334,7 +258,6 @@ class _SystemKernel:
             version = coupling.s_version(type_name)
             if version != self._seen_version[type_name]:
                 self._seen_version[type_name] = version
-                self._changed_scan[type_name] = scan_no
                 bumped.append(type_name)
                 top = self._top[type_name]
                 if top > 1:
@@ -353,37 +276,18 @@ class _SystemKernel:
         else:
             rescore = board.rescore_set(dirty, bumped)
 
-        # (3) Charge the hits skipped entries would have probed, in one
-        # aggregated count: total over all records minus the rescored
-        # entries' shares (they count their own probes live).
-        records = board.records
-        skip_hits = board.sum_skip_hits
-        for index in rescore:
-            skip_hits -= records[index].skip_hits
-        if skip_hits:
-            count(FORCE_CACHE_HITS, skip_hits)
-
-        # (4) Classify dirty rescored entries (the rescore set contains
-        # every dirty entry); clean rescored entries just re-count their
-        # candidate probes as hits.  Only
-        # the classified (dirty) entries need their records restored
-        # afterwards: a clean rescored entry's counters, subscriptions,
-        # and candidate span are all provably unchanged.
+        # (3) Classify the dirty entries (the rescore set contains every
+        # one of them); a clean rescored entry's candidates,
+        # subscriptions and span are all provably unchanged.
         kinds: Optional[Dict[int, str]] = {} if track else None
-        classified: List[int] = []
         for index in rescore:
             if index in dirty:
-                self._classify_entry(index, scan_no, kinds)
-                classified.append(index)
-            else:
-                hits = self._hit_counts[index]
-                if hits:
-                    count(FORCE_CACHE_HITS, hits)
+                self._classify_entry(index, kinds)
         dirty.clear()
         count(SELECTION_RESCORED, len(rescore))
         count(SELECTION_SKIPPED, len(self.entries) - len(rescore))
 
-        # (4b) Splice reclassified spans whose candidate count changed
+        # (4) Splice reclassified spans whose candidate count changed
         # into the persistent concatenated slot array (one pass, in
         # entry order); wholesale rebuild when many moved at once.
         splices = self._sb_splices
@@ -418,121 +322,34 @@ class _SystemKernel:
             np.cumsum(sizes, out=self._sb_bounds)
             self._sb_splices = []
 
-        # (5) Concatenate the rescored entries' candidate and staleness
-        # index arrays (slots partition by entry, so per-slot work and
-        # counter totals decompose exactly).
+        # (5) Concatenate the rescored entries' candidate slots (slots
+        # partition by entry, so per-slot work decomposes exactly).
         if len(rescore) == 1:
-            only = rescore[0]
-            cat_slots = self._cand_slots[only]
-            cat_act = self._entry_act[only]
+            cat_slots = self._cand_slots[rescore[0]]
         elif rescore:
             cat_slots = np.concatenate(
                 [self._cand_slots[index] for index in rescore]
             )
-            cat_act = np.concatenate(
-                [self._entry_act[index] for index in rescore]
-            )
         else:
-            cat_slots = cat_act = np.empty(0, dtype=np.intp)
+            cat_slots = np.empty(0, dtype=np.intp)
 
-        # The balanced types with a G row anywhere among the rescored
-        # slots: the union of the rescored entries' act-derived types.
-        # Every other type contributes only the all-zero sentinel row to
-        # the staleness mask and the refold, so restricting both loops
-        # to this union is exact.
-        act_union: set = set()
-        for index in rescore:
-            act_union.update(self._act_types[index])
-
-        # (6) Staleness over the rescored act slots: one assembly per
-        # cached op holding a G row of a type whose S moved after the
-        # op's last fold.  Freshly evaluated slots carry this scan's
-        # stamp and drop out; a skipped entry's share is provably empty
-        # (see above).
-        if act_union and cat_act.size:
-            stamps = self._fold_stamp[cat_act]
-            min_stamp = int(stamps.min())
-            stale = None
-            for type_name in self._balanced_types:
-                changed = self._changed_scan[type_name]
-                if changed <= min_stamp or type_name not in act_union:
-                    continue
-                has_row = (self._gslot[type_name][:, cat_act] > 0).any(axis=0)
-                mask = has_row & (stamps < changed)
-                stale = mask if stale is None else (stale | mask)
-            if stale is not None:
-                assembled = int(stale.sum())
-                if assembled:
-                    count(FORCE_CACHE_ASSEMBLIES, assembled)
-                    self._fold_stamp[cat_act[stale]] = scan_no
-                    if kinds is not None:
-                        for slot in cat_act[stale].tolist():
-                            kinds[slot] = CACHE_ASSEMBLED
-
-        # (7) Refold the rescored slots: constants plus the gathered
-        # per-type dots (the sentinel row contributes an exact 0.0).
-        guard_types: Dict[int, set] = {}
+        # (6) Refold the rescored slots: constants plus the gathered
+        # per-type dots.  Only types some rescored entry subscribes to
+        # hold a G row among these slots; every other type would gather
+        # the all-zero sentinel row, so skipping it is exact.
         if cat_slots.size:
+            records = board.records
+            touched: set = set()
+            for index in rescore:
+                touched.update(records[index].touched_types)
             force = self._const[:, cat_slots]
             for type_name in self._balanced_types:
-                if type_name in act_union and self._top[type_name] > 1:
+                if type_name in touched and self._top[type_name] > 1:
                     force += self._gdots[type_name][
                         self._gslot[type_name][:, cat_slots]
                     ]
 
-            # (8) Guarded ops: scalar _CachedScore machinery written over
-            # the refold, probed every rescore so the cache's own
-            # hit/miss accounting follows the probe model.
-            scheduler = self.scheduler
-            base = 0
-            for index in rescore if self._has_guards else ():
-                jobs = self._guarded_pos[index]
-                if jobs:
-                    cache = self.caches[index]
-                    frames = self.entries[index].state.frames
-                    gset = guard_types[index] = set()
-                    for op_id, slot, pos in jobs:
-                        cached = cache.get(op_id)
-                        kind = CACHE_HIT
-                        if cached is None:
-                            lo, hi = frames.frame(op_id)
-                            cached = scheduler._evaluate_cached(
-                                index,
-                                self.entries[index],
-                                coupling,
-                                op_id,
-                                lo,
-                                hi,
-                            )
-                            cache.put(op_id, cached)
-                            kind = CACHE_FRESH
-                        elif cached.global_types:
-                            versions = tuple(
-                                coupling.s_version(t)
-                                for t in cached.global_types
-                            )
-                            if versions != cached.versions:
-                                count(FORCE_CACHE_ASSEMBLIES)
-                                if cached.terms_low is not None:
-                                    cached.force_low = scheduler._assemble(
-                                        cached.terms_low, coupling
-                                    )
-                                if cached.terms_high is not None:
-                                    cached.force_high = scheduler._assemble(
-                                        cached.terms_high, coupling
-                                    )
-                                cached.versions = versions
-                                kind = CACHE_ASSEMBLED
-                        force[0, base + pos] = cached.force_low
-                        force[1, base + pos] = cached.force_high
-                        lo, hi = frames.frame(op_id)
-                        self._eta[slot] = 1.0 if hi - lo + 1 <= 2 else 0.5
-                        gset.update(cached.global_types)
-                        if kinds is not None:
-                            kinds[slot] = kind
-                base += self._cand_slots[index].size
-
-            # (9) Score the rescored columns once and scatter forces and
+            # (7) Score the rescored columns once and scatter forces and
             # scores into the persistent per-slot arrays; the skipped
             # columns provably kept theirs.
             flows = force[0]
@@ -540,23 +357,6 @@ class _SystemKernel:
             scores = self._eta[cat_slots] * np.abs(flows - fhighs)
             self._force[:, cat_slots] = force
             self._scores_g[cat_slots] = scores
-
-        # Record bookkeeping for the classified entries only: a clean
-        # rescored entry's skip-hit share and type
-        # subscriptions cannot have changed (its candidates and cached
-        # recipes are untouched; ``global_types`` of a guarded op is
-        # static while its cache entry lives).
-        for index in classified:
-            touched = set(self._act_types[index])
-            gset = guard_types.get(index)
-            if gset:
-                touched.update(gset)
-            board.store(
-                index,
-                skip_hits=self._hit_counts[index]
-                + len(self._guarded_pos[index]),
-                touched_types=sorted(touched),
-            )
 
         if collect is not None and cat_slots.size:
             score_list = scores.tolist()
@@ -575,16 +375,12 @@ class _SystemKernel:
                             force_low=flow_list[base + pos],
                             force_high=fhigh_list[base + pos],
                             score=score_list[base + pos],
-                            cache=(
-                                kinds.get(slot_list[base + pos], CACHE_HIT)
-                                if kinds is not None
-                                else CACHE_HIT
-                            ),
+                            cache=kinds.get(slot_list[base + pos], CACHE_HIT),
                         )
                     )
                 base += self._cand_slots[index].size
 
-        # (10) Winner extraction: replay the hysteresis fold over the
+        # (8) Winner extraction: replay the hysteresis fold over the
         # strict prefix maxima of the persistent gathered scores.
         idx = self._sb_idx
         total = int(idx.size)
@@ -613,8 +409,7 @@ class _SystemKernel:
         force_high = float(self._force[1, slot])
         detail = None
         if want_detail:
-            kind = kinds.get(slot, CACHE_HIT) if kinds is not None else CACHE_HIT
-            detail = (force_low, force_high, kind)
+            detail = (force_low, force_high, kinds.get(slot, CACHE_HIT))
         assert best_score is not None
         return (
             best_entry,
@@ -626,38 +421,25 @@ class _SystemKernel:
         )
 
     def _classify_entry(
-        self,
-        index: int,
-        scan_no: int,
-        kinds: Optional[Dict[int, str]],
+        self, index: int, kinds: Optional[Dict[int, str]]
     ) -> None:
         """Reclassify one dirty entry's candidates.
 
-        Marker present -> hit, absent -> fresh (batch-evaluated),
-        guarded footprint -> scalar job at its candidate position; then
-        the act-derived touched-type list the batched rescore consumes.
+        Marker present -> hit, absent -> fresh (batch-evaluated); then
+        the entry's subscriptions: the balanced types holding a G row
+        among its candidate slots.
         """
         entry = self.entries[index]
         unfixed = entry.state.frames.unfixed()
         self._cand_ops[index] = unfixed
         store = self.caches[index]._store
         slots_map = self.slot_of[index]
-        scalar_ops = self._scalar_ops[index]
         slots = np.empty(len(unfixed), dtype=np.intp)
-        act_list: List[int] = []
-        guarded_pos: List[Tuple[str, int, int]] = []
         fresh_ops: List[str] = []
-        hits = 0
         for pos, op_id in enumerate(unfixed):
             slot = slots_map[op_id]
             slots[pos] = slot
-            if op_id in scalar_ops:
-                guarded_pos.append((op_id, slot, pos))
-                continue
-            act_list.append(slot)
-            if op_id in store:
-                hits += 1
-            else:
+            if op_id not in store:
                 fresh_ops.append(op_id)
                 store[op_id] = _KERNEL_EVALUATED
                 if kinds is not None:
@@ -667,29 +449,22 @@ class _SystemKernel:
             # own block), so an unchanged count means an unchanged span.
             self._sb_splices.append(index)
         self._cand_slots[index] = slots
-        self._entry_act[index] = np.asarray(act_list, dtype=np.intp)
-        self._guarded_pos[index] = guarded_pos
-        self._hit_counts[index] = hits + len(fresh_ops)
+        hits = len(unfixed) - len(fresh_ops)
         if hits:
             count(FORCE_CACHE_HITS, hits)
         if fresh_ops:
             count(FORCE_CACHE_MISSES, len(fresh_ops))
-            self._fresh_eval(index, entry, fresh_ops, scan_no)
-        # Act-derived touched types, read *after* the fresh evaluation
-        # reassigned G rows: ``_assigned_*[slot]`` is nonempty exactly
-        # when ``gslot[type][:, slot] > 0`` for the type, so this union
-        # equals the per-type ``(gslot[:, act] > 0).any()``.
+            self._fresh_eval(index, entry, fresh_ops)
+        # Read *after* the fresh evaluation reassigned G rows:
+        # ``_assigned_*[slot]`` is nonempty exactly when
+        # ``gslot[type][:, slot] > 0`` for the type.
         assigned_low = self._assigned_low
         assigned_high = self._assigned_high
-        acts: set = set()
-        for slot in act_list:
-            low = assigned_low[slot]
-            if low:
-                acts.update(low)
-            high = assigned_high[slot]
-            if high:
-                acts.update(high)
-        self._act_types[index] = sorted(acts)
+        touched: set = set()
+        for slot in slots.tolist():
+            touched.update(assigned_low[slot])
+            touched.update(assigned_high[slot])
+        self.scoreboard.store(index, sorted(touched))
 
     def note_commit(
         self,
@@ -738,14 +513,13 @@ class _SystemKernel:
                     dirty.add(index)
 
     # -- fresh evaluation ----------------------------------------------
-    def _fresh_eval(
-        self, index: int, entry: _Entry, fresh_ops: List[str], scan_no: int
-    ) -> None:
+    def _fresh_eval(self, index: int, entry: _Entry, fresh_ops: List[str]) -> None:
         """Batch-evaluate both frame ends of a block's invalidated ops.
 
         One :class:`DeltaBatch` covers every (op, frame-end) pair; each
         displaced type folds its participating rows with batched matrix
-        products, mirroring :meth:`ModuloSystemScheduler._force_terms`
+        products, mirroring
+        :meth:`~repro.core.reference.ReferenceScheduler._placement_force`
         branch for branch.  Constants, ``w * delta_S`` rows, and their
         current-``S`` dots are written into the persistent arrays; the
         refold in :meth:`select` produces the forces.
@@ -858,7 +632,6 @@ class _SystemKernel:
         self._const[0, slots_arr] = consts[0::2]
         self._const[1, slots_arr] = consts[1::2]
         self._eta[slots_arr] = etas
-        self._fold_stamp[slots_arr] = scan_no
         # Allocation may have grown the G arrays; read them afresh.
         for type_name, (weighted, gdot_vals) in gvec_parts.items():
             participants = batch.participants[type_name]
@@ -1206,117 +979,6 @@ class ModuloSystemScheduler:
                 parts.append(value)
         return hash(tuple(parts))
 
-    # ------------------------------------------------------------------
-    # Force evaluation
-    # ------------------------------------------------------------------
-    def _evaluate_cached(
-        self,
-        entry_index: int,
-        entry: _Entry,
-        coupling: "_GlobalCoupling",
-        op_id: str,
-        lo: int,
-        hi: int,
-    ) -> _CachedScore:
-        """Fresh evaluation of both frame ends, packaged with its recipe."""
-        force_low, terms_low = self._force_terms(entry_index, entry, coupling, op_id, lo)
-        force_high, terms_high = self._force_terms(entry_index, entry, coupling, op_id, hi)
-        global_types: List[str] = []
-        for terms in (terms_low, terms_high):
-            if terms is None:
-                continue
-            for type_name, _weight, delta_s, _self_dot in terms:
-                if type_name is not None and type_name not in global_types:
-                    global_types.append(type_name)
-        versions = tuple(coupling.s_version(t) for t in global_types)
-        return _CachedScore(
-            force_low, force_high, terms_low, terms_high, tuple(global_types), versions
-        )
-
-    def _assemble(self, terms, coupling: "_GlobalCoupling") -> float:
-        """Fold a force recipe against the *current* system distributions.
-
-        Produces bit-identical results to :meth:`_force_terms` as long as
-        the recipe is not stale: scalar terms are reused verbatim and
-        global terms recompute exactly the Hooke expression
-        ``w * (delta_S . S + alpha * delta_S . delta_S)``.
-        """
-        total = 0.0
-        for type_name, value_or_weight, delta_s, self_dot in terms:
-            if type_name is None:
-                total += value_or_weight
-            else:
-                total += value_or_weight * (
-                    float(np.dot(delta_s, coupling.system_distribution(type_name)))
-                    + self.lookahead * self_dot
-                )
-        return total
-
-    def _force_terms(
-        self,
-        entry_index: int,
-        entry: _Entry,
-        coupling: "_GlobalCoupling",
-        op_id: str,
-        start: int,
-    ) -> Tuple[float, Optional[list]]:
-        """Force F' of a tentative placement, plus its cacheable recipe.
-
-        Returns ``(force, terms)``.  ``terms`` is ``None`` for a purely
-        local placement (every displaced type local: the force is a plain
-        constant until the block is perturbed — delegated to the shared
-        :func:`repro.scheduling.forces.force_from_deltas` kernel).
-        Otherwise it is the ordered per-type term list consumed by
-        :meth:`_assemble`: ``(None, scalar, None, None)`` for frozen local
-        (and unbalanced-global) terms, ``(type, weight, delta_S,
-        delta_S . delta_S)`` for globally balanced ones.
-        """
-        deltas = entry.state.placement_deltas(op_id, start)
-        if not self.periodical_alignment or not any(
-            coupling.is_shared(entry.process_name, type_name) for type_name in deltas
-        ):
-            force = force_from_deltas(
-                entry.state.dist, deltas, lookahead=self.lookahead, weights=self.weights
-            )
-            return force, None
-        total = 0.0
-        terms: list = []
-        for type_name, delta in deltas.items():
-            weight = (
-                1.0 if self.weights is None else float(self.weights.get(type_name, 1.0))
-            )
-            if coupling.is_shared(entry.process_name, type_name):
-                period = coupling.period(type_name)
-                displaced = entry.state.dist.array(type_name) + delta
-                q_new = modulo_max(displaced, period)
-                if not self.global_balancing:
-                    q_old = coupling.block_q(entry_index, type_name)
-                    value = weight * hooke_force(q_old, q_new - q_old, self.lookahead)
-                    terms.append((None, value, None, None))
-                else:
-                    others = coupling.other_blocks_max(entry_index, type_name)
-                    m_new = np.maximum(others, q_new)
-                    m_old = coupling.process_max(entry.process_name, type_name)
-                    delta_s = m_new - m_old
-                    # Same expression as hooke_force(S, delta_s), spelled
-                    # out so the recipe keeps the delta_S . delta_S dot.
-                    count(FORCE_EVALUATIONS)
-                    self_dot = float(np.dot(delta_s, delta_s))
-                    value = weight * (
-                        float(
-                            np.dot(delta_s, coupling.system_distribution(type_name))
-                        )
-                        + self.lookahead * self_dot
-                    )
-                    terms.append((type_name, weight, delta_s, self_dot))
-            else:
-                value = weight * hooke_force(
-                    entry.state.dist.array(type_name), delta, self.lookahead
-                )
-                terms.append((None, value, None, None))
-            total += value
-        return total, terms
-
 
 class _GlobalCoupling:
     """Modulo-transformed and balanced distributions of all global types.
@@ -1384,9 +1046,8 @@ class _GlobalCoupling:
     def s_version(self, type_name: str) -> int:
         """Monotonic version of ``S``; bumps whenever the sum is rebuilt.
 
-        Cached force recipes are tagged with the versions of the types
-        they touch, so a scan can tell "re-assemble against the new S"
-        apart from "reuse the assembled force verbatim".
+        The selection engine compares it per scan to find the types whose
+        stored ``w * delta_S`` rows must be re-dotted against the new S.
         """
         return self._s_version.get(type_name, 0)
 

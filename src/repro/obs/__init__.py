@@ -44,7 +44,6 @@ from .counters import (
     CERTIFIER_OFFSET_CLASSES,
     CERTIFIER_SLOT_CHECKS,
     DISTRIBUTION_REBUILDS,
-    FORCE_CACHE_ASSEMBLIES,
     FORCE_CACHE_HITS,
     FORCE_CACHE_INVALIDATIONS,
     FORCE_CACHE_MISSES,
@@ -134,7 +133,6 @@ __all__ = [
     "EVENT_PRUNE",
     "EVENT_REDUCTION",
     "EventBus",
-    "FORCE_CACHE_ASSEMBLIES",
     "FORCE_CACHE_HITS",
     "FORCE_CACHE_INVALIDATIONS",
     "FORCE_CACHE_MISSES",

@@ -8,8 +8,7 @@ per committed reduction, the full decision context:
 
 * every **candidate** considered that iteration, with the forces at both
   frame ends and how the value was obtained (``cache`` classification:
-  ``fresh`` evaluation, ``hit`` reuse, ``assembled`` re-fold against a
-  moved system distribution, or ``uncached`` scan);
+  ``fresh`` evaluation, ``hit`` reuse, or ``uncached`` scan);
 * the **winner** (process, block, op, side, score) and its **timeframe
   delta** — the frame before the commit, the frame after, and how many
   other frames the precedence propagation moved;
@@ -42,7 +41,6 @@ from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 #: Cache classifications a candidate evaluation can carry.
 CACHE_FRESH = "fresh"
 CACHE_HIT = "hit"
-CACHE_ASSEMBLED = "assembled"
 CACHE_UNCACHED = "uncached"
 
 #: Default ring capacity: enough for every decision of the paper-scale

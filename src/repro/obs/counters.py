@@ -46,7 +46,6 @@ SIMULATION_CYCLES = "simulation_cycles"
 FORCE_CACHE_HITS = "force_cache_hits"
 FORCE_CACHE_MISSES = "force_cache_misses"
 FORCE_CACHE_INVALIDATIONS = "force_cache_invalidations"
-FORCE_CACHE_ASSEMBLIES = "force_cache_assemblies"
 CERTIFIER_OFFSET_CLASSES = "certifier_offset_classes"
 CERTIFIER_SLOT_CHECKS = "certifier_slot_checks"
 ABSINT_TRANSFERS = "absint_transfers"
@@ -69,7 +68,6 @@ KNOWN_COUNTERS = (
     FORCE_CACHE_HITS,
     FORCE_CACHE_MISSES,
     FORCE_CACHE_INVALIDATIONS,
-    FORCE_CACHE_ASSEMBLIES,
     CERTIFIER_OFFSET_CLASSES,
     CERTIFIER_SLOT_CHECKS,
     ABSINT_TRANSFERS,

@@ -37,10 +37,11 @@ deterministic because all matrix shapes are functions of the
 scheduling state alone.
 
 Operations whose force footprint (own resource type plus the types of
-direct predecessors/successors) contains a *guarded* type fall back to
-the scalar reference path: guarded displacement goes through branch-max
-recombination, which is not an additive update.  The fallback is decided
-statically per operation.
+direct predecessors/successors) contains a *guarded* type
+(:attr:`BlockState.guarded_ops`) displace through the branch-max
+recombination, which is not an additive update.  They still batch:
+their rows are :meth:`BlockState.placement_deltas` verbatim, filed into
+the same per-type matrices and folded by the same products.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from ..errors import SchedulingError
 from ..obs import counters as _ambient
 from ..obs.counters import FORCE_EVALUATIONS, count, observe_many
 from ..obs.metrics import FORCE_EVAL_SECONDS
-from .forces import DEFAULT_LOOKAHEAD, placement_force
+from .forces import DEFAULT_LOOKAHEAD
 from .state import BlockState
 
 __all__ = [
@@ -183,7 +184,10 @@ class DeltaBatch:
     pass.  *Wide* batches (whole-frame FDS scans) assemble one flattened
     occupancy batch per operation covering the own row and every
     neighbor row of every candidate in a single
-    :func:`batched_occupancy_rows` call.
+    :func:`batched_occupancy_rows` call.  In both, a candidate of a
+    guarded operation (:attr:`BlockState.guarded_ops`) takes its rows
+    from :meth:`BlockState.placement_deltas` verbatim: branch-max
+    recombination is not an additive update.
 
     Attributes:
         candidates: The ``(op_id, start)`` pairs, batch order.
@@ -200,9 +204,6 @@ class DeltaBatch:
         positions: Per type, the type's index in each participant's
             ``type_orders`` entry, aligned with ``participants``.
             Filled by the narrow build only.
-
-    Candidates must not have a guarded force footprint — callers route
-    those through the scalar reference path.
     """
 
     __slots__ = ("candidates", "type_orders", "deltas", "participants", "positions")
@@ -229,7 +230,7 @@ class DeltaBatch:
     def _build_narrow(self, state: BlockState) -> None:
         """Stacked replay of the scalar delta accumulation.
 
-        Each row reproduces bit for bit what
+        Each unguarded row reproduces bit for bit what
         :meth:`BlockState.placement_deltas` computes: the scalar
         ``tentative_array`` round trip ``((S + inc_1) + inc_2 ...) - S``,
         with ``inc_k = new_k - old_k`` in override order.  The round trip
@@ -238,16 +239,34 @@ class DeltaBatch:
         type's block adds its distribution (IEEE addition commutes, so
         ``inc_1 + S`` equals ``S + inc_1``), the further increments add
         into their pairs, and one subtraction per type closes the trip.
+        Guarded rows skip the replay and are copied from the oracle.
         """
         dist = state.dist
+        guarded = state.guarded_ops
         type_orders = self.type_orders
-        # Per type: participant rows, type-order positions, and their
-        # first (override, current) rows, in candidate order.
+        # Per type: participant rows, type-order positions, and the
+        # first (override, current) rows of the replayed participants,
+        # in candidate order.
         by_type: Dict[str, Tuple[List[int], List[int], List[np.ndarray]]] = {}
-        # Further overrides: (type, participant index) and their rows.
+        # Per type: guarded participant rows and their oracle deltas.
+        verbatim: Dict[str, Tuple[List[int], List[np.ndarray]]] = {}
+        # Further overrides: (type, replayed index) and their rows.
         extra_at: List[Tuple[str, int]] = []
         extra_flat: List[np.ndarray] = []
         for row, (op_id, start) in enumerate(self.candidates):
+            if op_id in guarded:
+                deltas = state.placement_deltas(op_id, start)
+                type_orders[row] = tuple(deltas)
+                for position, (type_name, delta) in enumerate(deltas.items()):
+                    group = by_type.get(type_name)
+                    if group is None:
+                        group = by_type[type_name] = ([], [], [])
+                    group[0].append(row)
+                    group[1].append(position)
+                    copied = verbatim.setdefault(type_name, ([], []))
+                    copied[0].append(row)
+                    copied[1].append(delta)
+                continue
             order, rows, more = state.displacement_record(op_id, start)
             type_orders[row] = order
             i = 0
@@ -264,7 +283,7 @@ class DeltaBatch:
                 spots, extra_rows = more
                 for spot in spots:
                     type_name = order[spot]
-                    extra_at.append((type_name, len(by_type[type_name][0]) - 1))
+                    extra_at.append((type_name, len(by_type[type_name][2]) // 2 - 1))
                 extra_flat.extend(extra_rows)
         if not by_type:
             return
@@ -275,12 +294,13 @@ class DeltaBatch:
         for type_name, (_rows, _positions, pair_rows) in by_type.items():
             offsets[type_name] = len(flat) // 2
             flat.extend(pair_rows)
-        pairs = np.concatenate(flat).reshape(-1, 2, horizon)
-        stacked = pairs[:, 0] - pairs[:, 1]
-        for type_name, offset in offsets.items():
-            stacked[offset : offset + len(by_type[type_name][0])] += dist.array(
-                type_name
-            )
+        if flat:
+            pairs = np.concatenate(flat).reshape(-1, 2, horizon)
+            stacked = pairs[:, 0] - pairs[:, 1]
+            for type_name, offset in offsets.items():
+                stacked[
+                    offset : offset + len(by_type[type_name][2]) // 2
+                ] += dist.array(type_name)
         if extra_at:
             # ``add.at`` applies repeated indices one after another in
             # index order, i.e. each pair's further increments in
@@ -296,13 +316,19 @@ class DeltaBatch:
         # (``type_orders`` gates every consumer), so the matrices need
         # no zero fill.
         shape = (len(self.candidates), horizon)
-        for type_name, (rows_of, positions, _pair_rows) in by_type.items():
-            offset = offsets[type_name]
-            block = stacked[offset : offset + len(rows_of)]
-            block -= dist.array(type_name)
+        for type_name, (rows_of, positions, pair_rows) in by_type.items():
             participants = np.asarray(rows_of, dtype=np.intp)
             matrix = np.empty(shape, dtype=float)
-            matrix[participants] = block
+            copied = verbatim.get(type_name)
+            replayed = participants
+            if copied is not None:
+                matrix[copied[0]] = copied[1]
+                replayed = np.setdiff1d(participants, copied[0])
+            if pair_rows:
+                offset = offsets[type_name]
+                block = stacked[offset : offset + len(pair_rows) // 2]
+                block -= dist.array(type_name)
+                matrix[replayed] = block
             self.deltas[type_name] = matrix
             self.participants[type_name] = participants
             self.positions[type_name] = np.asarray(positions, dtype=np.intp)
@@ -316,6 +342,7 @@ class DeltaBatch:
         neighbor frames a candidate does not implicitly reduce are exact
         zeros (the batched row equals the current row bit for bit), so
         accumulating them is a bitwise no-op and needs no masking.
+        Guarded rows are copied from the oracle.
         """
         dist = state.dist
         frames = state.frames
@@ -323,7 +350,19 @@ class DeltaBatch:
         horizon = dist.horizon
         n = len(self.candidates)
         candidates = self.candidates
+        guarded = state.guarded_ops
         for op_id, rows in groups.items():
+            if op_id in guarded:
+                for row in rows:
+                    deltas = state.placement_deltas(op_id, candidates[row][1])
+                    self.type_orders[row] = tuple(deltas)
+                    for type_name, delta in deltas.items():
+                        matrix = self.deltas.get(type_name)
+                        if matrix is None:
+                            matrix = np.zeros((n, horizon), dtype=float)
+                            self.deltas[type_name] = matrix
+                        matrix[row] = delta
+                continue
             starts = np.asarray([candidates[r][1] for r in rows], dtype=np.int64)
             width = starts.shape[0]
             # Per contribution: (type, los, his, occupancy, current row,
@@ -414,36 +453,13 @@ class DeltaBatch:
                     matrix[row_index] = view
 
 
-def guarded_footprint_ops(state: BlockState) -> frozenset:
-    """Operations whose force evaluation must use the scalar path.
-
-    An operation's footprint is its own resource type plus the types of
-    its direct predecessors and successors; if any of those types has
-    guarded operations, tentative displacement needs the branch-max
-    recombination and the additive kernels do not apply.  The set is a
-    static property of the block.
-    """
-    dist = state.dist
-    graph = state.graph
-    fallback = set()
-    for op_id in graph.op_ids:
-        footprint = [op_id]
-        footprint.extend(graph.predecessors(op_id))
-        footprint.extend(graph.successors(op_id))
-        if any(dist.has_guards(dist.type_of[oid]) for oid in footprint):
-            fallback.add(op_id)
-    return frozenset(fallback)
-
-
 class PlacementKernel:
     """Batched local-force evaluator for one block (FDS/IFDS driver core).
 
     One :meth:`forces` call returns the weighted Hooke force of placing
     an operation at *every* requested start step: the per-type
     displacement matrices come from :class:`DeltaBatch`, the dots from
-    one matrix product per displaced type.  Operations with a guarded
-    footprint are delegated to the scalar
-    :func:`~repro.scheduling.forces.placement_force` reference path.
+    one matrix product per displaced type, guarded operations included.
 
     Instrumentation parity: ``force_evaluations`` advances by one per
     (candidate, displaced type) pair — the same total the scalar loop
@@ -462,7 +478,6 @@ class PlacementKernel:
         self.state = state
         self.lookahead = lookahead
         self.weights = dict(weights) if weights is not None else None
-        self.scalar_ops = guarded_footprint_ops(state)
 
     def _weight(self, type_name: str) -> float:
         if self.weights is None:
@@ -471,17 +486,6 @@ class PlacementKernel:
 
     def forces(self, op_id: str, steps: Sequence[int]) -> List[float]:
         """Forces of tentatively placing ``op_id`` at each of ``steps``."""
-        if op_id in self.scalar_ops:
-            return [
-                placement_force(
-                    self.state,
-                    op_id,
-                    step,
-                    lookahead=self.lookahead,
-                    weights=self.weights,
-                )
-                for step in steps
-            ]
         registry_active = _ambient._active is not None
         started = time.perf_counter() if registry_active else 0.0
         batch = DeltaBatch(self.state, [(op_id, step) for step in steps])

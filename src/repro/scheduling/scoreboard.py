@@ -30,12 +30,11 @@ persistent scores.
 
 Counters
 --------
-Each :class:`EntryRecord` remembers how many ``force_cache_hits`` a
-skipped scan of its entry contributes (every candidate of a clean entry
-probes as a hit), aggregated in ``sum_skip_hits``, so a scan charges
-skipped entries in O(rescored) and the telemetry follows the per-probe
-model; ``selection_rescored`` / ``selection_skipped`` count the
-scoreboard's own work split per scan.
+The scoreboard charges no cache counter of its own: a skipped or clean
+entry does no work, so it adds nothing to ``force_cache_hits`` (which
+counts only the surviving candidates of a reclassified entry).
+``selection_rescored`` / ``selection_skipped`` count the scoreboard's
+own work split per scan.
 """
 
 from __future__ import annotations
@@ -48,41 +47,28 @@ __all__ = ["EntryRecord", "SelectionScoreboard"]
 class EntryRecord:
     """Bookkeeping of one entry between rescores.
 
-    ``skip_hits`` is the exact number of ``force_cache_hits`` a skipped
-    scan contributes; ``touched_types`` are the balanced global types
-    whose ``S`` bump stales the entry's scores.
+    ``touched_types`` are the balanced global types whose ``S`` bump
+    stales the entry's scores.
     """
 
-    __slots__ = ("skip_hits", "touched_types")
+    __slots__ = ("touched_types",)
 
     def __init__(self) -> None:
-        self.skip_hits = 0
         self.touched_types: Tuple[str, ...] = ()
 
 
 class SelectionScoreboard:
-    """Per-entry subscriptions and skip-hit shares of the dirty cone."""
+    """Per-entry subscriptions of the dirty cone."""
 
     def __init__(self, n_entries: int) -> None:
         self.records: List[EntryRecord] = [EntryRecord() for _ in range(n_entries)]
         #: Entries subscribed to each balanced type: exactly those whose
         #: scores go stale when the type's ``S`` version bumps.
         self.subscribers: Dict[str, Set[int]] = {}
-        #: ``skip_hits`` summed over all records, maintained by
-        #: :meth:`store`, so a scan charges skipped entries in
-        #: O(rescored) not O(entries).
-        self.sum_skip_hits = 0
 
-    def store(
-        self,
-        index: int,
-        *,
-        skip_hits: int,
-        touched_types: Iterable[str],
-    ) -> None:
-        """Refresh entry ``index``'s skip-hit share and subscriptions."""
+    def store(self, index: int, touched_types: Iterable[str]) -> None:
+        """Refresh entry ``index``'s subscriptions."""
         record = self.records[index]
-        self.sum_skip_hits += skip_hits - record.skip_hits
         new_types = tuple(touched_types)
         if new_types != record.touched_types:
             for type_name in record.touched_types:
@@ -92,7 +78,6 @@ class SelectionScoreboard:
             for type_name in new_types:
                 self.subscribers.setdefault(type_name, set()).add(index)
             record.touched_types = new_types
-        record.skip_hits = skip_hits
 
     def rescore_set(
         self, dirty: Iterable[int], bumped_types: Iterable[str]

@@ -89,6 +89,20 @@ class BlockState:
             )
             for op_id in graph.op_ids
         }
+        #: Operations whose force footprint (own type plus the types of
+        #: direct predecessors and successors) holds a guarded type: their
+        #: displacement goes through the branch-max recombination, so
+        #: batch kernels take their rows from :meth:`placement_deltas`
+        #: instead of the additive row table.
+        type_of = self.dist.type_of
+        has_guards = self.dist.has_guards
+        self.guarded_ops: FrozenSet[str] = frozenset(
+            op_id
+            for op_id, (_latency, preds, succs) in self.links.items()
+            if has_guards(type_of[op_id])
+            or any(has_guards(type_of[pred]) for pred, _ in preds)
+            or any(has_guards(type_of[succ]) for succ in succs)
+        )
         #: Displacement row table: op -> start -> record.
         self.row_table: Dict[str, Dict[int, DisplacementRecord]] = {}
         # One tuple per distinct type order, shared by every record (and
@@ -118,8 +132,11 @@ class BlockState:
         for oid, (lo, hi) in implied.items():
             overrides[oid] = self.dist.tentative_row(oid, lo, hi)
 
+        # First-occurrence order (own type, then predecessors', then
+        # successors'), the order of :meth:`displacement_record`: forces
+        # sum per type in this order, so it must not follow set hashing.
         deltas: Dict[str, np.ndarray] = {}
-        for type_name in {self.dist.type_of[oid] for oid in overrides}:
+        for type_name in dict.fromkeys(self.dist.type_of[oid] for oid in overrides):
             after = self.dist.tentative_array(type_name, overrides, out=self._scratch)
             deltas[type_name] = after - self.dist.array(type_name)
         return deltas

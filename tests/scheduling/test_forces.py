@@ -1,8 +1,14 @@
 """Tests for repro.scheduling.forces and state (placement deltas)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.ir.dfg import DataFlowGraph
 from repro.ir.operation import OpKind
 from repro.ir.process import Block
@@ -127,3 +133,47 @@ class TestPlacementForce:
             state, "m1", 0, lookahead=0.0, weights={"multiplier": 4.0}
         )
         assert weighted == pytest.approx(4.0 * unweighted)
+
+
+#: Hashes every ``placement_force`` over the initial frames of the paper
+#: system and ``corpus_system(30, seed=3)``; hundreds of those placements
+#: displace three or more resource types.
+_FORCE_DIGEST = """
+import hashlib
+from repro.scheduling.forces import placement_force
+from repro.scheduling.state import BlockState
+from repro.workloads import corpus_system, paper_system
+
+corpus = corpus_system(30, seed=3)
+digest = hashlib.sha256()
+for system, library in (paper_system(), (corpus.system, corpus.library)):
+    for _process, block in system.iter_blocks():
+        state = BlockState(block, library)
+        for op_id in state.frames.unfixed():
+            lo, hi = state.frames.frame(op_id)
+            for start in range(lo, hi + 1):
+                digest.update(placement_force(state, op_id, start).hex().encode())
+print(digest.hexdigest())
+"""
+
+
+def test_placement_force_bits_do_not_depend_on_hash_seed():
+    """Per-type forces sum in first-occurrence order, never in set order,
+    so the force bits are the same under every ``PYTHONHASHSEED``."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    digests = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _FORCE_DIGEST],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        digests.add(result.stdout.strip())
+    assert len(digests) == 1

@@ -14,7 +14,8 @@ scalar reference path, and these tests pin both:
 
 Edge cases named by the kernel contracts are covered explicitly:
 empty candidate batches, single-slot frames, occupancy wider than the
-frame, guarded (modal) fallback, and dtype stability.
+frame, guarded (modal) candidates batched beside unguarded ones, and
+dtype stability.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from numpy.testing import assert_array_equal
 
 from repro.core.modulo import modulo_max_reference, modulo_max_rows
 from repro.errors import SchedulingError
+from repro.ir.operation import OpKind
 from repro.ir.process import Block
 from repro.resources.library import default_library
 from repro.scheduling.distribution import occupancy_row
@@ -33,7 +35,6 @@ from repro.scheduling.kernels import (
     DeltaBatch,
     PlacementKernel,
     batched_occupancy_rows,
-    guarded_footprint_ops,
     row_dots,
     row_self_dots,
 )
@@ -198,9 +199,8 @@ def assert_batch_matches_scalar(state, candidates):
     batch = DeltaBatch(state, candidates)
     for row, (op_id, start) in enumerate(candidates):
         scalar = state.placement_deltas(op_id, start)
-        # The scalar dict iterates a set, so only the membership is
-        # deterministic; the batch pins first-occurrence order on top.
-        assert set(batch.type_orders[row]) == set(scalar.keys())
+        # Both list the displaced types in first-occurrence order.
+        assert batch.type_orders[row] == tuple(scalar)
         for type_name, delta in scalar.items():
             assert_array_equal(
                 batch.deltas[type_name][row],
@@ -209,7 +209,19 @@ def assert_batch_matches_scalar(state, candidates):
             )
         # Rows of types the candidate does not displace are never
         # consumed (type_orders gates every reader), so their contents
-        # are unspecified — only the membership above is checked.
+        # are unspecified — only the type order above is checked.
+    for type_name, participants in batch.participants.items():
+        positions = batch.positions[type_name]
+        assert len(positions) == len(participants)
+        assert list(participants) == sorted(participants)
+        for row, position in zip(participants, positions):
+            assert batch.type_orders[row][position] == type_name
+        assert set(participants.tolist()) == {
+            row
+            for row, order in enumerate(batch.type_orders)
+            if type_name in order
+        }
+    return batch
 
 
 @given(seed=st.integers(min_value=0, max_value=500))
@@ -217,10 +229,9 @@ def assert_batch_matches_scalar(state, candidates):
 def test_delta_batch_narrow_bit_parity(seed):
     """Frame-end batches (IFDS shape) replay the scalar accumulation."""
     state = scrambled_state(seed)
-    fallback = guarded_footprint_ops(state)
     candidates = []
     for op_id in state.frames.unfixed():
-        if op_id in fallback:
+        if op_id in state.guarded_ops:
             continue
         lo, hi = state.frames.frame(op_id)
         candidates.extend([(op_id, lo), (op_id, hi)])
@@ -233,10 +244,9 @@ def test_delta_batch_narrow_bit_parity(seed):
 def test_delta_batch_wide_bit_parity(seed):
     """Whole-frame batches (FDS shape) through the stacked-occupancy path."""
     state = scrambled_state(seed)
-    fallback = guarded_footprint_ops(state)
     candidates = []
     for op_id in state.frames.unfixed():
-        if op_id in fallback:
+        if op_id in state.guarded_ops:
             continue
         lo, hi = state.frames.frame(op_id)
         candidates.extend((op_id, step) for step in range(lo, hi + 1))
@@ -286,16 +296,72 @@ def test_placement_kernel_decision_level_parity(seed):
             assert abs(got - want) < DECISION_EPS
 
 
-def test_guarded_footprint_falls_back_to_scalar_bitwise():
-    """Modal blocks route guarded-footprint ops through placement_force;
-    results there are bit-identical (the kernel delegates verbatim)."""
+def modal_state(reductions=0, seed=0):
+    """The mode-switching filter plus an unguarded subtracter tail, so
+    one block holds guarded and unguarded operations; optionally after
+    a few random frame-end commits."""
+    graph = mode_switching_filter(4, name="modal")
+    prev = "scale"
+    for index in range(3):
+        op = graph.add(f"post{index}", OpKind.SUB)
+        graph.add_edge(prev, op.op_id)
+        prev = op.op_id
+    deadline = graph.critical_path_length(LIBRARY.latency_of) + 4
+    state = BlockState(Block(name="modal", graph=graph, deadline=deadline), LIBRARY)
+    rng = np.random.default_rng(seed)
+    for _ in range(reductions):
+        mobile = state.frames.unfixed()
+        op_id = mobile[int(rng.integers(len(mobile)))]
+        lo, hi = state.frames.frame(op_id)
+        if rng.integers(2):
+            state.commit_reduce_effect(op_id, lo + 1, hi)
+        else:
+            state.commit_reduce_effect(op_id, lo, hi - 1)
+    return state
+
+
+def assert_mixes_guarded(state, candidates):
+    ops = {op_id for op_id, _start in candidates}
+    assert ops & state.guarded_ops, "batch must hold guarded candidates"
+    assert ops - state.guarded_ops, "batch must hold unguarded candidates"
+
+
+@pytest.mark.parametrize("reductions", [0, 3])
+def test_delta_batch_narrow_mixes_guarded_candidates(reductions):
+    """Guarded rows are the oracle's rows verbatim, in the same per-type
+    matrices as the replayed unguarded rows."""
+    state = modal_state(reductions, seed=reductions)
+    candidates = []
+    for op_id in state.frames.unfixed():
+        lo, hi = state.frames.frame(op_id)
+        candidates.extend([(op_id, lo), (op_id, hi)])
+    assert_mixes_guarded(state, candidates)
+    batch = assert_batch_matches_scalar(state, candidates)
+    assert batch.participants, "the narrow build fills participants"
+
+
+@pytest.mark.parametrize("reductions", [0, 3])
+def test_delta_batch_wide_mixes_guarded_candidates(reductions):
+    state = modal_state(reductions, seed=reductions)
+    candidates = []
+    for op_id in state.frames.unfixed():
+        lo, hi = state.frames.frame(op_id)
+        candidates.extend((op_id, step) for step in range(lo, hi + 1))
+    assert len(candidates) > 2 * len(state.frames.unfixed()), "wide batch shape"
+    assert_mixes_guarded(state, candidates)
+    assert_batch_matches_scalar(state, candidates)
+
+
+def test_placement_kernel_guarded_decision_level_parity():
+    """Guarded ops go through the batch kernel too; their forces agree
+    with the scalar placement_force at the decision level."""
     graph = mode_switching_filter(4, name="modal")
     deadline = graph.critical_path_length(LIBRARY.latency_of) + 4
     state = BlockState(Block(name="m", graph=graph, deadline=deadline), LIBRARY)
     kernel = PlacementKernel(state)
-    assert kernel.scalar_ops, "modal workload must have a guarded footprint"
-    for op_id in sorted(kernel.scalar_ops):
+    assert state.guarded_ops, "modal workload must have a guarded footprint"
+    for op_id in sorted(state.guarded_ops):
         lo, hi = state.frames.frame(op_id)
         batched = kernel.forces(op_id, range(lo, hi + 1))
         for step, got in zip(range(lo, hi + 1), batched):
-            assert got == placement_force(state, op_id, step)
+            assert abs(got - placement_force(state, op_id, step)) < DECISION_EPS

@@ -19,7 +19,7 @@ from numpy.testing import assert_array_equal
 from repro.ir.operation import OpKind
 from repro.ir.process import Block
 from repro.resources.library import default_library
-from repro.scheduling.kernels import DeltaBatch, guarded_footprint_ops
+from repro.scheduling.kernels import DeltaBatch
 from repro.scheduling.state import BlockState
 from repro.workloads import mode_switching_filter, paper_system, random_dfg
 
@@ -53,7 +53,7 @@ def check_frame_ends(state, skip=frozenset()):
     for row, (op_id, start) in enumerate(candidates):
         scalar = state.placement_deltas(op_id, start)
         assert batch.type_orders[row] == expected_order(state, op_id, start)
-        assert set(batch.type_orders[row]) == set(scalar)
+        assert batch.type_orders[row] == tuple(scalar)
         for type_name, delta in scalar.items():
             got = batch.deltas[type_name][row]
             assert got.tobytes() == delta.tobytes(), f"{op_id}@{start} {type_name}"
@@ -76,7 +76,7 @@ def drive(state, seed):
     Returns (records reused across a commit, records with several
     overrides of one type) so callers can assert both cases occurred.
     """
-    skip = guarded_footprint_ops(state)
+    skip = state.guarded_ops
     rng = np.random.default_rng(seed)
     reused = multi = 0
     check_frame_ends(state, skip)
@@ -136,7 +136,7 @@ def test_paper_system_rows_match_oracle_after_every_commit():
 
 def test_guarded_workload_rows_match_oracle_after_every_commit():
     state = guarded_state()
-    skip = guarded_footprint_ops(state)
+    skip = state.guarded_ops
     assert skip and set(state.frames.unfixed()) - skip
     drive(state, 7)
 
@@ -179,6 +179,6 @@ def test_commit_moving_only_a_neighbour_drops_the_record():
                     assert state.frames.frame(op_id) == (lo, hi)
                     assert state.dist.row(neighbour) is not old_row
                     assert op_id not in state.row_table
-                    check_frame_ends(state, guarded_footprint_ops(state))
+                    check_frame_ends(state, state.guarded_ops)
                     return
     raise AssertionError("no neighbour-only commit found")

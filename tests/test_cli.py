@@ -308,8 +308,8 @@ class TestExplainAndReport:
         data = json.loads(capsys.readouterr().out)
         assert data["iterations"] > 0
         assert "force_evaluations" in data["counters"]
-        assert "force_cache_hits" in data["counters"]
-        assert "force_cache_misses" in data["counters"]
+        # The demo has no hits: every commit re-evaluates its candidates.
+        assert data["counters"]["force_cache_misses"] > 0
         assert "phase_times" in data
         assert "select_seconds" in data["histograms"]
         assert "frames_remaining" in data["gauges"]
