@@ -16,56 +16,40 @@ import time
 
 from conftest import save_artifact
 
-import repro.scheduling.fds as fds_module
-import repro.scheduling.ifds as ifds_module
 from repro.ir.process import Block
+from repro.obs import Tracer
 from repro.resources.library import default_library
+from repro.scheduling.fds import ForceDirectedScheduler
+from repro.scheduling.ifds import ImprovedForceDirectedScheduler
 from repro.workloads import elliptic_wave_filter
 
 DEADLINES = (18, 21, 24)
 
 
-class _ForceCounter:
-    """Counts placement_force calls inside one scheduler module."""
-
-    def __init__(self, module):
-        self.module = module
-        self.calls = 0
-        self._original = module.placement_force
-
-    def __enter__(self):
-        def counting(*args, **kwargs):
-            self.calls += 1
-            return self._original(*args, **kwargs)
-
-        self.module.placement_force = counting
-        return self
-
-    def __exit__(self, *exc):
-        self.module.placement_force = self._original
-        return False
-
-
 def run_comparison():
+    """Per deadline and scheduler: evaluated placements (the count of the
+    ``force_eval_seconds`` histogram, one record per tentative start
+    step), iterations, seconds and area."""
     library = default_library()
     rows = []
     for deadline in DEADLINES:
         entry = {"deadline": deadline}
-        for label, module, scheduler_cls in (
-            ("fds", fds_module, fds_module.ForceDirectedScheduler),
-            ("ifds", ifds_module, ifds_module.ImprovedForceDirectedScheduler),
+        for label, scheduler_cls in (
+            ("fds", ForceDirectedScheduler),
+            ("ifds", ImprovedForceDirectedScheduler),
         ):
             block = Block(
                 name="ewf", graph=elliptic_wave_filter(), deadline=deadline
             )
-            with _ForceCounter(module) as counter:
-                started = time.perf_counter()
-                schedule = scheduler_cls(library).schedule(block)
-                elapsed = time.perf_counter() - started
+            tracer = Tracer()
+            started = time.perf_counter()
+            schedule = scheduler_cls(library, tracer=tracer).schedule(block)
+            elapsed = time.perf_counter() - started
             schedule.validate()
             peaks = schedule.peaks()
+            histograms = tracer.metrics.histograms_dict()
             entry[label] = {
-                "evaluations": counter.calls,
+                "evaluations": histograms["force_eval_seconds"]["count"],
                 "iterations": schedule.iterations,
                 "seconds": elapsed,
                 "area": peaks.get("adder", 0) + 4 * peaks.get("multiplier", 0),

@@ -18,7 +18,7 @@ pass over flat ``(candidates, horizon)`` matrices:
 * :class:`DeltaBatch` builds the per-type displacement matrices for a
   whole candidate batch, value-identical per row to
   :meth:`BlockState.placement_deltas`;
-* :class:`PlacementKernel` is the FDS/IFDS driver: one call returns the
+* :class:`PlacementKernel` is the FDS driver: one call returns the
   forces of every start step in an operation's frame.
 
 Exactness contract
@@ -31,10 +31,10 @@ bitwise-identical to a sequence of ``np.dot`` calls (ulp-level
 differences, empirically ~1e-16).  Decisions in every scheduler compare
 forces against ``1e-12`` epsilons, so agreement with the scalar
 reference is pinned at the *decision* level by
-``tests/core/test_kernel_parity.py`` (coupled scheduler) and
-``tests/scheduling/test_selection_cache.py`` (FDS/IFDS); results are
-deterministic because all matrix shapes are functions of the
-scheduling state alone.
+``tests/core/test_kernel_parity.py`` (coupled scheduler, which also
+runs standalone IFDS) and ``tests/scheduling/test_selection_cache.py``
+(FDS/IFDS); results are deterministic because all matrix shapes are
+functions of the scheduling state alone.
 
 Operations whose force footprint (own resource type plus the types of
 direct predecessors/successors) contains a *guarded* type
@@ -454,7 +454,7 @@ class DeltaBatch:
 
 
 class PlacementKernel:
-    """Batched local-force evaluator for one block (FDS/IFDS driver core).
+    """Batched local-force evaluator for one block (FDS driver core).
 
     One :meth:`forces` call returns the weighted Hooke force of placing
     an operation at *every* requested start step: the per-type

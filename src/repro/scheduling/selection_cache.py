@@ -13,10 +13,9 @@ force depends on exactly three kinds of state:
   its own type plus the types of its direct neighbors.
 
 A :class:`BlockSelectionCache` therefore keeps one opaque value per
-operation (whatever the scheduler stores: a force pair, a
-:class:`~repro.scheduling.ifds.ReductionChoice`, a per-step force list)
-and, after each commit, drops exactly the entries whose inputs may have
-moved:
+operation (whatever the scheduler stores: FDS a per-step force list,
+the coupled scheduler a marker) and, after each commit, drops exactly
+the entries whose inputs may have moved:
 
 * operations whose frames changed (including precedence propagation),
 * direct neighbors of those operations,

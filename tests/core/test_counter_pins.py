@@ -12,8 +12,9 @@ whose kernel state survived the commit; the guarded workload has none,
 so its key is absent.
 
 The subjects cover the paper system, a guarded (conditional-branch)
-workload, two scenario-corpus sizes and the 6-process random system of
-the A5 scaling bench.
+workload, two scenario-corpus sizes, the 6-process random system of
+the A5 scaling bench, and multi-block processes whose blocks share
+global types (the only subject that exercises eq. 9's sibling path).
 """
 
 import pytest
@@ -21,7 +22,7 @@ import pytest
 from repro.core.periods import PeriodAssignment
 from repro.core.scheduler import ModuloSystemScheduler
 from repro.ir.process import Block, Process, SystemSpec
-from repro.obs import Tracer
+from repro.obs import AuditTrail, Tracer
 from repro.resources.assignment import ResourceAssignment
 from repro.resources.library import default_library
 from repro.scheduling.forces import area_weights
@@ -81,6 +82,23 @@ def _scaling6():
         deadline = graph.critical_path_length(library.latency_of) + 6
         process = Process(name=f"p{index}")
         process.add_block(Block(name="main", graph=graph, deadline=deadline))
+        system.add_process(process)
+    assignment = ResourceAssignment.all_global(library, system)
+    periods = PeriodAssignment({name: 4 for name in assignment.global_types})
+    return library, system, assignment, periods, None
+
+
+def _siblings(seed=0):
+    """Three processes of three ``random_dfg(8)`` blocks, slack 4, every
+    type global at period 4: commits reach same-process siblings."""
+    library = default_library()
+    system = SystemSpec(name=f"sib{seed}")
+    for index in range(3):
+        process = Process(name=f"p{index}")
+        for block in range(3):
+            graph = random_dfg(8, seed=100 * seed + 10 * index + block)
+            deadline = graph.critical_path_length(library.latency_of) + 4
+            process.add_block(Block(name=f"b{block}", graph=graph, deadline=deadline))
         system.add_process(process)
     assignment = ResourceAssignment.all_global(library, system)
     periods = PeriodAssignment({name: 4 for name in assignment.global_types})
@@ -172,6 +190,23 @@ PINS = {
             "selection_skipped": 382,
         },
     ),
+    "siblings": (
+        _siblings,
+        311,
+        13.0,
+        {
+            "distribution_rebuilds": 315,
+            "force_cache_hits": 1439,
+            "force_cache_invalidations": 3264,
+            "force_cache_misses": 3264,
+            "force_evaluations": 8322,
+            "frame_reductions": 311,
+            "modulo_max_transforms": 8662,
+            "scheduler_iterations": 311,
+            "selection_rescored": 2107,
+            "selection_skipped": 701,
+        },
+    ),
 }
 
 
@@ -201,3 +236,16 @@ def test_force_eval_seconds_covers_every_evaluation(name):
     histogram = tracer.metrics.histograms_dict()["force_eval_seconds"]
     misses = tracer.counters.as_dict()["force_cache_misses"]
     assert histogram["count"] == 2 * misses
+
+
+@pytest.mark.parametrize("seed,process_scopes", [(0, 57), (1, 76), (2, 62)])
+def test_sibling_commits_carry_process_scopes(seed, process_scopes):
+    """A commit that changes a block's ``Q`` but not its process maximum
+    ``M`` has scope ``process``; the sibling subject must produce them."""
+    library, system, assignment, periods, _weights = _siblings(seed)
+    audit = AuditTrail(capacity=None, keep_candidates=False)
+    ModuloSystemScheduler(library, audit=audit).schedule(system, assignment, periods)
+    scopes = [
+        scope for decision in audit.decisions for scope in decision.scopes.values()
+    ]
+    assert scopes.count("process") == process_scopes

@@ -7,7 +7,8 @@ run must make the identical sequence of reduction decisions — same
 final schedule and area as the brute-force
 :class:`~repro.core.reference.ReferenceScheduler`, which evaluates every
 candidate afresh every iteration.  Pinned over the paper workload, a
-guarded/conditional workload, and a population of seeded random systems.
+guarded/conditional workload, a population of seeded random systems,
+and multi-block processes whose blocks share global types.
 """
 
 import pytest
@@ -125,6 +126,36 @@ class TestRandomPopulationParity:
                 process.add_block(
                     Block(name="main", graph=graph, deadline=deadline)
                 )
+                system.add_process(process)
+            return system
+
+        def build_assignment():
+            return ResourceAssignment.all_global(library, build_system())
+
+        periods = PeriodAssignment(
+            {name: 4 for name in build_assignment().global_types}
+        )
+        assert_parity(build_system, library, build_assignment, periods)
+
+
+class TestMultiBlockSharedParity:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sibling_blocks(self, seed):
+        """Three processes of three blocks each, every type global: a
+        commit that moves ``Q`` must drop the same-process siblings'
+        cached forces (eq. 9's pointwise block maximum)."""
+        library = default_library()
+
+        def build_system():
+            system = SystemSpec(name=f"sib{seed}")
+            for index in range(3):
+                process = Process(name=f"p{index}")
+                for block in range(3):
+                    graph = random_dfg(8, seed=100 * seed + 10 * index + block)
+                    deadline = graph.critical_path_length(library.latency_of) + 4
+                    process.add_block(
+                        Block(name=f"b{block}", graph=graph, deadline=deadline)
+                    )
                 system.add_process(process)
             return system
 

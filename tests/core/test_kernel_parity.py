@@ -7,7 +7,8 @@ block, op, side) at every iteration — and land on the same schedules
 and area as the scalar, uncached
 :class:`~repro.core.reference.ReferenceScheduler`.  Pinned over the
 paper workload, a guarded/conditional workload, 20 area-weighted random
-systems, and every alignment/balancing mode.
+systems, every alignment/balancing mode, and multi-block processes
+whose blocks share global types.
 
 The kernels' batched matrix products are not bitwise-equal to the
 scalar dot products (ulp-level), so the winners' forces are compared to
@@ -104,6 +105,31 @@ def random_workload(seeds, library):
     return build_system, library, build_assignment, periods
 
 
+def multiblock_workload(seed, library):
+    """Three processes of three ``random_dfg(8)`` blocks; period 4."""
+
+    def build_system():
+        system = SystemSpec(name=f"sib{seed}")
+        for index in range(3):
+            process = Process(name=f"p{index}")
+            for block in range(3):
+                graph = random_dfg(8, seed=100 * seed + 10 * index + block)
+                deadline = graph.critical_path_length(library.latency_of) + 4
+                process.add_block(
+                    Block(name=f"b{block}", graph=graph, deadline=deadline)
+                )
+            system.add_process(process)
+        return system
+
+    def build_assignment():
+        return ResourceAssignment.all_global(library, build_system())
+
+    periods = PeriodAssignment(
+        {name: 4 for name in build_assignment().global_types}
+    )
+    return build_system, library, build_assignment, periods
+
+
 class TestPaperSystemParity:
     def test_paper_system_identical_decisions_and_schedule(self):
         _system, library = paper_system()
@@ -170,3 +196,12 @@ class TestModificationTogglesParity:
             periodical_alignment=alignment,
             global_balancing=balancing,
         )
+
+
+class TestMultiBlockSharedParity:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sibling_blocks(self, seed):
+        """Siblings of one process fold through eq. 9's block maximum;
+        their G rows and ``other_blocks_max`` memos must track every
+        ``Q`` change of a sibling."""
+        assert_parity(*multiblock_workload(seed, default_library()))

@@ -8,8 +8,8 @@ decisions — same (process, block, op, side) at every iteration — and
 land on the same schedules and area as the full per-iteration rescan of
 :class:`~repro.core.reference.ReferenceScheduler`.  Pinned over the
 paper workload, a guarded/conditional workload with and without global
-balancing, 20 seeded four-process random systems, and three scenario
-corpus instances.  The paper, random and corpus runs also assert that
+balancing, 20 seeded four-process random systems, multi-block processes
+whose blocks share global types, and three scenario corpus instances.  The paper, random and corpus runs also assert that
 the scoreboard actually skips entries, not just agrees.
 """
 
@@ -133,6 +133,36 @@ class TestRandomPopulationParity:
                 process.add_block(
                     Block(name="main", graph=graph, deadline=deadline)
                 )
+                system.add_process(process)
+            return system
+
+        def build_assignment():
+            return ResourceAssignment.all_global(library, build_system())
+
+        periods = PeriodAssignment(
+            {name: 4 for name in build_assignment().global_types}
+        )
+        counters = assert_parity(build_system, library, build_assignment, periods)
+        assert counters.get("selection_skipped", 0) > 0
+
+
+class TestMultiBlockSharedParity:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sibling_blocks(self, seed):
+        """A non-clean commit puts the same-process siblings in the
+        rescore set; the rest of the system may still be skipped."""
+        library = default_library()
+
+        def build_system():
+            system = SystemSpec(name=f"sib{seed}")
+            for index in range(3):
+                process = Process(name=f"p{index}")
+                for block in range(3):
+                    graph = random_dfg(8, seed=100 * seed + 10 * index + block)
+                    deadline = graph.critical_path_length(library.latency_of) + 4
+                    process.add_block(
+                        Block(name=f"b{block}", graph=graph, deadline=deadline)
+                    )
                 system.add_process(process)
             return system
 

@@ -115,7 +115,7 @@ def brute_force_ifds(block, library):
             break
         best = None
         for op_id in mobile:
-            choice = evaluate_reduction(state, op_id, kernel=None)
+            choice = evaluate_reduction(state, op_id)
             if best is None or choice.score > best.score + 1e-12:
                 best = choice
         lo, hi = state.frames.frame(best.op_id)
