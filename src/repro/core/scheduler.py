@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from ..obs.counters import (
 from ..obs.events import EVENT_COMMIT, EVENT_DEGRADE, EVENT_REDUCTION
 from ..obs.metrics import (
     CANDIDATES_SCANNED,
+    COMMIT_SECONDS,
     FORCE_EVAL_SECONDS,
     FRAMES_REMAINING,
     REDUCTION_SCORE,
@@ -53,10 +54,15 @@ from ..resources.assignment import ResourceAssignment
 from ..resources.library import ResourceLibrary
 from ..scheduling.fallback import degraded_block_schedule, frames_state_hash
 from ..scheduling.forces import DEFAULT_LOOKAHEAD
-from ..scheduling.kernels import DeltaBatch, row_dots, row_self_dots
+from ..scheduling.kernels import (
+    IncrementStack,
+    increment_stacks,
+    replay,
+    row_dots,
+    row_self_dots,
+)
 from ..scheduling.schedule import BlockSchedule
 from ..scheduling.scoreboard import SelectionScoreboard
-from ..scheduling.selection_cache import BlockSelectionCache
 from ..scheduling.state import BlockState, ReductionEffect
 from ..validation.budget import RunBudget
 from .modulo import modulo_max, modulo_max_rows
@@ -76,13 +82,6 @@ class _Entry:
     #: ``(frames.version(), hash)`` memo for ``_system_state_hash``; the
     #: frame version pins exactly when the hash can be reused.
     hash_memo: Optional[Tuple[int, int]] = None
-
-
-#: Marker stored in a :class:`BlockSelectionCache` for operations whose
-#: selection state lives in the :class:`_SystemKernel` flat arrays.  The
-#: cache keeps exactly one entry per evaluated operation, so its
-#: invalidations count the kernel states a commit really dropped.
-_KERNEL_EVALUATED = object()
 
 
 class _SystemKernel:
@@ -110,20 +109,39 @@ class _SystemKernel:
       persistent per-slot scores, replaying the scan-order hysteresis
       fold with the scalar epsilons.
 
-    Only invalidated operations do real work: their frame-end deltas are
-    built in one :class:`~repro.scheduling.kernels.DeltaBatch` per block
-    and folded per displaced type with batched matrix products.  Guarded
-    (conditional-branch) operations take the same path; only their
-    displacement rows come from the branch-max-combined distribution.
+    Rows and folds go stale separately.  Each slot side (one frame end
+    of one operation) keeps its eq. 5 increment rows in per-(block,
+    type) stacks (:class:`~repro.scheduling.kernels.IncrementStack`,
+    renumbered to flat side columns and value cells), and its per-type
+    force values in a persistent (type-position × slot-side) matrix
+    whose column sums, in type-order position, are the constants.  A
+    commit invalidates the two differently:
 
-    The telemetry counts that work: the per-block
-    :class:`BlockSelectionCache` holds one marker per evaluated
-    operation, so a reclassified entry charges one ``force_cache_hits``
-    per candidate whose kernel state survived the commit and one
-    ``force_cache_misses`` per candidate it re-evaluates; skipped and
-    clean entries charge nothing.  Decisions agree with the brute-force
+    * **rows** of the operations in the effect's ``dropped_ops`` (the
+      changed operations and their direct neighbours) are rebuilt, in
+      one :func:`~repro.scheduling.kernels.increment_stacks` batch per
+      block; every other row stays valid, because a row reads only the
+      frames of its operation and of that operation's neighbours;
+    * **folds** of each touched type — and, on a non-``clean`` coupling
+      scope, of the same type in same-process siblings — are redone for
+      the type's whole stack in one vectorized pass: replay against the
+      current distribution, the modulo-max / eq. 9 / §5.2 terms or the
+      Hooke dots, and an in-place rewrite of the ``G`` rows.  Only the
+      affected constants are re-summed.
+
+    Guarded (conditional-branch) operations keep their
+    :meth:`~repro.scheduling.state.BlockState.placement_deltas` rows and
+    are rebuilt whenever a type of their footprint moves, because
+    branch-max recombination is not additive.
+
+    The telemetry counts that work: ``force_cache_misses`` counts slot
+    sides built (also the count of ``force_eval_seconds``) and
+    ``force_cache_hits`` slot sides re-folded without a rebuild.
+    Decisions agree with the brute-force
     :class:`~repro.core.reference.ReferenceScheduler`, pinned by the
-    ``tests/core/test_*_parity.py`` suites.
+    ``tests/core/test_*_parity.py`` suites; the persistent state equals a
+    freshly constructed kernel's, pinned by
+    ``tests/core/test_kernel_state.py``.
     """
 
     def __init__(
@@ -134,7 +152,6 @@ class _SystemKernel:
     ) -> None:
         self.entries = entries
         self.coupling = coupling
-        self.caches = [BlockSelectionCache(entry.state) for entry in entries]
         self.lookahead = scheduler.lookahead
         self.weights = scheduler.weights
         self.alignment = scheduler.periodical_alignment
@@ -142,27 +159,65 @@ class _SystemKernel:
 
         self.slot_of: List[Dict[str, int]] = []
         n = 0
+        # Per entry: the longest type order any of its frame ends can
+        # have (the most distinct types among an operation and its direct
+        # neighbours), and type -> the guarded operations whose footprint
+        # holds it (rebuilt whenever that type moves).
+        self._positions: List[int] = []
+        self._guarded_by_type: List[Dict[str, Tuple[str, ...]]] = []
         for entry in entries:
+            state = entry.state
+            type_of = state.dist.type_of
             mapping: Dict[str, int] = {}
-            for op_id in entry.state.graph.op_ids:
+            positions = 1
+            guarded: Dict[str, List[str]] = {}
+            for op_id in state.graph.op_ids:
                 mapping[op_id] = n
                 n += 1
+                _latency, preds, succs = state.links[op_id]
+                footprint = {type_of[op_id]}
+                footprint.update(type_of[pred] for pred, _ in preds)
+                footprint.update(type_of[succ] for succ in succs)
+                positions = max(positions, len(footprint))
+                if op_id in state.guarded_ops:
+                    for type_name in footprint:
+                        guarded.setdefault(type_name, []).append(op_id)
             self.slot_of.append(mapping)
+            self._positions.append(positions)
+            self._guarded_by_type.append(
+                {name: tuple(ops) for name, ops in guarded.items()}
+            )
+        self._n = n
         # Row 0 holds the low frame end, row 1 the high end: fusing the
         # two sides into (2, n) arrays halves the per-scan numpy call
-        # count of the refold/gather phases.
+        # count of the refold/gather phases.  ``side * n + slot`` is a
+        # side's flat column.
         self._const = np.zeros((2, n), dtype=float)
+        self._const_flat = self._const.reshape(-1)
         self._eta = np.ones(n, dtype=float)
         self._force = np.empty((2, n), dtype=float)
-        # Balanced types currently holding a G row for each slot's two
-        # sides, so a re-evaluation can free exactly its own rows.
-        self._assigned_low: List[Tuple[str, ...]] = [()] * n
-        self._assigned_high: List[Tuple[str, ...]] = [()] * n
+        # Per-type values of every slot side: row p holds the value of
+        # the type at position p of the side's type order (0.0 past its
+        # end), so a constant is the sum of its column, in row order.
+        self._values = np.zeros((max(self._positions, default=1), 2 * n))
+        self._values_flat = self._values.reshape(-1)
+        # Per flat column: the side's type order, and the balanced types
+        # holding a G row for it.
+        self._order_of: List[Tuple[str, ...]] = [()] * (2 * n)
+        self._assigned: List[Tuple[str, ...]] = [()] * (2 * n)
+        # Scratch column mask for removing rows from a stack.
+        self._marks = np.zeros(2 * n, dtype=bool)
         # Per entry: type order -> its balanced types (those holding a
         # G row), a static property of the entry's process.
         self._balanced_part: List[Dict[Tuple[str, ...], Tuple[str, ...]]] = [
             {} for _ in entries
         ]
+        # Per entry: the row stacks, the operations holding rows, and
+        # what the commits since the last scan made stale.
+        self._stacks: List[Dict[str, IncrementStack]] = [{} for _ in entries]
+        self._built: List[set] = [set() for _ in entries]
+        self._drop: List[set] = [set() for _ in entries]
+        self._refold: List[set] = [set() for _ in entries]
 
         # Per-entry candidate lists persist between scans; a commit only
         # perturbs the committed entry (and, for a non-clean scope, its
@@ -209,6 +264,9 @@ class _SystemKernel:
             self._free[type_name] = []
             self._gslot[type_name] = np.zeros((2, n), dtype=np.int64)
             self._seen_version[type_name] = coupling.s_version(type_name)
+        self._gslot_flat: Dict[str, np.ndarray] = {
+            name: rows.reshape(-1) for name, rows in self._gslot.items()
+        }
 
     # -- scan ----------------------------------------------------------
     def select(
@@ -425,45 +483,34 @@ class _SystemKernel:
     ) -> None:
         """Reclassify one dirty entry's candidates.
 
-        Marker present -> hit, absent -> fresh (batch-evaluated); then
-        the entry's subscriptions: the balanced types holding a G row
-        among its candidate slots.
+        Brings the entry's rows and folds up to date (:meth:`_refresh`),
+        then, if that built or freed rows, its subscriptions: the
+        balanced types holding a G row among its candidate slots.
         """
         entry = self.entries[index]
         unfixed = entry.state.frames.unfixed()
         self._cand_ops[index] = unfixed
-        store = self.caches[index]._store
-        slots_map = self.slot_of[index]
-        slots = np.empty(len(unfixed), dtype=np.intp)
-        fresh_ops: List[str] = []
-        for pos, op_id in enumerate(unfixed):
-            slot = slots_map[op_id]
-            slots[pos] = slot
-            if op_id not in store:
-                fresh_ops.append(op_id)
-                store[op_id] = _KERNEL_EVALUATED
-                if kinds is not None:
-                    kinds[slot] = CACHE_FRESH
-        if slots.size != self._sb_sizes[index]:
-            # Candidates only ever disappear (commits fix ops in their
-            # own block), so an unchanged count means an unchanged span.
+        # Candidates only ever disappear (commits fix ops in their own
+        # block), so an unchanged count means unchanged candidates.
+        if len(unfixed) != self._sb_sizes[index]:
+            slots_map = self.slot_of[index]
+            self._cand_slots[index] = np.fromiter(
+                (slots_map[op_id] for op_id in unfixed),
+                dtype=np.intp,
+                count=len(unfixed),
+            )
             self._sb_splices.append(index)
-        self._cand_slots[index] = slots
-        hits = len(unfixed) - len(fresh_ops)
-        if hits:
-            count(FORCE_CACHE_HITS, hits)
-        if fresh_ops:
-            count(FORCE_CACHE_MISSES, len(fresh_ops))
-            self._fresh_eval(index, entry, fresh_ops)
-        # Read *after* the fresh evaluation reassigned G rows:
-        # ``_assigned_*[slot]`` is nonempty exactly when
-        # ``gslot[type][:, slot] > 0`` for the type.
-        assigned_low = self._assigned_low
-        assigned_high = self._assigned_high
+        if not self._refresh(index, entry, unfixed, kinds):
+            return
+        slots = self._cand_slots[index]
+        # ``_assigned[col]`` is nonempty exactly when
+        # ``gslot[type][col] > 0`` for the type.
+        assigned = self._assigned
+        n = self._n
         touched: set = set()
         for slot in slots.tolist():
-            touched.update(assigned_low[slot])
-            touched.update(assigned_high[slot])
+            touched.update(assigned[slot])
+            touched.update(assigned[slot + n])
         self.scoreboard.store(index, sorted(touched))
 
     def note_commit(
@@ -472,10 +519,11 @@ class _SystemKernel:
         effect: ReductionEffect,
         scopes: Mapping[str, str],
     ) -> None:
-        """Drop exactly the cached state the committed reduction perturbed.
+        """Mark exactly the rows and folds the committed reduction staled.
 
-        Within the committing block the local dirty-set rules apply
-        (changed frames, their direct neighbors, touched types).  For a
+        In the committing block the records of ``effect.dropped_ops``
+        (changed frames and their direct neighbours) lose their rows, and
+        every touched type re-folds: its distribution moved.  For a
         touched **global** type the perturbation travels through the
         coupling — but only as far as the re-folded arrays actually
         changed, which :meth:`_GlobalCoupling.refresh` reports per type:
@@ -484,8 +532,9 @@ class _SystemKernel:
           maximum; ``Q`` is unchanged and no other block is dirty.
         * ``"process"`` / ``"system"`` — ``Q`` changed, so sibling blocks
           of the *same* process see it through eq. 9's cross-block
-          maximum and the old process maximum: their forces are stale.
-          Blocks of **other** processes keep valid forces even when
+          maximum and the old process maximum: they re-fold the type.
+          Their rows stay valid, since their own distribution did not
+          move.  Blocks of **other** processes keep valid folds even when
           ``S`` changed (``"system"``), because their ``delta_S`` only
           reads their own process's coupling state; the S-version bump
           re-dots their G rows at the next scan.
@@ -495,8 +544,7 @@ class _SystemKernel:
         The committed entry, and on a non-``clean`` scope its siblings,
         reclassify at the next scan.
         """
-        caches = self.caches
-        caches[entry_index].invalidate_after_commit(effect)
+        self._stale(entry_index, effect.dropped_ops, effect.touched_types)
         dirty = self._dirty
         dirty.add(entry_index)
         if not (self.alignment and self.balancing):
@@ -509,139 +557,266 @@ class _SystemKernel:
                 continue
             for index in siblings:
                 if index != entry_index:
-                    caches[index].invalidate_type(type_name)
+                    self._stale(index, (), (type_name,))
                     dirty.add(index)
 
-    # -- fresh evaluation ----------------------------------------------
-    def _fresh_eval(self, index: int, entry: _Entry, fresh_ops: List[str]) -> None:
-        """Batch-evaluate both frame ends of a block's invalidated ops.
+    def _stale(self, index: int, ops: Iterable[str], types: Iterable[str]) -> None:
+        """Queue rows to rebuild and types to re-fold for one entry.
 
-        One :class:`DeltaBatch` covers every (op, frame-end) pair; each
-        displaced type folds its participating rows with batched matrix
-        products, mirroring
-        :meth:`~repro.core.reference.ReferenceScheduler._placement_force`
-        branch for branch.  Constants, ``w * delta_S`` rows, and their
-        current-``S`` dots are written into the persistent arrays; the
-        refold in :meth:`select` produces the forces.
-
-        A pair's constant is the sum of its per-type values in type
-        order; summing column by column of a (position × pair) matrix
-        performs the same additions in the same order as a per-pair
-        scalar loop.  A slot side whose balanced types are unchanged
-        keeps its G rows and has them rewritten in place; freeing and
-        re-allocating them would hand back the same row ids.
+        Guarded operations whose footprint holds a moved type are
+        rebuilt rather than re-folded.
         """
-        registry_active = _ambient._active is not None
-        started = time.perf_counter() if registry_active else 0.0
+        drop = self._drop[index]
+        drop.update(ops)
+        refold = self._refold[index]
+        guarded = self._guarded_by_type[index]
+        for type_name in types:
+            refold.add(type_name)
+            if guarded:
+                drop.update(guarded.get(type_name, ()))
+
+    # -- rows and folds --------------------------------------------------
+    def _refresh(
+        self,
+        index: int,
+        entry: _Entry,
+        unfixed: List[str],
+        kinds: Optional[Dict[int, str]],
+    ) -> bool:
+        """Bring one entry's rows, folds and constants up to date.
+
+        Drops the rows of the queued records, builds rows for the
+        candidates among them, re-folds each queued type's whole stack
+        and each other type's new rows, then re-sums the constants of
+        the slot sides any fold wrote.  A constant is the sum of its
+        per-type values in type-order position, added column by column
+        of the value matrix from zero: the same additions in the same
+        order as a fresh evaluation.  Returns whether rows were dropped
+        or built, i.e. whether the entry's G-row assignment may have
+        moved.
+        """
+        n = self._n
+        slots_map = self.slot_of[index]
+        stacks = self._stacks[index]
+        built = self._built[index]
+        drop = self._drop[index]
+        # Per type: the flat columns whose rows the drops removed.
+        removed: Dict[str, List[int]] = {}
+        # Every candidate keeps its rows until an effect drops them, so
+        # only a drop (or the first refresh) leaves candidates without.
+        stale = bool(drop) or not built
+        if drop:
+            order_of = self._order_of
+            frames = entry.state.frames
+            for op_id in drop:
+                if op_id not in built:
+                    continue
+                built.discard(op_id)
+                slot = slots_map[op_id]
+                for col in (slot, slot + n):
+                    for type_name in order_of[col]:
+                        removed.setdefault(type_name, []).append(col)
+                lo, hi = frames.frame(op_id)
+                if lo == hi:
+                    self._release(slot)
+            drop.clear()
+        fresh = [op_id for op_id in unfixed if op_id not in built] if stale else []
+        new: Dict[str, IncrementStack] = {}
+        if fresh:
+            registry_active = _ambient._active is not None
+            started = time.perf_counter() if registry_active else 0.0
+            new = self._build(index, entry, fresh)
+            built.update(fresh)
+            if registry_active:
+                rows = 2 * len(fresh)
+                observe_many(
+                    FORCE_EVAL_SECONDS, (time.perf_counter() - started) / rows, rows
+                )
+            if kinds is not None:
+                for op_id in fresh:
+                    kinds[slots_map[op_id]] = CACHE_FRESH
+
+        refold = self._refold[index]
+        written: List[np.ndarray] = []
+        marks = self._marks
+        for type_name in set(removed).union(new):
+            stack = stacks.get(type_name)
+            cols = removed.get(type_name)
+            if cols is not None:
+                old = stacks[type_name]
+                marks[cols] = True
+                stack = old.restricted(~marks[old.index[0]])
+                marks[cols] = False
+            batch = new.get(type_name)
+            if batch is not None:
+                if type_name not in refold:
+                    # Surviving rows of an unmoved type keep their values.
+                    self._fold(index, entry, type_name, batch)
+                    written.append(batch.index[0])
+                if stack is None:
+                    # The batch's rows are views of one array for all its
+                    # types; a copy sizes the stored stack exactly.
+                    batch.inc = batch.inc.copy()
+                    if batch.more is not None:
+                        batch.more = batch.more.copy()
+                    stack = batch
+                else:
+                    stack = stack.extended(batch)
+            if stack is None:
+                del stacks[type_name]
+            else:
+                stacks[type_name] = stack
+        for type_name in sorted(refold):
+            stack = stacks.get(type_name)
+            if stack is not None:
+                self._fold(index, entry, type_name, stack)
+                written.append(stack.index[0])
+        refold.clear()
+        if not written:
+            return bool(removed)
+        sides = written[0] if len(written) == 1 else np.unique(np.concatenate(written))
+        consts = np.zeros(sides.size, dtype=float)
+        for column in self._values[: self._positions[index], sides]:
+            consts += column
+        self._const_flat[sides] = consts
+        rows_built = 2 * len(fresh)
+        if rows_built:
+            count(FORCE_CACHE_MISSES, rows_built)
+        if sides.size > rows_built:
+            count(FORCE_CACHE_HITS, int(sides.size) - rows_built)
+        return bool(removed) or bool(fresh)
+
+    def _build(
+        self, index: int, entry: _Entry, fresh: List[str]
+    ) -> Dict[str, IncrementStack]:
+        """Rows of both frame ends of a block's record-less candidates.
+
+        One :func:`~repro.scheduling.kernels.increment_stacks` batch
+        covers every (op, frame-end) pair.  Each side's type order and
+        ``eta`` are stored and its stale values cleared.  A side keeps
+        its G rows when its balanced-type tuple is unchanged; otherwise
+        it releases the old rows and allocates new ones, in row order.
+        Returns the new rows as one stack per displaced type.
+        """
         coupling = self.coupling
         state = entry.state
         frames = state.frames
-        dist = state.dist
-        lookahead = self.lookahead
-        weights = self.weights
-        process_name = entry.process_name
+        n = self._n
         slots_map = self.slot_of[index]
         pairs: List[Tuple[str, int]] = []
+        cols: List[int] = []
         slots: List[int] = []
         etas: List[float] = []
-        for op_id in fresh_ops:
+        for op_id in fresh:
             lo, hi = frames.frame(op_id)
             pairs.append((op_id, lo))
             pairs.append((op_id, hi))
-            slots.append(slots_map[op_id])
+            slot = slots_map[op_id]
+            cols.append(slot)
+            cols.append(slot + n)
+            slots.append(slot)
             etas.append(1.0 if hi - lo + 1 <= 2 else 0.5)
-        batch = DeltaBatch(state, pairs)
-        type_orders = batch.type_orders
-        # columns[p, row]: the value of the type at position p of the
-        # row's type order (0.0 past its end).
-        columns = np.zeros((max(map(len, type_orders)), len(pairs)), dtype=float)
-        # Balanced shared types: the pre-weighted delta_S rows of the
-        # participants and their current-S dots.
-        gvec_parts: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        for type_name, matrix in batch.deltas.items():
-            participants = batch.participants[type_name]
-            deltas = matrix[participants]
-            weight = 1.0 if weights is None else float(weights.get(type_name, 1.0))
-            count(FORCE_EVALUATIONS, len(participants))
-            if self.alignment and coupling.is_shared(process_name, type_name):
-                period = coupling.period(type_name)
-                # ``deltas`` is a fancy-gather copy, safe to fold the
-                # current distribution into in place (a + b commutes).
-                deltas += dist.array(type_name)
-                q_new = modulo_max_rows(deltas, period)
-                if not self.balancing:
-                    q_old = coupling.block_q(index, type_name)
-                    q_new -= q_old
-                    vals = weight * (
-                        row_dots(q_new, q_old)
-                        + lookahead * row_self_dots(q_new)
-                    )
-                else:
-                    others = coupling.other_blocks_max(index, type_name)
-                    m_old = coupling.process_max(process_name, type_name)
-                    np.maximum(others, q_new, out=q_new)
-                    q_new -= m_old
-                    delta_s = q_new
-                    vals = (weight * lookahead) * row_self_dots(delta_s)
-                    delta_s *= weight
-                    gvec_parts[type_name] = (
-                        delta_s,
-                        row_dots(delta_s, coupling.system_distribution(type_name)),
-                    )
-            else:
-                vals = weight * (
-                    row_dots(deltas, dist.array(type_name))
-                    + lookahead * row_self_dots(deltas)
-                )
-            columns[batch.positions[type_name], participants] = vals
-        consts = np.zeros(len(pairs), dtype=float)
-        for column in columns:
-            consts += column
+        type_orders, batch = increment_stacks(state, pairs)
+        cols_arr = np.asarray(cols, dtype=np.intp)
+        self._eta[slots] = etas
+        self._values[:, cols_arr] = 0.0
 
-        # A slot side keeps its G rows when its balanced-type tuple is
-        # unchanged.  Otherwise it releases the old rows and allocates
-        # new ones, in row order: releasing and re-allocating an
-        # unchanged side would hand back the very same ids, so the free
-        # lists evolve exactly as if every side did.
-        gslot = self._gslot
+        process_name = entry.process_name
         balanced_part = self._balanced_part[index]
         balancing = self.alignment and self.balancing
-        assigned_sides = (self._assigned_low, self._assigned_high)
-        for row, order in enumerate(type_orders):
-            new = balanced_part.get(order)
-            if new is None:
-                new = balanced_part[order] = tuple(
+        order_of = self._order_of
+        assigned = self._assigned
+        for col, order in zip(cols, type_orders):
+            order_of[col] = order
+            part = balanced_part.get(order)
+            if part is None:
+                part = balanced_part[order] = tuple(
                     name
                     for name in order
                     if balancing and coupling.is_shared(process_name, name)
                 )
-            side = row & 1
-            slot = slots[row >> 1]
-            assigned = assigned_sides[side]
-            old = assigned[slot]
-            if new == old:
+            old = assigned[col]
+            if part == old:
+                # Releasing and re-allocating would hand back the very
+                # same row ids; the rows are rewritten in place.
                 continue
             for type_name in old:
-                stale_rows = gslot[type_name]
-                self._free[type_name].append(int(stale_rows[side, slot]))
-                stale_rows[side, slot] = 0
-            for type_name in new:
-                gslot[type_name][side, slot] = self._alloc_row(type_name)
-            assigned[slot] = new
-        slots_arr = np.asarray(slots, dtype=np.intp)
-        self._const[0, slots_arr] = consts[0::2]
-        self._const[1, slots_arr] = consts[1::2]
-        self._eta[slots_arr] = etas
-        # Allocation may have grown the G arrays; read them afresh.
-        for type_name, (weighted, gdot_vals) in gvec_parts.items():
-            participants = batch.participants[type_name]
-            ids = gslot[type_name][participants & 1, slots_arr[participants >> 1]]
-            self._g[type_name][ids] = weighted
-            self._gdots[type_name][ids] = gdot_vals
-        if registry_active:
-            rows = len(pairs)
-            elapsed = time.perf_counter() - started
-            observe_many(FORCE_EVAL_SECONDS, elapsed / rows, rows)
+                self._free_row(type_name, col)
+            for type_name in part:
+                self._gslot_flat[type_name][col] = self._alloc_row(type_name)
+            assigned[col] = part
+
+        # Renumber each stack's (batch row, type position) index into
+        # (flat side column, flat value cell).
+        width = 2 * n
+        for stack in batch.values():
+            rows, cells = stack.index
+            stack_cols = cols_arr[rows]
+            cells *= width
+            cells += stack_cols
+            rows[:] = stack_cols
+        return batch
+
+    def _fold(
+        self, index: int, entry: _Entry, type_name: str, stack: IncrementStack
+    ) -> None:
+        """Fold every row of a stack against the current distributions.
+
+        Mirrors :meth:`~repro.core.reference.ReferenceScheduler
+        ._placement_force` branch for branch: aligned shared types take
+        the modulo maximum of the tentative distribution and, under
+        balancing, eq. 9's sibling maximum minus the old process maximum
+        (the ``w * delta_S`` rows go to ``G`` in place, with their
+        current-``S`` dots); every other type takes the Hooke dots.
+        """
+        coupling = self.coupling
+        base = entry.state.dist.array(type_name)
+        deltas = replay(stack, base)
+        cols, cells = stack.index
+        weights = self.weights
+        weight = 1.0 if weights is None else float(weights.get(type_name, 1.0))
+        lookahead = self.lookahead
+        count(FORCE_EVALUATIONS, len(cols))
+        if self.alignment and coupling.is_shared(entry.process_name, type_name):
+            period = coupling.period(type_name)
+            deltas += base
+            q_new = modulo_max_rows(deltas, period)
+            if not self.balancing:
+                q_old = coupling.block_q(index, type_name)
+                q_new -= q_old
+                vals = weight * (
+                    row_dots(q_new, q_old) + lookahead * row_self_dots(q_new)
+                )
+            else:
+                others = coupling.other_blocks_max(index, type_name)
+                m_old = coupling.process_max(entry.process_name, type_name)
+                np.maximum(others, q_new, out=q_new)
+                q_new -= m_old
+                vals = (weight * lookahead) * row_self_dots(q_new)
+                q_new *= weight
+                ids = self._gslot_flat[type_name][cols]
+                self._g[type_name][ids] = q_new
+                self._gdots[type_name][ids] = row_dots(
+                    q_new, coupling.system_distribution(type_name)
+                )
+        else:
+            vals = weight * (
+                row_dots(deltas, base) + lookahead * row_self_dots(deltas)
+            )
+        self._values_flat[cells] = vals
+
+    def _release(self, slot: int) -> None:
+        """Free both sides' G rows of an operation that fixed."""
+        for col in (slot, slot + self._n):
+            for type_name in self._assigned[col]:
+                self._free_row(type_name, col)
+            self._assigned[col] = ()
+            self._order_of[col] = ()
+
+    def _free_row(self, type_name: str, col: int) -> None:
+        gslot = self._gslot_flat[type_name]
+        self._free[type_name].append(int(gslot[col]))
+        gslot[col] = 0
 
     def _alloc_row(self, type_name: str) -> int:
         """Next free G row of a type, growing the arrays by doubling."""
@@ -761,6 +936,9 @@ class ModuloSystemScheduler:
         audit=None,
     ) -> SystemSchedule:
         started = time.perf_counter()
+        # This run's own counts: a tracer shared by several runs keeps
+        # command totals, the telemetry reports the difference.
+        counters_before = tracer.counters.as_dict() if tracer.enabled else {}
         _log.debug(
             "scheduling system %r: %d operations, %d global types",
             system.name,
@@ -783,6 +961,10 @@ class ModuloSystemScheduler:
         degraded_reason: Optional[str] = None
         iterations = 0
         keep_candidates = audit is not None and audit.keep_candidates
+        if tracer.enabled:
+            # Only the committed entry's frames change, so the gauge is
+            # kept as a running total.
+            frames_remaining = sum(e.state.frames.unfixed_count() for e in entries)
         with tracer.span("reduction_loop"):
             while True:
                 collect: Optional[list] = [] if keep_candidates else None
@@ -818,13 +1000,22 @@ class ModuloSystemScheduler:
                 iterations += 1
                 entry_index, op_id, shrink_low, score, candidates, detail = best
                 entry = entries[entry_index]
-                lo, hi = entry.state.frames.frame(op_id)
+                frames = entry.state.frames
+                lo, hi = frames.frame(op_id)
+                if tracer.enabled:
+                    unfixed_before = frames.unfixed_count()
+                    commit_started = time.perf_counter()
                 if shrink_low:
                     effect = entry.state.commit_reduce_effect(op_id, lo + 1, hi)
                 else:
                     effect = entry.state.commit_reduce_effect(op_id, lo, hi - 1)
                 scopes = coupling.refresh(entry_index, effect.touched_types)
                 selector.note_commit(entry_index, effect, scopes)
+                if tracer.enabled:
+                    tracer.observe(
+                        COMMIT_SECONDS, time.perf_counter() - commit_started
+                    )
+                    frames_remaining -= unfixed_before - frames.unfixed_count()
                 side = "low" if shrink_low else "high"
                 if audit is not None:
                     force_low, force_high, cache_kind = detail
@@ -849,9 +1040,6 @@ class ModuloSystemScheduler:
                     )
                     count(AUDIT_DECISIONS)
                 if tracer.enabled:
-                    frames_remaining = sum(
-                        e.state.frames.unfixed_count() for e in entries
-                    )
                     tracer.count(SCHEDULER_ITERATIONS)
                     tracer.observe(REDUCTION_SCORE, score)
                     tracer.observe(CANDIDATES_SCANNED, candidates)
@@ -908,7 +1096,9 @@ class ModuloSystemScheduler:
                 "wall_time": finished - started,
                 "iterations": iterations,
                 "counters": (
-                    tracer.counters.as_dict() if tracer.enabled else {}
+                    _counter_deltas(counters_before, tracer.counters.as_dict())
+                    if tracer.enabled
+                    else {}
                 ),
                 "events": len(tracer.events) if tracer.enabled else 0,
             }
@@ -978,6 +1168,17 @@ class ModuloSystemScheduler:
                 entry.hash_memo = (version, value)
                 parts.append(value)
         return hash(tuple(parts))
+
+
+def _counter_deltas(
+    before: Mapping[str, int], after: Mapping[str, int]
+) -> Dict[str, int]:
+    """The counters a run moved (or created), by how much it moved them."""
+    return {
+        name: value - before.get(name, 0)
+        for name, value in after.items()
+        if name not in before or value != before[name]
+    }
 
 
 class _GlobalCoupling:

@@ -79,6 +79,7 @@ from .merge import merge_telemetry
 from .metrics import (
     CANDIDATE_SECONDS,
     CANDIDATES_SCANNED,
+    COMMIT_SECONDS,
     DIRTY_SET_SIZE,
     FRAMES_REMAINING,
     INCUMBENT_AREA,
@@ -117,6 +118,7 @@ __all__ = [
     "CANDIDATE_SECONDS",
     "CERTIFIER_OFFSET_CLASSES",
     "CERTIFIER_SLOT_CHECKS",
+    "COMMIT_SECONDS",
     "CandidateAudit",
     "Counter",
     "Counters",

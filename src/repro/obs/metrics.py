@@ -383,6 +383,7 @@ class MetricsRegistry:
 
 #: Canonical histogram names emitted by the instrumented schedulers.
 SELECT_SECONDS = "select_seconds"
+COMMIT_SECONDS = "commit_seconds"
 DIRTY_SET_SIZE = "dirty_set_size"
 REDUCTION_SCORE = "reduction_score"
 CANDIDATES_SCANNED = "candidates_scanned"
@@ -395,6 +396,7 @@ INCUMBENT_AREA = "incumbent_area"
 
 KNOWN_HISTOGRAMS = (
     SELECT_SECONDS,
+    COMMIT_SECONDS,
     DIRTY_SET_SIZE,
     REDUCTION_SCORE,
     CANDIDATES_SCANNED,

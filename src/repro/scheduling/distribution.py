@@ -56,6 +56,30 @@ def occupancy_row(lo: int, hi: int, occupancy: int, horizon: int) -> np.ndarray:
     return row
 
 
+#: Nonzero spans of occupancy rows by ``(frame width, occupancy)``, shared
+#: by every block: the values are a pure function of the key and the
+#: arrays are read-only.
+_PATTERNS: Dict[Tuple[int, int], np.ndarray] = {}
+
+
+def occupancy_pattern(width: int, occupancy: int) -> np.ndarray:
+    """The values of :func:`occupancy_row` over its nonzero span.
+
+    The row of frame ``[lo, hi]`` is this pattern, for width
+    ``hi - lo + 1``, placed at ``lo``: shifting a frame to ``[0, width -
+    1]`` leaves the integer sliding-window counts and the weight ``1 /
+    width`` unchanged, so the values are identical.  Read-only.
+    """
+    pattern = _PATTERNS.get((width, occupancy))
+    if pattern is None:
+        steps = np.arange(width - 1 + occupancy)
+        counts = np.minimum(width - 1, steps) - np.maximum(0, steps - occupancy + 1) + 1
+        pattern = counts * (1.0 / width)
+        pattern.setflags(write=False)
+        _PATTERNS[(width, occupancy)] = pattern
+    return pattern
+
+
 def combine_rows(
     rows: Mapping[str, np.ndarray],
     guards: Mapping[str, Optional[Tuple[str, str]]],
@@ -185,7 +209,11 @@ class BlockDistributions:
             rows = self._row_cache[op_id] = {}
         row = rows.get((lo, hi))
         if row is None:
-            row = occupancy_row(lo, hi, self.occupancy_of[op_id], self.horizon)
+            occupancy = self.occupancy_of[op_id]
+            if lo > hi or hi + occupancy > self.horizon:
+                occupancy_row(lo, hi, occupancy, self.horizon)  # raises
+            row = np.zeros(self.horizon, dtype=float)
+            row[lo : hi + occupancy] = occupancy_pattern(hi - lo + 1, occupancy)
             rows[(lo, hi)] = row
         return row
 

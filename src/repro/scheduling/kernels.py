@@ -15,6 +15,12 @@ pass over flat ``(candidates, horizon)`` matrices:
 * :func:`batched_occupancy_rows` generalizes
   :func:`repro.scheduling.distribution.occupancy_row`'s sliding-window
   counts to a stacked row matrix;
+* :func:`increment_stacks` builds the per-type increment rows
+  (:class:`IncrementStack`) of a batch of frame-end placements, and
+  :func:`replay` turns a stack into displacement rows against the
+  type's current distribution.  Rows do not depend on that
+  distribution, so the coupled scheduler keeps the stacks across
+  commits and only replays them when the distribution moves;
 * :class:`DeltaBatch` builds the per-type displacement matrices for a
   whole candidate batch, value-identical per row to
   :meth:`BlockState.placement_deltas`;
@@ -24,11 +30,11 @@ pass over flat ``(candidates, horizon)`` matrices:
 Exactness contract
 ------------------
 Displacement construction is purely elementwise (subtract, add, masked
-zero rows), so every ``DeltaBatch`` row is **bit-identical** to the
-scalar path's delta for the same candidate.  The force *dots* are
-batched matrix products, and BLAS matrix–vector products are not
-bitwise-identical to a sequence of ``np.dot`` calls (ulp-level
-differences, empirically ~1e-16).  Decisions in every scheduler compare
+zero rows), so every ``DeltaBatch`` and :func:`replay` row is
+**bit-identical** to the scalar path's delta for the same candidate.
+The force *dots* are batched matrix products, and BLAS matrix–vector
+products are not bitwise-identical to a sequence of ``np.dot`` calls
+(ulp-level differences, empirically ~1e-16).  Decisions in every scheduler compare
 forces against ``1e-12`` epsilons, so agreement with the scalar
 reference is pinned at the *decision* level by
 ``tests/core/test_kernel_parity.py`` (coupled scheduler, which also
@@ -41,7 +47,7 @@ direct predecessors/successors) contains a *guarded* type
 (:attr:`BlockState.guarded_ops`) displace through the branch-max
 recombination, which is not an additive update.  They still batch:
 their rows are :meth:`BlockState.placement_deltas` verbatim, filed into
-the same per-type matrices and folded by the same products.
+the same per-type stacks and matrices and folded by the same products.
 """
 
 from __future__ import annotations
@@ -62,6 +68,9 @@ __all__ = [
     "batched_occupancy_rows",
     "row_dots",
     "row_self_dots",
+    "IncrementStack",
+    "increment_stacks",
+    "replay",
     "DeltaBatch",
     "PlacementKernel",
 ]
@@ -161,6 +170,230 @@ def row_self_dots(matrix: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", matrix, matrix)
 
 
+class IncrementStack:
+    """The increment rows of one displaced type over a batch of placements.
+
+    Row ``i`` of the stack belongs to batch row ``index[0, i]``, where
+    the type sits at position ``index[1, i]`` of that row's type order
+    (a consumer may renumber both into its own coordinates; the coupled
+    kernel stores flat slot-side columns and value cells).  ``inc[i]``
+    is the first increment ``override - current`` of the type;
+    ``more`` holds the further increments, each applied to stack row
+    ``more_at[j]``, in override order (``None`` when there are none).
+    Rows listed in ``verbatim`` hold a finished displacement instead:
+    guarded placements, whose rows come from
+    :meth:`BlockState.placement_deltas` (branch-max recombination is
+    not an additive update).  None of the rows depends on the type's
+    distribution, so a stack stays valid while that distribution
+    moves; :func:`replay` folds it in at use time.
+    """
+
+    __slots__ = ("index", "inc", "more_at", "more", "verbatim")
+
+    def __init__(
+        self,
+        index: np.ndarray,
+        inc: np.ndarray,
+        more_at: Optional[np.ndarray] = None,
+        more: Optional[np.ndarray] = None,
+        verbatim: Optional[np.ndarray] = None,
+    ) -> None:
+        self.index = index
+        self.inc = inc
+        self.more_at = more_at
+        self.more = more
+        self.verbatim = verbatim
+
+    def restricted(self, keep: np.ndarray) -> Optional["IncrementStack"]:
+        """The rows ``keep`` marks, or ``None`` when no row is left."""
+        if not keep.any():
+            return None
+        more_at = more = verbatim = None
+        if self.more_at is not None or self.verbatim is not None:
+            renumber = np.cumsum(keep) - 1
+            if self.more_at is not None and self.more is not None:
+                kept = keep[self.more_at]
+                if kept.any():
+                    more_at = renumber[self.more_at[kept]]
+                    more = self.more[kept]
+            if self.verbatim is not None:
+                kept = keep[self.verbatim]
+                if kept.any():
+                    verbatim = renumber[self.verbatim[kept]]
+        return IncrementStack(
+            self.index[:, keep], self.inc[keep], more_at, more, verbatim
+        )
+
+    def extended(self, other: "IncrementStack") -> "IncrementStack":
+        """These rows followed by ``other``'s, in new arrays."""
+        size = self.inc.shape[0]
+        return IncrementStack(
+            np.concatenate((self.index, other.index), axis=1),
+            np.concatenate((self.inc, other.inc)),
+            _joined(self.more_at, other.more_at, size),
+            _joined(self.more, other.more, 0),
+            _joined(self.verbatim, other.verbatim, size),
+        )
+
+
+def _joined(
+    mine: Optional[np.ndarray], theirs: Optional[np.ndarray], shift: int
+) -> Optional[np.ndarray]:
+    """Two optional arrays end to end, the second shifted by ``shift``."""
+    if theirs is None:
+        return mine
+    if shift:
+        theirs = theirs + shift
+    return theirs if mine is None else np.concatenate((mine, theirs))
+
+
+def increment_stacks(
+    state: BlockState, candidates: Sequence[Tuple[str, int]]
+) -> Tuple[List[Tuple[str, ...]], Dict[str, IncrementStack]]:
+    """Per-type increment stacks of a batch of tentative placements.
+
+    Returns each candidate's displaced-type order and one
+    :class:`IncrementStack` per displaced type, types in first-seen
+    order.  Overrides follow :meth:`BlockState.placement_deltas`: the
+    operation's own single-step row, then each predecessor whose frame
+    the placement cuts from above and each successor it cuts from
+    below, both in graph order; a type's first override opens its
+    position in the type order, later ones are further increments.
+    Override rows are memoized tentative rows and current rows of the
+    distribution, never new arrays, until all first increments of the
+    batch come out of one stacked subtraction, and all further ones out
+    of another.  Guarded candidates are copied from
+    :meth:`BlockState.placement_deltas`.
+    """
+    dist = state.dist
+    tentative_row = dist.tentative_row
+    current = dist._rows
+    type_of = dist.type_of
+    lo_of = state.frames._lo
+    hi_of = state.frames._hi
+    links = state.links
+    interned = state._orders
+    guarded = state.guarded_ops
+    type_orders: List[Tuple[str, ...]] = [()] * len(candidates)
+    # Per type: batch rows, type-order positions, the (override,
+    # current) first rows of the replayed rows, and the stack rows and
+    # displacements of the verbatim ones.
+    by_type: Dict[str, Tuple[List[int], List[int], list, List[int], list]] = {}
+    # Per type: the stack row of each further override and its
+    # (override, current) rows, in override order.
+    extra: Dict[str, Tuple[List[int], List[np.ndarray]]] = {}
+
+    def override(row: int, order: List[str], oid: str, new_row: np.ndarray) -> None:
+        type_name = type_of[oid]
+        if type_name in order:
+            at = extra.get(type_name)
+            if at is None:
+                at = extra[type_name] = ([], [])
+            at[0].append(len(by_type[type_name][0]) - 1)
+            at[1].append(new_row)
+            at[1].append(current[oid])
+            return
+        group = by_type.get(type_name)
+        if group is None:
+            group = by_type[type_name] = ([], [], [], [], [])
+        group[0].append(row)
+        group[1].append(len(order))
+        group[2].append(new_row)
+        group[2].append(current[oid])
+        order.append(type_name)
+
+    for row, (op_id, start) in enumerate(candidates):
+        if op_id in guarded:
+            deltas = state.placement_deltas(op_id, start)
+            type_orders[row] = tuple(deltas)
+            for position, (type_name, delta) in enumerate(deltas.items()):
+                group = by_type.get(type_name)
+                if group is None:
+                    group = by_type[type_name] = ([], [], [], [], [])
+                group[3].append(len(group[0]))
+                group[4].append(delta)
+                group[0].append(row)
+                group[1].append(position)
+            continue
+        latency, preds, succs = links[op_id]
+        order: List[str] = []
+        override(row, order, op_id, tentative_row(op_id, start, start))
+        for pred, pred_latency in preds:
+            new_hi = start - pred_latency
+            if new_hi < hi_of[pred]:
+                override(row, order, pred, tentative_row(pred, lo_of[pred], new_hi))
+        finish = start + latency
+        for succ in succs:
+            if finish > lo_of[succ]:
+                override(row, order, succ, tentative_row(succ, finish, hi_of[succ]))
+        key = tuple(order)
+        type_orders[row] = interned.setdefault(key, key)
+    if not by_type:
+        return type_orders, {}
+    horizon = state.dist.horizon
+    first = _pair_differences(
+        [group[2] for group in by_type.values()], horizon
+    )
+    further = _pair_differences(
+        [extra[type_name][1] for type_name in extra], horizon
+    )
+    stacks: Dict[str, IncrementStack] = {}
+    offset = 0
+    for type_name, (rows, positions, pair_rows, copied, copies) in by_type.items():
+        replayed = len(pair_rows) // 2
+        block = first[offset : offset + replayed]
+        offset += replayed
+        if copied:
+            inc = np.empty((len(rows), horizon), dtype=float)
+            inc[copied] = copies
+            if replayed:
+                inc[np.setdiff1d(np.arange(len(rows)), copied)] = block
+            verbatim: Optional[np.ndarray] = np.asarray(copied, dtype=np.intp)
+        else:
+            inc = block
+            verbatim = None
+        stacks[type_name] = IncrementStack(
+            np.array((rows, positions), dtype=np.intp), inc, verbatim=verbatim
+        )
+    offset = 0
+    for type_name, (at, more_rows) in extra.items():
+        stack = stacks[type_name]
+        stack.more_at = np.asarray(at, dtype=np.intp)
+        stack.more = further[offset : offset + len(at)]
+        offset += len(at)
+    return type_orders, stacks
+
+
+def _pair_differences(groups: List[List[np.ndarray]], horizon: int) -> np.ndarray:
+    """``override - current`` of every (override, current) row pair of
+    every group, groups in order, as one stacked subtraction."""
+    flat = [row for group in groups for row in group]
+    if not flat:
+        return np.empty((0, horizon), dtype=float)
+    pairs = np.concatenate(flat).reshape(-1, 2, horizon)
+    return pairs[:, 0] - pairs[:, 1]
+
+
+def replay(stack: IncrementStack, base: np.ndarray) -> np.ndarray:
+    """The displacement rows of a stack against distribution ``base``.
+
+    Runs the scalar ``tentative_array`` round trip
+    ``((base + inc_1) + inc_2 ...) - base`` for every row at once
+    (IEEE addition commutes, so ``inc_1 + base`` equals
+    ``base + inc_1``; ``add.at`` applies repeated indices one after
+    another, i.e. each row's further increments in override order),
+    so each row equals :meth:`BlockState.placement_deltas` bit for
+    bit.  Verbatim rows are copied.  Returns a new array.
+    """
+    deltas = stack.inc + base
+    if stack.more_at is not None and stack.more is not None:
+        np.add.at(deltas, stack.more_at, stack.more)
+    deltas -= base
+    if stack.verbatim is not None:
+        deltas[stack.verbatim] = stack.inc[stack.verbatim]
+    return deltas
+
+
 class DeltaBatch:
     """Per-type displacement matrices of a batch of tentative placements.
 
@@ -177,14 +410,14 @@ class DeltaBatch:
 
     Two internal build paths cover the two batch shapes the schedulers
     produce.  *Narrow* batches — at most two candidate slots per
-    operation, the IFDS/system frame-end case — read each candidate's
-    override set from the state's displacement row table
-    (:meth:`BlockState.displacement_record`) and replay the scalar
+    operation, the IFDS/system frame-end case — build every
+    candidate's override set as increment stacks
+    (:func:`increment_stacks`) and replay the scalar
     ``placement_deltas`` accumulation for all of them in one stacked
-    pass.  *Wide* batches (whole-frame FDS scans) assemble one flattened
-    occupancy batch per operation covering the own row and every
-    neighbor row of every candidate in a single
-    :func:`batched_occupancy_rows` call.  In both, a candidate of a
+    pass per type (:func:`replay`).  *Wide* batches (whole-frame FDS
+    scans) assemble one flattened occupancy batch per operation
+    covering the own row and every neighbor row of every candidate in
+    a single :func:`batched_occupancy_rows` call.  In both, a candidate of a
     guarded operation (:attr:`BlockState.guarded_ops`) takes its rows
     from :meth:`BlockState.placement_deltas` verbatim: branch-max
     recombination is not an additive update.
@@ -230,108 +463,24 @@ class DeltaBatch:
     def _build_narrow(self, state: BlockState) -> None:
         """Stacked replay of the scalar delta accumulation.
 
-        Each unguarded row reproduces bit for bit what
-        :meth:`BlockState.placement_deltas` computes: the scalar
-        ``tentative_array`` round trip ``((S + inc_1) + inc_2 ...) - S``,
-        with ``inc_k = new_k - old_k`` in override order.  The round trip
-        runs for every (candidate, type) pair of the batch at once,
-        grouped by type: the first increments stack into one matrix, each
-        type's block adds its distribution (IEEE addition commutes, so
-        ``inc_1 + S`` equals ``S + inc_1``), the further increments add
-        into their pairs, and one subtraction per type closes the trip.
-        Guarded rows skip the replay and are copied from the oracle.
+        :func:`increment_stacks` turns the batch's override sets into
+        per-type increment stacks and :func:`replay` runs the scalar
+        round trip for each stack at once, so every row equals
+        :meth:`BlockState.placement_deltas` bit for bit.
         """
         dist = state.dist
-        guarded = state.guarded_ops
-        type_orders = self.type_orders
-        # Per type: participant rows, type-order positions, and the
-        # first (override, current) rows of the replayed participants,
-        # in candidate order.
-        by_type: Dict[str, Tuple[List[int], List[int], List[np.ndarray]]] = {}
-        # Per type: guarded participant rows and their oracle deltas.
-        verbatim: Dict[str, Tuple[List[int], List[np.ndarray]]] = {}
-        # Further overrides: (type, replayed index) and their rows.
-        extra_at: List[Tuple[str, int]] = []
-        extra_flat: List[np.ndarray] = []
-        for row, (op_id, start) in enumerate(self.candidates):
-            if op_id in guarded:
-                deltas = state.placement_deltas(op_id, start)
-                type_orders[row] = tuple(deltas)
-                for position, (type_name, delta) in enumerate(deltas.items()):
-                    group = by_type.get(type_name)
-                    if group is None:
-                        group = by_type[type_name] = ([], [], [])
-                    group[0].append(row)
-                    group[1].append(position)
-                    copied = verbatim.setdefault(type_name, ([], []))
-                    copied[0].append(row)
-                    copied[1].append(delta)
-                continue
-            order, rows, more = state.displacement_record(op_id, start)
-            type_orders[row] = order
-            i = 0
-            for position, type_name in enumerate(order):
-                group = by_type.get(type_name)
-                if group is None:
-                    group = by_type[type_name] = ([], [], [])
-                group[0].append(row)
-                group[1].append(position)
-                group[2].append(rows[i])
-                group[2].append(rows[i + 1])
-                i += 2
-            if more:
-                spots, extra_rows = more
-                for spot in spots:
-                    type_name = order[spot]
-                    extra_at.append((type_name, len(by_type[type_name][2]) // 2 - 1))
-                extra_flat.extend(extra_rows)
-        if not by_type:
-            return
-
-        horizon = dist.horizon
-        offsets: Dict[str, int] = {}
-        flat: List[np.ndarray] = []
-        for type_name, (_rows, _positions, pair_rows) in by_type.items():
-            offsets[type_name] = len(flat) // 2
-            flat.extend(pair_rows)
-        if flat:
-            pairs = np.concatenate(flat).reshape(-1, 2, horizon)
-            stacked = pairs[:, 0] - pairs[:, 1]
-            for type_name, offset in offsets.items():
-                stacked[
-                    offset : offset + len(by_type[type_name][2]) // 2
-                ] += dist.array(type_name)
-        if extra_at:
-            # ``add.at`` applies repeated indices one after another in
-            # index order, i.e. each pair's further increments in
-            # override order.
-            more_pairs = np.concatenate(extra_flat).reshape(-1, 2, horizon)
-            np.add.at(
-                stacked,
-                [offsets[type_name] + index for type_name, index in extra_at],
-                more_pairs[:, 0] - more_pairs[:, 1],
-            )
-
+        type_orders, stacks = increment_stacks(state, self.candidates)
+        self.type_orders = type_orders
         # Rows a candidate does not displace are never consumed
         # (``type_orders`` gates every consumer), so the matrices need
         # no zero fill.
-        shape = (len(self.candidates), horizon)
-        for type_name, (rows_of, positions, pair_rows) in by_type.items():
-            participants = np.asarray(rows_of, dtype=np.intp)
+        shape = (len(self.candidates), dist.horizon)
+        for type_name, stack in stacks.items():
             matrix = np.empty(shape, dtype=float)
-            copied = verbatim.get(type_name)
-            replayed = participants
-            if copied is not None:
-                matrix[copied[0]] = copied[1]
-                replayed = np.setdiff1d(participants, copied[0])
-            if pair_rows:
-                offset = offsets[type_name]
-                block = stacked[offset : offset + len(pair_rows) // 2]
-                block -= dist.array(type_name)
-                matrix[replayed] = block
+            matrix[stack.index[0]] = replay(stack, dist.array(type_name))
             self.deltas[type_name] = matrix
-            self.participants[type_name] = participants
-            self.positions[type_name] = np.asarray(positions, dtype=np.intp)
+            self.participants[type_name] = stack.index[0]
+            self.positions[type_name] = stack.index[1]
 
     def _build_wide(self, state: BlockState, groups: Dict[str, List[int]]) -> None:
         """Stacked-occupancy path for wide batches (whole-frame scans).

@@ -13,20 +13,19 @@ force depends on exactly three kinds of state:
   its own type plus the types of its direct neighbors.
 
 A :class:`BlockSelectionCache` therefore keeps one opaque value per
-operation (whatever the scheduler stores: FDS a per-step force list,
-the coupled scheduler a marker) and, after each commit, drops exactly
-the entries whose inputs may have moved:
+operation (FDS stores a per-step force list) and, after each commit,
+drops exactly the entries whose inputs may have moved:
 
 * operations whose frames changed (including precedence propagation),
 * direct neighbors of those operations,
 * operations whose footprint intersects the touched resource types.
 
-For globally shared types the coupled scheduler additionally calls
-:meth:`invalidate_type` on sibling blocks, because their forces flow
-through the shared system distribution (see
-:mod:`repro.core.scheduler`).  Cached values are byte-identical to a
-fresh evaluation — the cache changes *when* forces are computed, never
-*what* they evaluate to — which is pinned by the decision-parity tests.
+Cached values are byte-identical to a fresh evaluation — the cache
+changes *when* forces are computed, never *what* they evaluate to —
+which is pinned by the decision-parity tests.  The coupled scheduler
+keeps its own persistent state, which separates the first two rules
+(its rows go stale) from the third (only its folds do); see
+:class:`repro.core.scheduler._SystemKernel`.
 """
 
 from __future__ import annotations
@@ -104,11 +103,3 @@ class BlockSelectionCache:
             dirty.update(self._ops_touching_type.get(type_name, ()))
         observe(DIRTY_SET_SIZE, len(dirty))
         return self.invalidate_ops(dirty)
-
-    def invalidate_type(self, type_name: str) -> int:
-        """Drop every op whose footprint includes ``type_name``.
-
-        Used for cross-block invalidation of globally shared types, whose
-        forces flow through the shared system distribution.
-        """
-        return self.invalidate_ops(self._ops_touching_type.get(type_name, ()))

@@ -10,8 +10,7 @@ forces are computed — without mutating anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, FrozenSet, List, Set, Tuple, Union
+from typing import Dict, FrozenSet, Set, Tuple
 
 import numpy as np
 
@@ -26,21 +25,6 @@ from .timeframes import FrameTable
 #: graph order.
 OpLinks = Tuple[int, Tuple[Tuple[str, int], ...], Tuple[str, ...]]
 
-#: Override set of one tentative placement ``(op, start)``:
-#: ``(order, rows, more)``.  ``order`` lists the displaced resource
-#: types in first-occurrence order (own type, then reduced predecessors',
-#: then reduced successors'); ``rows`` holds, per type in that order, the
-#: first override row followed by the current row it replaces.  ``more``
-#: is empty unless some type has further overrides; then it is ``(spots,
-#: rows)``: the type-order position of each further override, and their
-#: (override, current) rows in override order.  Rows are references into
-#: the distribution memo, never new arrays.
-DisplacementRecord = Tuple[
-    Tuple[str, ...],
-    Tuple[np.ndarray, ...],
-    Union[Tuple[()], Tuple[Tuple[int, ...], Tuple[np.ndarray, ...]]],
-]
-
 
 @dataclass(frozen=True)
 class ReductionEffect:
@@ -49,23 +33,29 @@ class ReductionEffect:
     ``changed_ops`` are the operations whose frames changed (the reduced
     operation plus everything reached by precedence propagation);
     ``touched_types`` are the resource types whose distribution graph
-    changed.  Selection caches derive their dirty sets from this.
+    changed.  ``dropped_ops`` are the changed operations plus their
+    direct predecessors and successors: exactly the operations whose
+    override sets (:func:`repro.scheduling.kernels.increment_stacks`)
+    the commit invalidated, because an override set reads only the
+    frames of its operation and of that operation's direct neighbours.
+    Selection caches derive their dirty sets from this.
     """
 
     changed_ops: FrozenSet[str]
     touched_types: FrozenSet[str]
+    dropped_ops: FrozenSet[str] = frozenset()
 
 
 class BlockState:
     """Frames + distributions of one block under construction.
 
-    Besides frames and distributions the state keeps the *displacement
-    row table*: one :data:`DisplacementRecord` per evaluated ``(op,
-    start)``.  A record reads only the frames of the operation and its
-    direct neighbours, so it stays valid across commits until one of
-    those frames moves; :meth:`commit_reduce_effect` drops exactly those
-    records.  The distributions a record's rows displace may move in the
-    meantime — consumers read them at use time.
+    A tentative placement ``(op, start)`` displaces through override
+    rows (:meth:`placement_deltas`).  The override set reads only the
+    frames of the operation and its direct neighbours, so it stays
+    valid across commits until one of those frames moves;
+    :meth:`commit_reduce_effect` reports exactly those operations as
+    ``dropped_ops``.  The distributions the rows displace may move in
+    the meantime — consumers read them at use time.
     """
 
     def __init__(self, block: Block, library: ResourceLibrary) -> None:
@@ -93,7 +83,7 @@ class BlockState:
         #: direct predecessors and successors) holds a guarded type: their
         #: displacement goes through the branch-max recombination, so
         #: batch kernels take their rows from :meth:`placement_deltas`
-        #: instead of the additive row table.
+        #: instead of replaying additive increments.
         type_of = self.dist.type_of
         has_guards = self.dist.has_guards
         self.guarded_ops: FrozenSet[str] = frozenset(
@@ -103,10 +93,8 @@ class BlockState:
             or any(has_guards(type_of[pred]) for pred, _ in preds)
             or any(has_guards(type_of[succ]) for succ in succs)
         )
-        #: Displacement row table: op -> start -> record.
-        self.row_table: Dict[str, Dict[int, DisplacementRecord]] = {}
-        # One tuple per distinct type order, shared by every record (and
-        # batch ``type_orders`` entry) with that order.
+        # One tuple per distinct type order, shared by every batch
+        # ``type_orders`` entry with that order.
         self._orders: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     @property
@@ -133,69 +121,13 @@ class BlockState:
             overrides[oid] = self.dist.tentative_row(oid, lo, hi)
 
         # First-occurrence order (own type, then predecessors', then
-        # successors'), the order of :meth:`displacement_record`: forces
+        # successors'), the order of the kernels' type orders: forces
         # sum per type in this order, so it must not follow set hashing.
         deltas: Dict[str, np.ndarray] = {}
         for type_name in dict.fromkeys(self.dist.type_of[oid] for oid in overrides):
             after = self.dist.tentative_array(type_name, overrides, out=self._scratch)
             deltas[type_name] = after - self.dist.array(type_name)
         return deltas
-
-    def displacement_record(self, op_id: str, start: int) -> DisplacementRecord:
-        """The override set of placing ``op_id`` at ``start``, from the
-        row table or built into it.
-
-        Overrides follow :meth:`placement_deltas`: the operation's own
-        single-step row, then each predecessor whose frame the placement
-        cuts from above and each successor it cuts from below, both in
-        graph order.
-        """
-        by_start = self.row_table.get(op_id)
-        if by_start is None:
-            by_start = self.row_table[op_id] = {}
-        else:
-            record = by_start.get(start)
-            if record is not None:
-                return record
-        dist = self.dist
-        tentative_row = dist.tentative_row
-        current = dist._rows
-        type_of = dist.type_of
-        lo_of = self.frames._lo
-        hi_of = self.frames._hi
-        latency, preds, succs = self.links[op_id]
-        per_type: Dict[str, List[np.ndarray]] = {
-            type_of[op_id]: [tentative_row(op_id, start, start), current[op_id]]
-        }
-        for pred, pred_latency in preds:
-            new_hi = start - pred_latency
-            if new_hi < hi_of[pred]:
-                per_type.setdefault(type_of[pred], []).extend(
-                    (tentative_row(pred, lo_of[pred], new_hi), current[pred])
-                )
-        finish = start + latency
-        for succ in succs:
-            if finish > lo_of[succ]:
-                per_type.setdefault(type_of[succ], []).extend(
-                    (tentative_row(succ, finish, hi_of[succ]), current[succ])
-                )
-        order = tuple(per_type)
-        order = self._orders.setdefault(order, order)
-        groups = per_type.values()
-        spots = tuple(
-            position
-            for position, rows in enumerate(groups)
-            for _extra in range(len(rows) // 2 - 1)
-        )
-        record = (
-            order,
-            tuple(chain.from_iterable(rows[:2] for rows in groups)),
-            (spots, tuple(chain.from_iterable(rows[2:] for rows in groups)))
-            if spots
-            else (),
-        )
-        by_start[start] = record
-        return record
 
     def commit_reduce(self, op_id: str, lo: int, hi: int) -> Set[str]:
         """Reduce a frame for real, propagate, refresh distributions.
@@ -210,23 +142,22 @@ class BlockState:
         Incremental schedulers need both halves of the perturbation: the
         operations whose frames moved (their own and their neighbors'
         cached forces are stale) and the types whose distributions moved.
-        The same rule drops row-table records: those of every changed
-        operation and of its direct predecessors and successors.
+        The effect also names the operations whose displacement records
+        went stale: every changed operation and its direct predecessors
+        and successors.
         """
         count(FRAME_REDUCTIONS)
         changed_ops = self.frames.reduce(op_id, lo, hi)
         touched = self.dist.refresh(changed_ops)
-        table = self.row_table
-        if table:
-            links = self.links
-            for oid in changed_ops:
-                table.pop(oid, None)
-                _latency, preds, succs = links[oid]
-                for pred, _pred_latency in preds:
-                    table.pop(pred, None)
-                for succ in succs:
-                    table.pop(succ, None)
-        return ReductionEffect(frozenset(changed_ops), frozenset(touched))
+        dropped = set(changed_ops)
+        links = self.links
+        for oid in changed_ops:
+            _latency, preds, succs = links[oid]
+            dropped.update(pred for pred, _pred_latency in preds)
+            dropped.update(succs)
+        return ReductionEffect(
+            frozenset(changed_ops), frozenset(touched), frozenset(dropped)
+        )
 
     def commit_fix(self, op_id: str, start: int) -> Set[str]:
         """Pin an operation to one step for real (classic FDS placement)."""

@@ -1,0 +1,185 @@
+"""Property test: the kernel's persistent state equals a fresh kernel's.
+
+The coupled scheduler's :class:`_SystemKernel` keeps, across commits,
+per-(block, type) stacks of increment rows, a (type-position ×
+slot-side) matrix of folded per-type values, the constants summed from
+it, and the pre-weighted ``w * delta_S`` rows ``G`` with their dots.
+A commit rebuilds only the rows of the operations whose override sets
+it dropped (changed frames and their direct neighbours) and re-folds
+the stacks of the touched types.  Random commit sequences drive the
+paper system, a guarded (conditional-branch) system, three multi-block
+sibling systems and ``corpus_system(10)``; after every commit each
+unfixed slot side must match a kernel freshly constructed over the same
+block states and coupling:
+
+* type orders, assigned balanced types, ``eta`` and ``G`` rows bit for
+  bit (rows are elementwise replays of ``placement_deltas``);
+* constants and ``G`` dots within ``1e-12`` (batched matrix products
+  are not bitwise-stable across batch shapes).
+
+The kernel must also actually keep rows across commits
+(``force_cache_hits``), stack rows with several overrides of one type,
+and rebuild an operation whose own frame stayed put when a neighbour's
+frame moved.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.scheduler import (
+    ModuloSystemScheduler,
+    _Entry,
+    _GlobalCoupling,
+    _SystemKernel,
+)
+from repro.obs import Tracer
+from repro.obs.audit import CACHE_FRESH
+from repro.scheduling.state import BlockState
+
+from test_counter_pins import _corpus, _guarded, _paper, _siblings
+
+#: Absolute agreement of constants and dots with a fresh kernel.
+TOLERANCE = 1e-12
+
+SUBJECTS = {
+    "paper": (_paper, 40),
+    "guarded": (_guarded, 40),
+    "siblings0": (lambda: _siblings(0), 40),
+    "siblings1": (lambda: _siblings(1), 40),
+    "siblings2": (lambda: _siblings(2), 40),
+    "corpus10": (lambda: _corpus(10), 25),
+}
+
+
+def build(factory):
+    library, system, assignment, periods, weights = factory()
+    scheduler = ModuloSystemScheduler(library, weights=weights)
+    entries = [
+        _Entry(process.name, block, BlockState(block, library))
+        for process, block in system.iter_blocks()
+    ]
+    coupling = _GlobalCoupling(entries, assignment, periods)
+    kernel = scheduler._selector(entries, coupling)
+    kernel.select()
+    return scheduler, entries, coupling, kernel
+
+
+def commit(entries, coupling, kernel, index, op_id, bounds):
+    """One committed reduction, seen by the coupling and the kernel."""
+    effect = entries[index].state.commit_reduce_effect(op_id, *bounds)
+    scopes = coupling.refresh(index, effect.touched_types)
+    kernel.note_commit(index, effect, scopes)
+    return effect, scopes
+
+
+def random_commit(entries, coupling, kernel, rng):
+    mobile = [
+        index
+        for index, entry in enumerate(entries)
+        if entry.state.frames.unfixed_count()
+    ]
+    if not mobile:
+        return None
+    index = mobile[int(rng.integers(len(mobile)))]
+    unfixed = entries[index].state.frames.unfixed()
+    op_id = unfixed[int(rng.integers(len(unfixed)))]
+    lo, hi = entries[index].state.frames.frame(op_id)
+    bounds = (lo + 1, hi) if rng.integers(2) else (lo, hi - 1)
+    return commit(entries, coupling, kernel, index, op_id, bounds)
+
+
+def assert_matches_fresh(scheduler, entries, coupling, kernel):
+    """Every unfixed slot side of ``kernel`` against a fresh kernel."""
+    fresh = _SystemKernel(scheduler, entries, coupling)
+    fresh.select()
+    n = kernel._n
+    for index, entry in enumerate(entries):
+        for op_id in entry.state.frames.unfixed():
+            slot = kernel.slot_of[index][op_id]
+            assert kernel._eta[slot] == fresh._eta[slot], op_id
+            for col in (slot, slot + n):
+                where = f"{entry.process_name}/{entry.block.name} {op_id} col {col}"
+                assert kernel._order_of[col] == fresh._order_of[col], where
+                assigned = kernel._assigned[col]
+                assert assigned == fresh._assigned[col], where
+                assert kernel._const_flat[col] == pytest.approx(
+                    fresh._const_flat[col], rel=0, abs=TOLERANCE
+                ), where
+                for type_name in assigned:
+                    row = kernel._gslot_flat[type_name][col]
+                    fresh_row = fresh._gslot_flat[type_name][col]
+                    assert row and fresh_row, where
+                    assert (
+                        kernel._g[type_name][row].tobytes()
+                        == fresh._g[type_name][fresh_row].tobytes()
+                    ), f"{where} G row of {type_name}"
+                    assert kernel._gdots[type_name][row] == pytest.approx(
+                        fresh._gdots[type_name][fresh_row], rel=0, abs=TOLERANCE
+                    ), f"{where} dot of {type_name}"
+
+
+@pytest.mark.parametrize("name", sorted(SUBJECTS))
+def test_persistent_state_equals_a_fresh_kernel_after_every_commit(name):
+    factory, commits = SUBJECTS[name]
+    scheduler, entries, coupling, kernel = build(factory)
+    rng = np.random.default_rng(sorted(SUBJECTS).index(name))
+    tracer = Tracer()
+    assert_matches_fresh(scheduler, entries, coupling, kernel)
+    for _ in range(commits):
+        with tracer.activate():
+            if random_commit(entries, coupling, kernel, rng) is None:
+                break
+            kernel.select()
+        assert_matches_fresh(scheduler, entries, coupling, kernel)
+    counters = tracer.counters.as_dict()
+    assert counters["force_cache_misses"] > 0
+    if name != "guarded":
+        # Rows survive commits: some slot sides were re-folded, not
+        # rebuilt.  (Every operation of the guarded subject has a
+        # guarded footprint and is rebuilt whenever a type moves.)
+        assert counters["force_cache_hits"] > 0
+
+
+def test_rows_with_several_overrides_of_one_type_are_stacked():
+    """The paper system's adder chains cut two neighbours of one type."""
+    _scheduler, _entries, _coupling, kernel = build(_paper)
+    assert any(
+        stack.more_at is not None
+        for stacks in kernel._stacks
+        for stack in stacks.values()
+    )
+
+
+def test_commit_moving_only_a_neighbour_rebuilds_the_rows():
+    """The op's own frame stays put, but its rows hold the old row of a
+    neighbour whose frame the commit moved: they must be rebuilt."""
+    scheduler, entries, coupling, kernel = build(_paper)
+    for index, entry in enumerate(entries):
+        state = entry.state
+        for op_id in state.frames.unfixed():
+            _latency, preds, succs = state.links[op_id]
+            for neighbour in [pred for pred, _ in preds] + list(succs):
+                n_lo, n_hi = state.frames.frame(neighbour)
+                if n_lo == n_hi:
+                    continue
+                frame = state.frames.frame(op_id)
+                effect, _scopes = commit(
+                    entries, coupling, kernel, index, neighbour, (n_lo + 1, n_hi)
+                )
+                if effect.changed_ops != {neighbour}:
+                    # Propagation moved more than the neighbour; start
+                    # over on fresh states.
+                    scheduler, entries, coupling, kernel = build(_paper)
+                    state = entries[index].state
+                    continue
+                assert state.frames.frame(op_id) == frame
+                assert op_id in effect.dropped_ops
+                assert op_id in kernel._drop[index]
+                kinds = {}
+                kernel._classify_entry(index, kinds)
+                kernel._dirty.discard(index)
+                assert kinds[kernel.slot_of[index][op_id]] == CACHE_FRESH
+                kernel.select()
+                assert_matches_fresh(scheduler, entries, coupling, kernel)
+                return
+    raise AssertionError("no neighbour-only commit found")

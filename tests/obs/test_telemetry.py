@@ -29,6 +29,8 @@ from repro import (
     default_library,
     loads_problem,
 )
+from repro.analysis.compare import compare_scopes
+from repro.obs import EventBus
 from repro.scheduling.forces import area_weights
 from repro.workloads import paper_assignment, paper_periods, paper_system
 
@@ -108,9 +110,10 @@ class TestExactCounters:
 
 class TestForceEvalHistogram:
     def test_paper_run_records_one_observation_per_frame_end(self):
-        """The coupled engine evaluates both frame ends of every
-        force-cache miss in one batch; the paper system has no guarded
-        operations, so nothing else records ``force_eval_seconds``."""
+        """The coupled engine records one ``force_eval_seconds``
+        observation per frame end whose rows it builds, which is what
+        ``force_cache_misses`` counts; the paper system has no guarded
+        operations, so nothing else records the histogram."""
         system, library = paper_system()
         tracer = Tracer()
         ModuloSystemScheduler(
@@ -120,7 +123,79 @@ class TestForceEvalHistogram:
         misses = summary["counters"]["force_cache_misses"]
         assert misses > 0
         histogram = summary["histograms"]["force_eval_seconds"]
-        assert histogram["count"] == 2 * misses
+        assert histogram["count"] == misses
+
+
+class TestSharedTracer:
+    def test_compare_scopes_reports_each_runs_own_counters(self):
+        """Both scopes of a comparison run on one tracer: the tracer
+        keeps command totals, each result reports its own run."""
+        system, library = paper_system()
+        tracer = Tracer()
+        comparison = compare_scopes(
+            system,
+            library,
+            paper_assignment(library),
+            paper_periods(),
+            weights=area_weights(library),
+            tracer=tracer,
+        )
+        results = (comparison.global_result, comparison.local_result)
+        for result in results:
+            counters = result.telemetry["counters"]
+            assert counters["scheduler_iterations"] == result.iterations
+            assert counters["frame_reductions"] == result.iterations
+        totals = tracer.counters.as_dict()
+        assert totals["scheduler_iterations"] == sum(r.iterations for r in results)
+        for name, total in totals.items():
+            assert total == sum(
+                r.telemetry["counters"].get(name, 0) for r in results
+            ), name
+
+
+class _Capturing(ModuloSystemScheduler):
+    """Remembers the entries of its run, to recount frames by brute force."""
+
+    def _selector(self, entries, coupling):
+        self.entries = entries
+        return super()._selector(entries, coupling)
+
+
+class TestFramesRemaining:
+    def test_gauge_and_events_match_a_recount_on_the_paper_system(self):
+        """The running ``frames_remaining`` total equals the sum of every
+        block's unfixed count after each commit, and the sequence is the
+        one the full recount produced (pinned: 1,150 reductions summing
+        to 85,734, gauge 0/0/124)."""
+        system, library = paper_system()
+        bus = EventBus()
+        scheduler = _Capturing(
+            library, weights=area_weights(library), tracer=Tracer(bus=bus)
+        )
+        recounts = []
+
+        @bus.subscribe
+        def recount(event):
+            if event.name == "reduction":
+                recounts.append(
+                    sum(e.state.frames.unfixed_count() for e in scheduler.entries)
+                )
+
+        scheduler.schedule(system, paper_assignment(library), paper_periods())
+        tracer = scheduler.tracer
+        remaining = [
+            event.attrs["frames_remaining"]
+            for event in tracer.events_named("reduction")
+        ]
+        assert remaining == recounts
+        assert len(remaining) == 1150
+        assert sum(remaining) == 85734
+        assert tracer.metrics.gauges_dict()["frames_remaining"] == {
+            "value": 0,
+            "min": 0,
+            "max": 124,
+            "samples": 1150,
+        }
 
 
 class TestNoOpParity:

@@ -8,7 +8,8 @@ from repro.core.scheduler import ModuloSystemScheduler
 from repro.errors import SchedulingError
 from repro.ir.dfg import DataFlowGraph
 from repro.ir.operation import OpKind
-from repro.resources.library import default_library
+from repro.resources.library import ResourceLibrary, default_library
+from repro.resources.types import resource_type
 from repro.scheduling.distribution import BlockDistributions, occupancy_row
 from repro.scheduling.forces import area_weights
 from repro.scheduling.state import BlockState
@@ -68,6 +69,32 @@ class TestOccupancyRow:
             # Exact zeros where the op can never execute.
             assert not got[:lo].any()
             assert not got[hi + occ :].any()
+
+    def test_tentative_rows_equal_occupancy_rows_bit_for_bit(self):
+        """Tentative rows are placed from shared per-(width, occupancy)
+        patterns; every frame of every op, multicycle occupancy
+        included, must give exactly ``occupancy_row``'s row."""
+        library = ResourceLibrary(
+            [
+                resource_type("adder", [OpKind.ADD], latency=1, area=1.0),
+                resource_type("multiplier", [OpKind.MUL], latency=3, area=4.0),
+            ]
+        )
+        graph = DataFlowGraph(name="b")
+        graph.add("a1", OpKind.ADD)
+        graph.add("m1", OpKind.MUL)
+        graph.add("a2", OpKind.ADD)
+        graph.add_edges([("a1", "m1"), ("m1", "a2")])
+        frames = FrameTable(graph, library.latency_of, 12)
+        dist = BlockDistributions(graph, library, frames)
+        assert sorted(dist.occupancy_of.values()) == [1, 1, 3]
+        for op_id in graph.op_ids:
+            first, last = frames.frame(op_id)
+            for lo in range(first, last + 1):
+                for hi in range(lo, last + 1):
+                    want = occupancy_row(lo, hi, dist.occupancy_of[op_id], 12)
+                    got = dist.tentative_row(op_id, lo, hi)
+                    assert got.tobytes() == want.tobytes(), (op_id, lo, hi)
 
     def test_tentative_row_cached_instance_reused(self):
         __, dist = make_block_distributions()

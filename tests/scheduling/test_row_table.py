@@ -1,15 +1,17 @@
-"""Property tests for the displacement row table (docs/performance.md).
+"""Property tests for the displacement rows (docs/performance.md).
 
-``BlockState`` keeps one override record per evaluated ``(op, start)``
-and drops, on every commit, the records of the changed operations and
-of their direct predecessors and successors.  The narrow
-:class:`DeltaBatch` path builds every row from those records, so a
-stale record would show up as a row that differs from the scalar
-:meth:`BlockState.placement_deltas` oracle.  Random frame-end commits
-drive the table over the paper system, the guarded workload and random
-blocks; after every commit each mobile operation's two frame-end rows
-must equal the oracle bit for bit, with the displaced types in
-first-occurrence order.
+The narrow :class:`DeltaBatch` path builds every row from the override
+sets of :func:`increment_stacks` and replays the scalar round trip, so a
+wrong override set or replay would show up as a row that differs from
+the scalar :meth:`BlockState.placement_deltas` oracle.  Random
+frame-end commits drive the paper system, the guarded workload and
+random blocks; after every commit each mobile operation's two frame-end
+rows must equal the oracle bit for bit, with the displaced types in
+first-occurrence order.  A commit reports, as ``dropped_ops``, every
+operation whose override set it may have changed: the changed
+operations and their direct neighbours.  The coupled kernel keeps rows
+across commits on that rule; ``tests/core/test_kernel_state.py`` pins
+its persistent state.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from numpy.testing import assert_array_equal
 from repro.ir.operation import OpKind
 from repro.ir.process import Block
 from repro.resources.library import default_library
-from repro.scheduling.kernels import DeltaBatch
+from repro.scheduling.kernels import DeltaBatch, increment_stacks
 from repro.scheduling.state import BlockState
 from repro.workloads import mode_switching_filter, paper_system, random_dfg
 
@@ -62,40 +64,39 @@ def check_frame_ends(state, skip=frozenset()):
             assert batch.type_orders[row][position] == type_name
 
 
-def record_objects(state):
-    return {
-        (op_id, start): record
-        for op_id, by_start in state.row_table.items()
-        for start, record in by_start.items()
-    }
+def frame_end_candidates(state):
+    candidates = []
+    for op_id in state.frames.unfixed():
+        lo, hi = state.frames.frame(op_id)
+        candidates.extend([(op_id, lo), (op_id, hi)])
+    return candidates
 
 
 def drive(state, seed):
-    """Random frame-end commits, checking the table after each one.
+    """Random frame-end commits, checking the rows after each one.
 
-    Returns (records reused across a commit, records with several
-    overrides of one type) so callers can assert both cases occurred.
+    Returns how many batches held rows with several overrides of one
+    type, so callers can assert the case occurred.
     """
     skip = state.guarded_ops
     rng = np.random.default_rng(seed)
-    reused = multi = 0
+    multi = 0
     check_frame_ends(state, skip)
     for _ in range(COMMITS):
         mobile = state.frames.unfixed()
         if not mobile:
             break
-        before = record_objects(state)
         op_id = mobile[int(rng.integers(len(mobile)))]
         lo, hi = state.frames.frame(op_id)
         if rng.integers(2):
-            state.commit_reduce_effect(op_id, lo + 1, hi)
+            effect = state.commit_reduce_effect(op_id, lo + 1, hi)
         else:
-            state.commit_reduce_effect(op_id, lo, hi - 1)
+            effect = state.commit_reduce_effect(op_id, lo, hi - 1)
+        assert effect.changed_ops <= effect.dropped_ops
         check_frame_ends(state, skip)
-        after = record_objects(state)
-        reused += sum(1 for key, record in before.items() if after.get(key) is record)
-        multi += sum(1 for record in after.values() if record[2])
-    return reused, multi
+        _orders, stacks = increment_stacks(state, frame_end_candidates(state))
+        multi += any(stack.more_at is not None for stack in stacks.values())
+    return multi
 
 
 def states_of(system, library):
@@ -123,14 +124,11 @@ def random_state(seed):
 
 def test_paper_system_rows_match_oracle_after_every_commit():
     system, library = paper_system()
-    reused = multi = 0
+    multi = 0
     for seed, state in enumerate(states_of(system, library)):
-        got_reused, got_multi = drive(state, seed)
-        reused += got_reused
-        multi += got_multi
-    # The table must actually serve records across commits, and the
-    # adder chains must produce rows with several overrides of one type.
-    assert reused > 0
+        multi += drive(state, seed)
+    # The adder chains must produce rows with several overrides of one
+    # type.
     assert multi > 0
 
 
@@ -146,18 +144,10 @@ def test_random_block_rows_match_oracle_after_every_commit(seed):
     drive(random_state(seed), seed)
 
 
-def references(state, op_id, row):
-    """Whether any of the op's records holds ``row``."""
-    return any(
-        candidate is row
-        for _order, rows, more in state.row_table.get(op_id, {}).values()
-        for candidate in rows + (more[1] if more else ())
-    )
-
-
 def test_commit_moving_only_a_neighbour_drops_the_record():
-    """The op's own frame stays put, but its records hold the old row of
-    a neighbour whose frame the commit moved: they must be dropped."""
+    """The op's own frame stays put, but its override set holds the old
+    row of a neighbour whose frame the commit moved: the commit must
+    report the op as dropped."""
     system, library = paper_system()
     for index, block_state in enumerate(states_of(system, library)):
         for op_id in block_state.frames.unfixed():
@@ -169,16 +159,18 @@ def test_commit_moving_only_a_neighbour_drops_the_record():
                         continue
                     state = states_of(system, library)[index]
                     lo, hi = state.frames.frame(op_id)
-                    DeltaBatch(state, [(op_id, lo), (op_id, hi)])
-                    old_row = state.dist.row(neighbour)
-                    if not references(state, op_id, old_row):
+                    if not any(
+                        neighbour in state.frames.implied_neighbor_frames(op_id, end)
+                        for end in (lo, hi)
+                    ):
                         continue
+                    old_row = state.dist.row(neighbour)
                     effect = state.commit_reduce_effect(neighbour, *bounds)
                     if effect.changed_ops != {neighbour}:
                         continue
                     assert state.frames.frame(op_id) == (lo, hi)
                     assert state.dist.row(neighbour) is not old_row
-                    assert op_id not in state.row_table
+                    assert op_id in effect.dropped_ops
                     check_frame_ends(state, state.guarded_ops)
                     return
     raise AssertionError("no neighbour-only commit found")

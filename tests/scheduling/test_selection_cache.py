@@ -72,17 +72,6 @@ class TestBlockSelectionCache:
         assert cache.get("z") is None
         assert cache.get("s") == "s"
 
-    def test_invalidate_type(self, library):
-        state = BlockState(diamond_block(), library)
-        cache = BlockSelectionCache(state)
-        for op in ("a", "m", "s", "z"):
-            cache.put(op, op)
-        removed = cache.invalidate_type("subtracter")
-        # subtracter footprint: s itself plus its neighbors a and z.
-        assert removed == 3
-        assert cache.get("s") is None
-        assert cache.get("m") == "m"
-
     def test_counters(self, library):
         state = BlockState(diamond_block(), library)
         cache = BlockSelectionCache(state)
