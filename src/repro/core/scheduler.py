@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from ..obs import counters as _ambient
 from ..obs.audit import CACHE_FRESH, CACHE_HIT, CandidateAudit, DecisionAudit
 from ..obs.counters import (
     AUDIT_DECISIONS,
+    Counters,
     FORCE_CACHE_HITS,
     FORCE_CACHE_MISSES,
     SELECTION_RESCORED,
@@ -49,6 +50,7 @@ from ..obs.metrics import (
     FRAMES_REMAINING,
     REDUCTION_SCORE,
     SELECT_SECONDS,
+    MetricsRegistry,
 )
 from ..resources.assignment import ResourceAssignment
 from ..resources.library import ResourceLibrary
@@ -62,7 +64,6 @@ from ..scheduling.kernels import (
     row_self_dots,
 )
 from ..scheduling.schedule import BlockSchedule
-from ..scheduling.scoreboard import SelectionScoreboard
 from ..scheduling.state import BlockState, ReductionEffect
 from ..validation.budget import RunBudget
 from .modulo import modulo_max, modulo_max_rows
@@ -85,9 +86,11 @@ class _Entry:
 
 
 class _SystemKernel:
-    """Persistent array-backed selection engine with a dirty-cone scoreboard.
+    """Persistent array-backed selection engine with dirty-cone rescoring.
 
-    Every operation owns one *slot*, and each of its two frame-end
+    Every operation owns one *slot*, numbered entry by entry in each
+    block's topological order, so the §5 scan order (entry order, then
+    topological order) is ascending slot order.  Each of its two frame-end
     forces is decomposed as::
 
         force = const + sum over balanced types T of (w * delta_S_T) . S_T
@@ -101,13 +104,13 @@ class _SystemKernel:
 
     * types whose ``S`` moved re-dot their whole ``G`` matrix against
       the new ``S`` in one matrix–vector product;
-    * only the entries in the commit's dirty cone (see
-      :class:`~repro.scheduling.scoreboard.SelectionScoreboard`) refold
-      their slots as ``const + gathered dots`` and rescore them as
-      ``eta * |F_low - F_high|``; every other slot keeps its score;
+    * only the entries in the commit's dirty cone (see :meth:`select`)
+      refold their live slots as ``const + gathered dots`` and rescore
+      them as ``eta * |F_low - F_high|``; every other slot keeps its
+      score;
     * the winner comes from one strict-prefix-maxima pass over the
-      persistent per-slot scores, replaying the scan-order hysteresis
-      fold with the scalar epsilons.
+      persistent scores of the live (unfixed) slots, replaying the
+      scan-order hysteresis fold with the scalar epsilons.
 
     Rows and folds go stale separately.  Each slot side (one frame end
     of one operation) keeps its eq. 5 increment rows in per-(block,
@@ -157,7 +160,14 @@ class _SystemKernel:
         self.alignment = scheduler.periodical_alignment
         self.balancing = scheduler.global_balancing
 
+        # Slots are numbered entry by entry, each entry's operations in
+        # topological order: the order ``frames.unfixed()`` walks, so the
+        # scan order is ascending slot order.  ``_op_at`` and
+        # ``_entry_of`` map a slot back to its operation and entry.
         self.slot_of: List[Dict[str, int]] = []
+        self._op_at: List[str] = []
+        self._entry_of: List[int] = []
+        self._bounds: List[Tuple[int, int]] = []
         n = 0
         # Per entry: the longest type order any of its frame ends can
         # have (the most distinct types among an operation and its direct
@@ -165,13 +175,17 @@ class _SystemKernel:
         # holds it (rebuilt whenever that type moves).
         self._positions: List[int] = []
         self._guarded_by_type: List[Dict[str, Tuple[str, ...]]] = []
-        for entry in entries:
+        for index, entry in enumerate(entries):
             state = entry.state
             type_of = state.dist.type_of
             mapping: Dict[str, int] = {}
             positions = 1
             guarded: Dict[str, List[str]] = {}
-            for op_id in state.graph.op_ids:
+            order = state.graph.topological_order()
+            self._op_at.extend(order)
+            self._entry_of.extend([index] * len(order))
+            self._bounds.append((n, n + len(order)))
+            for op_id in order:
                 mapping[op_id] = n
                 n += 1
                 _latency, preds, succs = state.links[op_id]
@@ -219,28 +233,36 @@ class _SystemKernel:
         self._drop: List[set] = [set() for _ in entries]
         self._refold: List[set] = [set() for _ in entries]
 
-        # Per-entry candidate lists persist between scans; a commit only
-        # perturbs the committed entry (and, for a non-clean scope, its
-        # same-process siblings), which :meth:`note_commit` marks dirty.
-        # Clean entries skip classification wholesale: their candidates
-        # are unchanged by construction.
+        # A commit only perturbs the committed entry (and, for a
+        # non-clean scope, its same-process siblings), which
+        # :meth:`note_commit` marks dirty; clean entries skip
+        # classification wholesale.
         self._dirty = set(range(len(entries)))
-        self._cand_ops: List[List[str]] = [[] for _ in entries]
-        self._cand_slots: List[np.ndarray] = [
-            np.empty(0, dtype=np.intp) for _ in entries
+        # Live (unfixed) slots: a mask cleared as :meth:`_refresh`
+        # releases a fixed operation, each entry's live slots, and the
+        # global live index in scan order.  The arrays are recomputed
+        # only after an operation fixes.
+        self._live = np.array(
+            [
+                not entries[index].state.frames.is_fixed(op_id)
+                for op_id, index in zip(self._op_at, self._entry_of)
+            ],
+            dtype=bool,
+        )
+        self._live_slots = [
+            np.flatnonzero(self._live[start:end]) + start
+            for start, end in self._bounds
         ]
-        # Per-entry subscriptions (see repro.scheduling.scoreboard): only
-        # the commit's dirty cone is rescored per scan.
-        self.scoreboard = SelectionScoreboard(len(entries))
-        # The scored state persists *per slot* between scans: the winner
-        # is extracted with one vectorized prefix-maxima pass over a
-        # persistent concatenated candidate-slot array, maintained by
-        # splicing only reclassified entries' spans (``_sb_splices``).
+        self._live_idx = np.flatnonzero(self._live)
+        self._live_stale = False
+        # Per entry: the balanced types holding a G row among its live
+        # slots; per balanced type: the entries subscribed to it, exactly
+        # those whose scores go stale when the type's ``S`` bumps.
+        self._touched: List[Tuple[str, ...]] = [() for _ in entries]
+        self._subscribers: Dict[str, Set[int]] = {}
+        # Every slot's score persists between scans; only the dirty cone
+        # is rescored.
         self._scores_g = np.zeros(n, dtype=float)
-        self._sb_idx = np.empty(0, dtype=np.intp)
-        self._sb_sizes = np.zeros(len(entries), dtype=np.int64)
-        self._sb_bounds = np.zeros(len(entries), dtype=np.int64)
-        self._sb_splices: List[int] = []
 
         # Sorted so cross-run accumulation order never depends on set
         # (hash) iteration order.
@@ -284,28 +306,29 @@ class _SystemKernel:
         :class:`~repro.obs.audit.CandidateAudit` is appended for every
         candidate.  Neither changes the winner.
 
-        Only perturbed entries are rescored; the rest keep their stored
-        scores.  Exactness rests on two facts (docs/performance.md,
-        "Selection scoreboard"):
+        Only the *dirty cone* is rescored: the entries :meth:`note_commit`
+        marked dirty plus every entry subscribed to a balanced type whose
+        ``S`` bumped.  The rest keep their stored scores.  Exactness rests
+        on two facts (docs/performance.md, "Selection scoreboard"):
 
         * a clean entry's forces are bit-unchanged — its constants moved
           only through a fresh evaluation (needs a dirty entry) and its
           per-type dots only through an ``S`` bump of a touched type
           (which puts the entry in the rescore set via its subscription);
         * the scan-order hysteresis fold (``score > best + 1e-12``) only
-          ever accepts strict prefix maxima — the running best never
-          drops more than the epsilon below the prefix maximum — so
-          replaying it over the strict prefix maxima of the persistent
-          per-slot scores picks the same winner.
+          ever accepts strict prefix maxima.  By induction the running
+          best never drops more than the epsilon below the prefix
+          maximum, so an accepted score strictly exceeds every earlier
+          one; replaying the fold over just the strict prefix maxima of
+          the persistent per-slot scores (one ``np.maximum.accumulate``
+          over the live slots, which are in scan order) picks the same
+          winner.
 
         ``collect`` (audit candidate capture) needs every candidate's
         force, so it degrades to rescore-all; a clean entry's rescore
-        charges no counter.
-
-        The rescored entries are processed as *one* batch: their slots
-        concatenate into a single index array and the refold and the
-        score pass each run once over it, so the per-scan numpy call
-        count stays constant instead of linear in the rescore-set size.
+        charges no counter.  The rescored entries are processed as *one*
+        batch, so the per-scan numpy call count stays constant instead
+        of linear in the rescore-set size.
         """
         track = want_detail or collect is not None
         coupling = self.coupling
@@ -327,16 +350,18 @@ class _SystemKernel:
 
         # (2) The rescore set: the commit's dirty cone plus every entry
         # subscribed to a bumped type.
-        board = self.scoreboard
         dirty = self._dirty
         if collect is not None:
             rescore = list(range(len(self.entries)))
         else:
-            rescore = board.rescore_set(dirty, bumped)
+            stale = set(dirty)
+            for type_name in bumped:
+                stale.update(self._subscribers.get(type_name, ()))
+            rescore = sorted(stale)
 
         # (3) Classify the dirty entries (the rescore set contains every
-        # one of them); a clean rescored entry's candidates,
-        # subscriptions and span are all provably unchanged.
+        # one of them); a clean rescored entry's live slots and
+        # subscriptions are provably unchanged.
         kinds: Optional[Dict[int, str]] = {} if track else None
         for index in rescore:
             if index in dirty:
@@ -344,62 +369,25 @@ class _SystemKernel:
         dirty.clear()
         count(SELECTION_RESCORED, len(rescore))
         count(SELECTION_SKIPPED, len(self.entries) - len(rescore))
+        if self._live_stale:
+            self._live_idx = np.flatnonzero(self._live)
+            self._live_stale = False
 
-        # (4) Splice reclassified spans whose candidate count changed
-        # into the persistent concatenated slot array (one pass, in
-        # entry order); wholesale rebuild when many moved at once.
-        splices = self._sb_splices
-        if splices:
-            sizes = self._sb_sizes
-            cand_slots = self._cand_slots
-            if len(splices) > 16:
-                arrays = [slots for slots in cand_slots if slots.size]
-                self._sb_idx = (
-                    np.concatenate(arrays)
-                    if arrays
-                    else np.empty(0, dtype=np.intp)
-                )
-                for i, slots in enumerate(cand_slots):
-                    sizes[i] = slots.size
-            else:
-                bounds = self._sb_bounds
-                idx_arr = self._sb_idx
-                parts: List[np.ndarray] = []
-                prev = 0
-                for index in splices:
-                    start = int(bounds[index - 1]) if index else 0
-                    if start > prev:
-                        parts.append(idx_arr[prev:start])
-                    new_arr = cand_slots[index]
-                    if new_arr.size:
-                        parts.append(new_arr)
-                    prev = int(bounds[index])
-                    sizes[index] = new_arr.size
-                parts.append(idx_arr[prev:])
-                self._sb_idx = np.concatenate(parts)
-            np.cumsum(sizes, out=self._sb_bounds)
-            self._sb_splices = []
-
-        # (5) Concatenate the rescored entries' candidate slots (slots
-        # partition by entry, so per-slot work decomposes exactly).
+        # (4) Refold the rescored entries' live slots: constants plus the
+        # gathered per-type dots.  Only types some rescored entry
+        # subscribes to hold a G row among these slots; every other type
+        # would gather the all-zero sentinel row, so skipping it is exact.
+        live_slots = self._live_slots
         if len(rescore) == 1:
-            cat_slots = self._cand_slots[rescore[0]]
+            cat_slots = live_slots[rescore[0]]
         elif rescore:
-            cat_slots = np.concatenate(
-                [self._cand_slots[index] for index in rescore]
-            )
+            cat_slots = np.concatenate([live_slots[index] for index in rescore])
         else:
             cat_slots = np.empty(0, dtype=np.intp)
-
-        # (6) Refold the rescored slots: constants plus the gathered
-        # per-type dots.  Only types some rescored entry subscribes to
-        # hold a G row among these slots; every other type would gather
-        # the all-zero sentinel row, so skipping it is exact.
         if cat_slots.size:
-            records = board.records
             touched: set = set()
             for index in rescore:
-                touched.update(records[index].touched_types)
+                touched.update(self._touched[index])
             force = self._const[:, cat_slots]
             for type_name in self._balanced_types:
                 if type_name in touched and self._top[type_name] > 1:
@@ -407,7 +395,7 @@ class _SystemKernel:
                         self._gslot[type_name][:, cat_slots]
                     ]
 
-            # (7) Score the rescored columns once and scatter forces and
+            # (5) Score the rescored columns once and scatter forces and
             # scores into the persistent per-slot arrays; the skipped
             # columns provably kept theirs.
             flows = force[0]
@@ -416,31 +404,27 @@ class _SystemKernel:
             self._force[:, cat_slots] = force
             self._scores_g[cat_slots] = scores
 
-        if collect is not None and cat_slots.size:
-            score_list = scores.tolist()
-            flow_list = flows.tolist()
-            fhigh_list = fhighs.tolist()
-            slot_list = cat_slots.tolist()
-            base = 0
-            for index in rescore:
-                entry = self.entries[index]
-                for pos, op_id in enumerate(self._cand_ops[index]):
+            if collect is not None:
+                entries = self.entries
+                for slot, force_low, force_high, score in zip(
+                    cat_slots.tolist(), flows.tolist(), fhighs.tolist(), scores.tolist()
+                ):
+                    entry = entries[self._entry_of[slot]]
                     collect.append(
                         CandidateAudit(
                             process=entry.process_name,
                             block=entry.block.name,
-                            op=op_id,
-                            force_low=flow_list[base + pos],
-                            force_high=fhigh_list[base + pos],
-                            score=score_list[base + pos],
-                            cache=kinds.get(slot_list[base + pos], CACHE_HIT),
+                            op=self._op_at[slot],
+                            force_low=force_low,
+                            force_high=force_high,
+                            score=score,
+                            cache=kinds.get(slot, CACHE_HIT),
                         )
                     )
-                base += self._cand_slots[index].size
 
-        # (8) Winner extraction: replay the hysteresis fold over the
-        # strict prefix maxima of the persistent gathered scores.
-        idx = self._sb_idx
+        # (6) Winner extraction: replay the hysteresis fold over the
+        # strict prefix maxima of the live slots' persistent scores.
+        idx = self._live_idx
         total = int(idx.size)
         if not total:
             return None
@@ -458,10 +442,6 @@ class _SystemKernel:
             if best_score is None or score > best_score + 1e-12:
                 best_score = score
                 best_pos = pos
-        best_entry = int(
-            np.searchsorted(self._sb_bounds, best_pos, side="right")
-        )
-        start = int(self._sb_bounds[best_entry - 1]) if best_entry else 0
         slot = int(idx[best_pos])
         force_low = float(self._force[0, slot])
         force_high = float(self._force[1, slot])
@@ -470,8 +450,8 @@ class _SystemKernel:
             detail = (force_low, force_high, kinds.get(slot, CACHE_HIT))
         assert best_score is not None
         return (
-            best_entry,
-            self._cand_ops[best_entry][best_pos - start],
+            self._entry_of[slot],
+            self._op_at[slot],
             force_low > force_high + 1e-12,
             best_score,
             total,
@@ -481,37 +461,31 @@ class _SystemKernel:
     def _classify_entry(
         self, index: int, kinds: Optional[Dict[int, str]]
     ) -> None:
-        """Reclassify one dirty entry's candidates.
+        """Reclassify one dirty entry.
 
         Brings the entry's rows and folds up to date (:meth:`_refresh`),
         then, if that built or freed rows, its subscriptions: the
-        balanced types holding a G row among its candidate slots.
+        balanced types holding a G row among its live slots.
         """
-        entry = self.entries[index]
-        unfixed = entry.state.frames.unfixed()
-        self._cand_ops[index] = unfixed
-        # Candidates only ever disappear (commits fix ops in their own
-        # block), so an unchanged count means unchanged candidates.
-        if len(unfixed) != self._sb_sizes[index]:
-            slots_map = self.slot_of[index]
-            self._cand_slots[index] = np.fromiter(
-                (slots_map[op_id] for op_id in unfixed),
-                dtype=np.intp,
-                count=len(unfixed),
-            )
-            self._sb_splices.append(index)
-        if not self._refresh(index, entry, unfixed, kinds):
+        if not self._refresh(index, self.entries[index], kinds):
             return
-        slots = self._cand_slots[index]
         # ``_assigned[col]`` is nonempty exactly when
         # ``gslot[type][col] > 0`` for the type.
         assigned = self._assigned
         n = self._n
         touched: set = set()
-        for slot in slots.tolist():
+        for slot in self._live_slots[index].tolist():
             touched.update(assigned[slot])
             touched.update(assigned[slot + n])
-        self.scoreboard.store(index, sorted(touched))
+        new = tuple(sorted(touched))
+        old = self._touched[index]
+        if new != old:
+            subscribers = self._subscribers
+            for type_name in old:
+                subscribers[type_name].discard(index)
+            for type_name in new:
+                subscribers.setdefault(type_name, set()).add(index)
+            self._touched[index] = new
 
     def note_commit(
         self,
@@ -580,13 +554,13 @@ class _SystemKernel:
         self,
         index: int,
         entry: _Entry,
-        unfixed: List[str],
         kinds: Optional[Dict[int, str]],
     ) -> bool:
         """Bring one entry's rows, folds and constants up to date.
 
-        Drops the rows of the queued records, builds rows for the
-        candidates among them, re-folds each queued type's whole stack
+        Drops the rows of the queued records (an operation that fixed
+        also leaves the live slots), builds rows for the candidates
+        among them, re-folds each queued type's whole stack
         and each other type's new rows, then re-sums the constants of
         the slot sides any fold wrote.  A constant is the sum of its
         per-type values in type-order position, added column by column
@@ -608,6 +582,7 @@ class _SystemKernel:
         if drop:
             order_of = self._order_of
             frames = entry.state.frames
+            fixed = False
             for op_id in drop:
                 if op_id not in built:
                     continue
@@ -619,8 +594,19 @@ class _SystemKernel:
                 lo, hi = frames.frame(op_id)
                 if lo == hi:
                     self._release(slot)
+                    fixed = True
             drop.clear()
-        fresh = [op_id for op_id in unfixed if op_id not in built] if stale else []
+            if fixed:
+                start, end = self._bounds[index]
+                live = np.flatnonzero(self._live[start:end])
+                live += start
+                self._live_slots[index] = live
+                self._live_stale = True
+        fresh = (
+            [op_id for op_id in entry.state.frames.unfixed() if op_id not in built]
+            if stale
+            else []
+        )
         new: Dict[str, IncrementStack] = {}
         if fresh:
             registry_active = _ambient._active is not None
@@ -806,7 +792,9 @@ class _SystemKernel:
         self._values_flat[cells] = vals
 
     def _release(self, slot: int) -> None:
-        """Free both sides' G rows of an operation that fixed."""
+        """Free both sides' G rows of an operation that fixed; its slot
+        leaves the live mask."""
+        self._live[slot] = False
         for col in (slot, slot + self._n):
             for type_name in self._assigned[col]:
                 self._free_row(type_name, col)
@@ -841,8 +829,8 @@ class ModuloSystemScheduler:
 
     Selection runs through one engine, :class:`_SystemKernel`: per-block
     force caches invalidated by each commit's dirty set, batched array
-    kernels for fresh evaluations, and a dirty-cone scoreboard that
-    rescores only the perturbed blocks (see docs/performance.md).
+    kernels for fresh evaluations, and dirty-cone rescoring of only the
+    perturbed blocks (see docs/performance.md).
     Its decisions agree with the brute-force
     :class:`~repro.core.reference.ReferenceScheduler`.
 
@@ -922,10 +910,23 @@ class ModuloSystemScheduler:
         audit = self.audit if audit is None else audit
         if audit is not None and not audit.enabled:
             audit = None
-        with tracer.activate(), tracer.span(
-            "schedule", system=system.name, blocks=sum(1 for _ in system.iter_blocks())
-        ):
-            return self._schedule_traced(system, assignment, periods, tracer, audit)
+        blocks = sum(1 for _ in system.iter_blocks())
+        with tracer.span("schedule", system=system.name, blocks=blocks):
+            if not tracer.enabled:
+                return self._schedule_traced(
+                    system, assignment, periods, tracer, None, audit
+                )
+            # The run records into its own registry, so its telemetry
+            # reports this run alone; the tracer, which several runs may
+            # share, receives the run's instruments when it ends.
+            run = Counters()
+            try:
+                with run.activate():
+                    return self._schedule_traced(
+                        system, assignment, periods, tracer, run.registry, audit
+                    )
+            finally:
+                tracer.metrics.merge(run.registry)
 
     def _schedule_traced(
         self,
@@ -933,12 +934,10 @@ class ModuloSystemScheduler:
         assignment: ResourceAssignment,
         periods: PeriodAssignment,
         tracer,
+        metrics: Optional[MetricsRegistry],
         audit=None,
     ) -> SystemSchedule:
         started = time.perf_counter()
-        # This run's own counts: a tracer shared by several runs keeps
-        # command totals, the telemetry reports the difference.
-        counters_before = tracer.counters.as_dict() if tracer.enabled else {}
         _log.debug(
             "scheduling system %r: %d operations, %d global types",
             system.name,
@@ -974,7 +973,7 @@ class ModuloSystemScheduler:
                     collect=collect, want_detail=audit is not None
                 )
                 if tracer.enabled:
-                    tracer.observe(
+                    metrics.observe(
                         SELECT_SECONDS, time.perf_counter() - select_started
                     )
                 if best is None:
@@ -1012,7 +1011,7 @@ class ModuloSystemScheduler:
                 scopes = coupling.refresh(entry_index, effect.touched_types)
                 selector.note_commit(entry_index, effect, scopes)
                 if tracer.enabled:
-                    tracer.observe(
+                    metrics.observe(
                         COMMIT_SECONDS, time.perf_counter() - commit_started
                     )
                     frames_remaining -= unfixed_before - frames.unfixed_count()
@@ -1040,10 +1039,10 @@ class ModuloSystemScheduler:
                     )
                     count(AUDIT_DECISIONS)
                 if tracer.enabled:
-                    tracer.count(SCHEDULER_ITERATIONS)
-                    tracer.observe(REDUCTION_SCORE, score)
-                    tracer.observe(CANDIDATES_SCANNED, candidates)
-                    tracer.set_gauge(FRAMES_REMAINING, frames_remaining)
+                    metrics.inc(SCHEDULER_ITERATIONS)
+                    metrics.observe(REDUCTION_SCORE, score)
+                    metrics.observe(CANDIDATES_SCANNED, candidates)
+                    metrics.set_gauge(FRAMES_REMAINING, frames_remaining)
                     tracer.event(
                         EVENT_REDUCTION,
                         iteration=iterations,
@@ -1095,18 +1094,14 @@ class ModuloSystemScheduler:
                 },
                 "wall_time": finished - started,
                 "iterations": iterations,
-                "counters": (
-                    _counter_deltas(counters_before, tracer.counters.as_dict())
-                    if tracer.enabled
-                    else {}
-                ),
+                "counters": metrics.counters_dict() if metrics is not None else {},
                 "events": len(tracer.events) if tracer.enabled else 0,
             }
-            if tracer.enabled:
-                gauges = tracer.metrics.gauges_dict()
+            if metrics is not None:
+                gauges = metrics.gauges_dict()
                 if gauges:
                     telemetry["gauges"] = gauges
-                histograms = tracer.metrics.histograms_dict()
+                histograms = metrics.histograms_dict()
                 if histograms:
                     telemetry["histograms"] = histograms
             if degraded_reason is not None:
@@ -1168,17 +1163,6 @@ class ModuloSystemScheduler:
                 entry.hash_memo = (version, value)
                 parts.append(value)
         return hash(tuple(parts))
-
-
-def _counter_deltas(
-    before: Mapping[str, int], after: Mapping[str, int]
-) -> Dict[str, int]:
-    """The counters a run moved (or created), by how much it moved them."""
-    return {
-        name: value - before.get(name, 0)
-        for name, value in after.items()
-        if name not in before or value != before[name]
-    }
 
 
 class _GlobalCoupling:

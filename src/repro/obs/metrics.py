@@ -359,17 +359,23 @@ class MetricsRegistry:
         self._histograms.clear()
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's instruments into this one."""
+        """Fold another registry's instruments into this one.
+
+        The fold reads as if ``other``'s samples were recorded here after
+        this registry's own: counters add, histograms merge bucket-wise,
+        and a gauge combines its extremes and sample counts and takes
+        ``other``'s last level.
+        """
         for name, counter in other._counters.items():
             self.inc(name, counter.value)
         for name, gauge in other._gauges.items():
-            summary = self.gauge(name).summary()
-            merged = merge_gauge_summary(summary, gauge.summary())
             target = self.gauge(name)
-            target.value = merged["value"]
-            target.min = merged["min"]
-            target.max = merged["max"]
-            target.samples = merged["samples"]
+            if not gauge.samples:
+                continue
+            target.value = gauge.value
+            target.min = gauge.min if target.min is None else min(target.min, gauge.min)
+            target.max = gauge.max if target.max is None else max(target.max, gauge.max)
+            target.samples += gauge.samples
         for name, histogram in other._histograms.items():
             self.histogram(name).merge_summary(histogram.summary())
 

@@ -19,7 +19,7 @@ from repro.core.periods import PeriodAssignment
 from repro.core.reference import ReferenceScheduler
 from repro.core.scheduler import ModuloSystemScheduler
 from repro.ir.process import Block, Process, SystemSpec
-from repro.obs import Tracer
+from repro.obs import AuditTrail, Tracer
 from repro.resources.assignment import ResourceAssignment
 from repro.resources.library import default_library
 from repro.scheduling.forces import area_weights
@@ -31,6 +31,8 @@ from repro.workloads import (
     paper_system,
     random_dfg,
 )
+
+from test_counter_pins import _paper, _siblings
 
 
 def run_scheduler(scheduler_class, system, library, assignment, periods, **kwargs):
@@ -192,3 +194,37 @@ class TestCorpusParity:
         # Corpus commits touch a small dirty cone: most entry visits
         # must be skips for the optimization to be doing its job.
         assert counters["selection_skipped"] > counters["selection_rescored"]
+
+
+class TestAuditedCandidateParity:
+    """Audit candidate capture rescores every entry: each decision's
+    candidate table must be the oracle's, the same (process, block, op)
+    sequence in scan order with forces and score within 1e-9."""
+
+    @pytest.mark.parametrize(
+        "factory", [_paper, lambda: _siblings(0)], ids=["paper", "siblings0"]
+    )
+    def test_candidate_tables_match_the_oracle(self, factory):
+        trails = []
+        for scheduler_class in (ModuloSystemScheduler, ReferenceScheduler):
+            library, system, assignment, periods, weights = factory()
+            audit = AuditTrail(capacity=None, keep_candidates=True)
+            scheduler_class(library, weights=weights).schedule(
+                system, assignment, periods, audit=audit
+            )
+            trails.append(audit.decisions)
+        production, oracle = trails
+        assert len(production) == len(oracle) > 0
+        worst = 0.0
+        for ours, theirs in zip(production, oracle):
+            assert [(c.process, c.block, c.op) for c in ours.candidates] == [
+                (c.process, c.block, c.op) for c in theirs.candidates
+            ], f"candidates diverged at iteration {ours.iteration}"
+            for mine, ref in zip(ours.candidates, theirs.candidates):
+                worst = max(
+                    worst,
+                    abs(mine.force_low - ref.force_low),
+                    abs(mine.force_high - ref.force_high),
+                    abs(mine.score - ref.score),
+                )
+        assert worst <= 1e-9

@@ -127,9 +127,11 @@ class TestForceEvalHistogram:
 
 
 class TestSharedTracer:
-    def test_compare_scopes_reports_each_runs_own_counters(self):
-        """Both scopes of a comparison run on one tracer: the tracer
-        keeps command totals, each result reports its own run."""
+    """Both scopes of a comparison run on one tracer: the tracer keeps
+    command totals, each result reports its own run."""
+
+    @pytest.fixture(scope="class")
+    def shared(self):
         system, library = paper_system()
         tracer = Tracer()
         comparison = compare_scopes(
@@ -140,7 +142,10 @@ class TestSharedTracer:
             weights=area_weights(library),
             tracer=tracer,
         )
-        results = (comparison.global_result, comparison.local_result)
+        return tracer, (comparison.global_result, comparison.local_result)
+
+    def test_compare_scopes_reports_each_runs_own_counters(self, shared):
+        tracer, results = shared
         for result in results:
             counters = result.telemetry["counters"]
             assert counters["scheduler_iterations"] == result.iterations
@@ -151,6 +156,28 @@ class TestSharedTracer:
             assert total == sum(
                 r.telemetry["counters"].get(name, 0) for r in results
             ), name
+
+    def test_compare_scopes_reports_each_runs_own_histograms_and_gauges(self, shared):
+        """One select per iteration plus the final empty scan, one frames
+        sample per commit, and the runs add up to the tracer's totals."""
+        tracer, results = shared
+        for result in results:
+            telemetry = result.telemetry
+            select = telemetry["histograms"]["select_seconds"]
+            assert select["count"] == result.iterations + 1
+            assert sum(select["buckets"].values()) == select["count"]
+            assert select["min"] <= select["p50"] <= select["p95"] <= select["max"]
+            frames = telemetry["gauges"]["frames_remaining"]
+            assert frames["samples"] == result.iterations
+            assert frames["value"] == 0
+        for name, total in tracer.metrics.histograms_dict().items():
+            parts = [r.telemetry["histograms"][name] for r in results]
+            assert total["count"] == sum(part["count"] for part in parts), name
+            assert total["sum"] == pytest.approx(sum(part["sum"] for part in parts))
+            assert total["min"] == min(part["min"] for part in parts), name
+            assert total["max"] == max(part["max"] for part in parts), name
+        gauge = tracer.metrics.gauges_dict()["frames_remaining"]
+        assert gauge["samples"] == sum(r.iterations for r in results)
 
 
 class _Capturing(ModuloSystemScheduler):
