@@ -7,10 +7,6 @@ real scheduling states, per system size:
 * **modulo_max** — :func:`repro.core.modulo.modulo_max_rows` (one
   reshape-max pass over a row matrix) vs the per-row
   :func:`modulo_max_reference` stride loop;
-* **occupancy_rows** — :func:`batched_occupancy_rows` vs one
-  :func:`occupancy_row` call per frame;
-* **delta_build** — :class:`DeltaBatch` vs one
-  ``BlockState.placement_deltas`` call per candidate;
 * **force_fold** — :meth:`PlacementKernel.forces` (whole frame per
   call) vs one ``placement_force`` call per (op, step).
 
@@ -34,13 +30,8 @@ import numpy as np
 from conftest import save_artifact
 from repro.core.modulo import modulo_max_reference, modulo_max_rows
 from repro.resources.library import default_library
-from repro.scheduling.distribution import occupancy_row
 from repro.scheduling.forces import placement_force
-from repro.scheduling.kernels import (
-    DeltaBatch,
-    PlacementKernel,
-    batched_occupancy_rows,
-)
+from repro.scheduling.kernels import PlacementKernel
 from repro.scheduling.state import BlockState
 
 from bench_scaling import PERIOD, build_system
@@ -49,8 +40,7 @@ PROCESS_COUNTS = (6, 12)
 
 #: Scalar-arm loop counts, sized so every scalar measurement clears the
 #: regression gate's 0.05 s noise floor with margin at 6 processes.
-LOOPS = {"modulo_max": 20, "occupancy_rows": 150, "delta_build_narrow": 100,
-         "delta_build_wide": 24, "force_fold": 16}
+LOOPS = {"modulo_max": 20, "force_fold": 16}
 
 
 def _time(fn, loops):
@@ -70,28 +60,31 @@ def block_states(n_processes, library):
 
 
 def harvest(n_processes, library):
-    """Shared micro-inputs: frames, candidate batches, delta matrices."""
+    """Shared micro-inputs: whole-frame candidate batches and the
+    displacement rows of their placements."""
     states = block_states(n_processes, library)
-    frames = []  # (lo, hi, occupancy, horizon)
     candidates = []  # (state, [(op, step), ...]) whole-frame batches
-    narrow = []  # (state, [(op, lo), (op, hi), ...]) frame-end batches
     for state in states:
         batch = []
-        ends = []
         for op_id in state.frames.unfixed():
-            lo, hi = state.frames.frame(op_id)
-            frames.append(
-                (lo, hi, state.dist.occupancy_of[op_id], state.dist.horizon)
-            )
             if op_id not in state.guarded_ops:
+                lo, hi = state.frames.frame(op_id)
                 batch.extend((op_id, step) for step in range(lo, hi + 1))
-                ends.extend([(op_id, lo), (op_id, hi)])
         if batch:
             candidates.append((state, batch))
-            narrow.append((state, ends))
+    # Per block and displaced type, one row per candidate: its
+    # displacement, or zeros where it does not displace the type.
     matrices = []
     for state, batch in candidates:
-        matrices.extend(DeltaBatch(state, batch).deltas.values())
+        by_type = {}
+        for row, (op_id, step) in enumerate(batch):
+            for type_name, delta in state.placement_deltas(op_id, step).items():
+                matrix = by_type.get(type_name)
+                if matrix is None:
+                    matrix = np.zeros((len(batch), state.dist.horizon))
+                    by_type[type_name] = matrix
+                matrix[row] = delta
+        matrices.extend(by_type.values())
     # Block horizons differ; zero-pad to one width (zeros are inert
     # under the modulo fold, and both arms see identical rows).
     width = max(matrix.shape[1] for matrix in matrices)
@@ -100,12 +93,12 @@ def harvest(n_processes, library):
     for matrix in matrices:
         rows[offset : offset + matrix.shape[0], : matrix.shape[1]] = matrix
         offset += matrix.shape[0]
-    return states, frames, candidates, narrow, rows
+    return candidates, rows
 
 
 def bench_kernels_at(n_processes, library, repeats):
     """Per-kernel scalar-vs-vector wall times at one system size."""
-    _states, frames, candidates, narrow, rows = harvest(n_processes, library)
+    candidates, rows = harvest(n_processes, library)
     results = []
 
     def record(name, batch, scalar_fn, vector_fn):
@@ -131,44 +124,7 @@ def bench_kernels_at(n_processes, library, repeats):
         lambda: modulo_max_rows(rows, PERIOD),
     )
 
-    horizon = max(f[3] for f in frames)
-    los = [f[0] for f in frames]
-    his = [f[1] for f in frames]
-    occs = [f[2] for f in frames]
-    record(
-        "occupancy_rows",
-        len(frames),
-        lambda: [
-            occupancy_row(lo, hi, occ, horizon)
-            for lo, hi, occ in zip(los, his, occs)
-        ],
-        lambda: batched_occupancy_rows(los, his, occs, horizon),
-    )
-
-    n_ends = sum(len(ends) for _state, ends in narrow)
-    record(
-        "delta_build_narrow",
-        n_ends,
-        lambda: [
-            state.placement_deltas(op_id, step)
-            for state, ends in narrow
-            for op_id, step in ends
-        ],
-        lambda: [DeltaBatch(state, ends) for state, ends in narrow],
-    )
-
     n_candidates = sum(len(batch) for _state, batch in candidates)
-    record(
-        "delta_build_wide",
-        n_candidates,
-        lambda: [
-            state.placement_deltas(op_id, step)
-            for state, batch in candidates
-            for op_id, step in batch
-        ],
-        lambda: [DeltaBatch(state, batch) for state, batch in candidates],
-    )
-
     kernels = [(PlacementKernel(state), state, batch)
                for state, batch in candidates]
     by_op = []
@@ -229,10 +185,10 @@ def test_kernels(benchmark):
         lambda: run_bench((6,), repeats=2), rounds=1, iterations=1
     )
     for row in report["kernels"]:
-        # The pure-array kernels must win outright; the build/fold
-        # drivers batch small per-op candidate sets at block level, so
+        # The pure-array kernel must win outright; the force fold
+        # batches small per-op candidate sets at block level, so
         # "no slower than scalar with margin" is the invariant.
-        if row["name"] in ("modulo_max", "occupancy_rows"):
+        if row["name"] == "modulo_max":
             assert row["vector_seconds"] < row["scalar_seconds"], row["name"]
         else:
             assert (

@@ -12,13 +12,7 @@ from .forces import (
     uniform_weights,
 )
 from .ifds import ImprovedForceDirectedScheduler, ReductionChoice, evaluate_reduction
-from .kernels import (
-    DeltaBatch,
-    PlacementKernel,
-    batched_occupancy_rows,
-    row_dots,
-    row_self_dots,
-)
+from .kernels import PlacementKernel, row_dots, row_self_dots
 from .list_scheduling import ListScheduler
 from .schedule import BlockSchedule
 from .selection_cache import BlockSelectionCache
@@ -31,7 +25,6 @@ __all__ = [
     "BlockSelectionCache",
     "BlockState",
     "DEFAULT_LOOKAHEAD",
-    "DeltaBatch",
     "ForceDirectedListScheduler",
     "ForceDirectedScheduler",
     "FrameTable",
@@ -43,7 +36,6 @@ __all__ = [
     "alap_schedule",
     "area_weights",
     "asap_schedule",
-    "batched_occupancy_rows",
     "evaluate_reduction",
     "force_from_deltas",
     "hooke_force",

@@ -254,10 +254,12 @@ class BlockDistributions:
         Returns the names of the resource types whose distribution graph
         was affected.  Memoized tentative rows of the changed operations
         that fall outside their new frames are dropped: a frame only
-        narrows, so those keys can never be asked for again.
+        narrows, so those keys can never be asked for again.  Rows are
+        folded into the type sums in sorted op order, so the sums' last
+        bits do not follow the set's hash order.
         """
         touched: Set[str] = set()
-        for op_id in changed_ops:
+        for op_id in sorted(changed_ops):
             lo, hi = self.frames.frame(op_id)
             memo = self._row_cache.get(op_id)
             if memo:

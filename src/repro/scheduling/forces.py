@@ -53,11 +53,12 @@ def force_from_deltas(
 ) -> float:
     """Weighted Hooke force of a set of per-type displacements.
 
-    This is the purely-local force kernel shared by every scheduler in the
-    repository: the single-block FDS/IFDS paths sum it over all displaced
-    types, and the coupled system scheduler delegates to it for types that
-    are not globally shared (global types route through the balanced
-    system distribution instead).
+    This is the scalar local force.  :func:`placement_force` sums it
+    over all displaced types, and the brute-force oracle
+    :class:`repro.core.reference.ReferenceScheduler` delegates to it for
+    types that are not globally shared (global types route through the
+    balanced system distribution instead).  The production schedulers
+    fold the same terms in :mod:`repro.scheduling.kernels`.
     """
     total = 0.0
     for type_name, delta in deltas.items():

@@ -157,9 +157,32 @@ print(digest.hexdigest())
 """
 
 
-def test_placement_force_bits_do_not_depend_on_hash_seed():
-    """Per-type forces sum in first-occurrence order, never in set order,
-    so the force bits are the same under every ``PYTHONHASHSEED``."""
+#: Hashes every audited candidate force of a coupled run on the paper
+#: system.  Each commit folds its changed rows into the type sums, so
+#: the forces carry the sums' last bits.
+_AUDIT_DIGEST = """
+import hashlib
+from repro.core.scheduler import ModuloSystemScheduler
+from repro.obs import AuditTrail
+from repro.scheduling.forces import area_weights
+from repro.workloads import paper_assignment, paper_periods, paper_system
+
+system, library = paper_system()
+audit = AuditTrail()
+ModuloSystemScheduler(library, weights=area_weights(library), audit=audit).schedule(
+    system, paper_assignment(library), paper_periods()
+)
+digest = hashlib.sha256()
+for decision in audit.decisions:
+    for candidate in decision.candidates:
+        digest.update(candidate.force_low.hex().encode())
+        digest.update(candidate.force_high.hex().encode())
+print(digest.hexdigest())
+"""
+
+
+def _digests_under_hash_seeds(script):
+    """The set of ``script``'s stdouts under ``PYTHONHASHSEED`` 0 and 1."""
     src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
     digests = set()
     for seed in ("0", "1"):
@@ -168,7 +191,7 @@ def test_placement_force_bits_do_not_depend_on_hash_seed():
             filter(None, [src, os.environ.get("PYTHONPATH")])
         )
         result = subprocess.run(
-            [sys.executable, "-c", _FORCE_DIGEST],
+            [sys.executable, "-c", script],
             env=env,
             capture_output=True,
             text=True,
@@ -176,4 +199,17 @@ def test_placement_force_bits_do_not_depend_on_hash_seed():
             check=True,
         )
         digests.add(result.stdout.strip())
-    assert len(digests) == 1
+    return digests
+
+
+def test_placement_force_bits_do_not_depend_on_hash_seed():
+    """Per-type forces sum in first-occurrence order, never in set order,
+    so the force bits are the same under every ``PYTHONHASHSEED``."""
+    assert len(_digests_under_hash_seeds(_FORCE_DIGEST)) == 1
+
+
+def test_audited_force_bits_do_not_depend_on_hash_seed():
+    """A commit folds its changed rows into the type sums in a fixed op
+    order, so every audited force of a coupled run has the same bits
+    under every ``PYTHONHASHSEED``."""
+    assert len(_digests_under_hash_seeds(_AUDIT_DIGEST)) == 1

@@ -3,19 +3,18 @@
 The kernels promise two different strengths of agreement with the
 scalar reference path, and these tests pin both:
 
-* **bit-exact** — occupancy rows, modulo folds, and ``DeltaBatch``
-  displacement rows are elementwise constructions and must equal the
-  scalar results bit for bit, on arbitrary frames, occupancies, and
-  periods (``assert_array_equal``, no tolerance);
+* **bit-exact** — modulo folds and the displacement rows
+  :func:`replay` builds from :func:`increment_stacks` are elementwise
+  constructions and must equal the scalar results bit for bit, on
+  arbitrary frames and periods (``assert_array_equal``, no tolerance);
 * **decision-level** — force totals go through batched matrix products
   whose BLAS summation order may differ from the scalar ``np.dot``
   sequence by ulps; they are compared against an epsilon far below the
   ``1e-12`` decision threshold every scheduler uses.
 
 Edge cases named by the kernel contracts are covered explicitly:
-empty candidate batches, single-slot frames, occupancy wider than the
-frame, guarded (modal) candidates batched beside unguarded ones, and
-dtype stability.
+empty candidate batches, single-slot frames, guarded (modal)
+candidates batched beside unguarded ones, and dtype stability.
 """
 
 import numpy as np
@@ -25,16 +24,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from repro.core.modulo import modulo_max_reference, modulo_max_rows
-from repro.errors import SchedulingError
 from repro.ir.operation import OpKind
 from repro.ir.process import Block
 from repro.resources.library import default_library
-from repro.scheduling.distribution import occupancy_row
 from repro.scheduling.forces import placement_force
 from repro.scheduling.kernels import (
-    DeltaBatch,
     PlacementKernel,
-    batched_occupancy_rows,
+    increment_stacks,
+    replay,
     row_dots,
     row_self_dots,
 )
@@ -69,70 +66,6 @@ def scrambled_state(seed, reductions=3):
         else:
             state.commit_reduce_effect(op_id, lo, hi - 1)
     return state
-
-
-# ---------------------------------------------------------------------------
-# batched_occupancy_rows
-# ---------------------------------------------------------------------------
-frame_lists = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=12),  # lo offset
-        st.integers(min_value=0, max_value=12),  # frame width - 1
-        st.integers(min_value=1, max_value=6),  # occupancy
-    ),
-    min_size=1,
-    max_size=12,
-)
-
-
-@given(frames=frame_lists)
-@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
-def test_batched_occupancy_rows_bit_match_scalar(frames):
-    los = [lo for lo, width, _occ in frames]
-    his = [lo + width for lo, width, _occ in frames]
-    occs = [occ for _lo, _width, occ in frames]
-    horizon = max(hi + occ for hi, occ in zip(his, occs))
-    batched = batched_occupancy_rows(los, his, occs, horizon)
-    assert batched.shape == (len(frames), horizon)
-    assert batched.dtype == np.float64
-    for i, (lo, hi, occ) in enumerate(zip(los, his, occs)):
-        assert_array_equal(batched[i], occupancy_row(lo, hi, occ, horizon))
-
-
-def test_batched_occupancy_scalar_occupancy_and_out_buffer():
-    los, his = [0, 2, 5], [4, 2, 9]
-    horizon = 12
-    out = np.full((5, horizon), np.nan)
-    batched = batched_occupancy_rows(los, his, 3, horizon, out=out)
-    assert batched.base is out or batched is out[:3]
-    for i, (lo, hi) in enumerate(zip(los, his)):
-        assert_array_equal(batched[i], occupancy_row(lo, hi, 3, horizon))
-    # validate=False takes the unchecked internal path, same values.
-    assert_array_equal(
-        batched_occupancy_rows(los, his, 3, horizon, validate=False), batched
-    )
-
-
-def test_batched_occupancy_single_slot_and_wider_than_frame():
-    # Single-slot frame (lo == hi) with occupancy wider than the frame:
-    # the sliding window clips exactly like the scalar row.
-    assert_array_equal(
-        batched_occupancy_rows([3], [3], 4, 10)[0], occupancy_row(3, 3, 4, 10)
-    )
-
-
-def test_batched_occupancy_empty_batch():
-    rows = batched_occupancy_rows([], [], 2, 8)
-    assert rows.shape == (0, 8)
-
-
-def test_batched_occupancy_rejects_bad_frames():
-    with pytest.raises(SchedulingError):
-        batched_occupancy_rows([3], [2], 1, 8)  # empty frame
-    with pytest.raises(SchedulingError):
-        batched_occupancy_rows([0], [7], 2, 8)  # exceeds horizon
-    with pytest.raises(SchedulingError):
-        batched_occupancy_rows([0, 1], [2], 1, 8)  # shape mismatch
 
 
 # ---------------------------------------------------------------------------
@@ -193,35 +126,37 @@ def test_row_dot_helpers_match_scalar_dots(seed):
 
 
 # ---------------------------------------------------------------------------
-# DeltaBatch vs BlockState.placement_deltas (bit parity)
+# Delta batches: replay(stack, D) vs BlockState.placement_deltas (bit parity)
 # ---------------------------------------------------------------------------
 def assert_batch_matches_scalar(state, candidates):
-    batch = DeltaBatch(state, candidates)
+    """Replays every stack of the batch against its type's distribution
+    and checks each row, and each candidate's type order, against the
+    scalar oracle.  Returns the stacks."""
+    type_orders, stacks = increment_stacks(state, candidates)
+    assert len(type_orders) == len(candidates)
+    horizon = state.dist.horizon
+    rows = {}
+    for type_name, stack in stacks.items():
+        deltas = replay(stack, state.dist.array(type_name))
+        assert deltas.shape == (stack.index.shape[1], horizon)
+        assert deltas.dtype == np.float64
+        for (row, position), delta in zip(stack.index.T.tolist(), deltas):
+            assert type_orders[row][position] == type_name
+            assert (row, type_name) not in rows, "one stack row per displacement"
+            rows[row, type_name] = delta
     for row, (op_id, start) in enumerate(candidates):
         scalar = state.placement_deltas(op_id, start)
         # Both list the displaced types in first-occurrence order.
-        assert batch.type_orders[row] == tuple(scalar)
+        assert type_orders[row] == tuple(scalar)
         for type_name, delta in scalar.items():
             assert_array_equal(
-                batch.deltas[type_name][row],
+                rows.pop((row, type_name)),
                 delta,
                 err_msg=f"{op_id}@{start} type {type_name}",
             )
-        # Rows of types the candidate does not displace are never
-        # consumed (type_orders gates every reader), so their contents
-        # are unspecified — only the type order above is checked.
-    for type_name, participants in batch.participants.items():
-        positions = batch.positions[type_name]
-        assert len(positions) == len(participants)
-        assert list(participants) == sorted(participants)
-        for row, position in zip(participants, positions):
-            assert batch.type_orders[row][position] == type_name
-        assert set(participants.tolist()) == {
-            row
-            for row, order in enumerate(batch.type_orders)
-            if type_name in order
-        }
-    return batch
+    # No stack row belongs to a type its candidate does not displace.
+    assert not rows
+    return stacks
 
 
 @given(seed=st.integers(min_value=0, max_value=500))
@@ -242,7 +177,7 @@ def test_delta_batch_narrow_bit_parity(seed):
 @given(seed=st.integers(min_value=0, max_value=500))
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_delta_batch_wide_bit_parity(seed):
-    """Whole-frame batches (FDS shape) through the stacked-occupancy path."""
+    """Whole-frame batches (FDS shape) replay the same accumulation."""
     state = scrambled_state(seed)
     candidates = []
     for op_id in state.frames.unfixed():
@@ -256,9 +191,9 @@ def test_delta_batch_wide_bit_parity(seed):
 
 def test_delta_batch_empty_candidates():
     state = random_state(0)
-    batch = DeltaBatch(state, [])
-    assert batch.deltas == {}
-    assert batch.type_orders == []
+    type_orders, stacks = increment_stacks(state, [])
+    assert stacks == {}
+    assert type_orders == []
 
 
 def test_delta_batch_single_slot_frame():
@@ -273,9 +208,10 @@ def test_delta_batch_dtype_stability():
     state = random_state(2)
     op_id = state.frames.unfixed()[0]
     lo, hi = state.frames.frame(op_id)
-    batch = DeltaBatch(state, [(op_id, lo), (op_id, hi)])
-    for matrix in batch.deltas.values():
-        assert matrix.dtype == np.float64
+    # The helper checks the replayed rows' dtype.
+    stacks = assert_batch_matches_scalar(state, [(op_id, lo), (op_id, hi)])
+    for stack in stacks.values():
+        assert stack.inc.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +265,15 @@ def assert_mixes_guarded(state, candidates):
 @pytest.mark.parametrize("reductions", [0, 3])
 def test_delta_batch_narrow_mixes_guarded_candidates(reductions):
     """Guarded rows are the oracle's rows verbatim, in the same per-type
-    matrices as the replayed unguarded rows."""
+    stacks as the replayed unguarded rows."""
     state = modal_state(reductions, seed=reductions)
     candidates = []
     for op_id in state.frames.unfixed():
         lo, hi = state.frames.frame(op_id)
         candidates.extend([(op_id, lo), (op_id, hi)])
     assert_mixes_guarded(state, candidates)
-    batch = assert_batch_matches_scalar(state, candidates)
-    assert batch.participants, "the narrow build fills participants"
+    stacks = assert_batch_matches_scalar(state, candidates)
+    assert any(stack.verbatim is not None for stack in stacks.values())
 
 
 @pytest.mark.parametrize("reductions", [0, 3])
@@ -349,7 +285,8 @@ def test_delta_batch_wide_mixes_guarded_candidates(reductions):
         candidates.extend((op_id, step) for step in range(lo, hi + 1))
     assert len(candidates) > 2 * len(state.frames.unfixed()), "wide batch shape"
     assert_mixes_guarded(state, candidates)
-    assert_batch_matches_scalar(state, candidates)
+    stacks = assert_batch_matches_scalar(state, candidates)
+    assert any(stack.verbatim is not None for stack in stacks.values())
 
 
 def test_placement_kernel_guarded_decision_level_parity():

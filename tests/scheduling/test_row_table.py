@@ -1,9 +1,9 @@
 """Property tests for the displacement rows (docs/performance.md).
 
-The narrow :class:`DeltaBatch` path builds every row from the override
-sets of :func:`increment_stacks` and replays the scalar round trip, so a
-wrong override set or replay would show up as a row that differs from
-the scalar :meth:`BlockState.placement_deltas` oracle.  Random
+Every displacement row is built from the override sets of
+:func:`increment_stacks` and :func:`replay`'s run of the scalar round
+trip, so a wrong override set or replay would show up as a row that
+differs from the scalar :meth:`BlockState.placement_deltas` oracle.  Random
 frame-end commits drive the paper system, the guarded workload and
 random blocks; after every commit each mobile operation's two frame-end
 rows must equal the oracle bit for bit, with the displaced types in
@@ -21,7 +21,7 @@ from numpy.testing import assert_array_equal
 from repro.ir.operation import OpKind
 from repro.ir.process import Block
 from repro.resources.library import default_library
-from repro.scheduling.kernels import DeltaBatch, increment_stacks
+from repro.scheduling.kernels import increment_stacks, replay
 from repro.scheduling.state import BlockState
 from repro.workloads import mode_switching_filter, paper_system, random_dfg
 
@@ -51,17 +51,21 @@ def check_frame_ends(state, skip=frozenset()):
             candidates.extend([(op_id, lo), (op_id, hi)])
     if not candidates:
         return
-    batch = DeltaBatch(state, candidates)
+    type_orders, stacks = increment_stacks(state, candidates)
+    rows = {}
+    for type_name, stack in stacks.items():
+        deltas = replay(stack, state.dist.array(type_name))
+        for (row, position), delta in zip(stack.index.T.tolist(), deltas):
+            assert type_orders[row][position] == type_name
+            rows[row, type_name] = delta
     for row, (op_id, start) in enumerate(candidates):
         scalar = state.placement_deltas(op_id, start)
-        assert batch.type_orders[row] == expected_order(state, op_id, start)
-        assert batch.type_orders[row] == tuple(scalar)
+        assert type_orders[row] == expected_order(state, op_id, start)
+        assert type_orders[row] == tuple(scalar)
         for type_name, delta in scalar.items():
-            got = batch.deltas[type_name][row]
+            got = rows.pop((row, type_name))
             assert got.tobytes() == delta.tobytes(), f"{op_id}@{start} {type_name}"
-    for type_name, participants in batch.participants.items():
-        for row, position in zip(participants, batch.positions[type_name]):
-            assert batch.type_orders[row][position] == type_name
+    assert not rows
 
 
 def frame_end_candidates(state):

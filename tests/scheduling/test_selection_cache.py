@@ -12,7 +12,7 @@ from repro.scheduling.forces import placement_force
 from repro.scheduling.ifds import ImprovedForceDirectedScheduler, evaluate_reduction
 from repro.scheduling.selection_cache import BlockSelectionCache
 from repro.scheduling.state import BlockState, ReductionEffect
-from repro.workloads import random_dfg
+from repro.workloads import elliptic_wave_filter, mode_switching_filter, random_dfg
 
 
 def diamond_block(deadline=6):
@@ -93,6 +93,28 @@ def single_block(seed, slack, library):
     return Block(name=f"b{seed}", graph=graph, deadline=deadline)
 
 
+def modal_block(library):
+    """The mode-switching filter plus an unguarded subtracter tail: one
+    block holding guarded and unguarded operations."""
+    graph = mode_switching_filter(4, name="modal")
+    prev = "scale"
+    for index in range(3):
+        op = graph.add(f"post{index}", OpKind.SUB)
+        graph.add_edge(prev, op.op_id)
+        prev = op.op_id
+    deadline = graph.critical_path_length(library.latency_of) + 4
+    return Block(name="modal", graph=graph, deadline=deadline)
+
+
+def fds_block(case, library):
+    """A random block by seed, or one of the named wider inputs."""
+    if case == "modal":
+        return modal_block(library)
+    if case == "ewf24":
+        return Block(name="ewf", graph=elliptic_wave_filter(), deadline=24)
+    return single_block(case, 4, library)
+
+
 def brute_force_ifds(block, library):
     """IFDS with a fresh scalar :func:`evaluate_reduction` per candidate
     and iteration; returns (decisions, starts)."""
@@ -155,17 +177,17 @@ class TestSchedulerParity:
             single_block(seed, 4, library), library
         )
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", [*range(8), "modal", "ewf24"])
     def test_fds_parity(self, seed, library):
         tracer = Tracer()
         scheduler = ForceDirectedScheduler(library, tracer=tracer)
-        schedule = scheduler.schedule(single_block(seed, 4, library))
+        schedule = scheduler.schedule(fds_block(seed, library))
         decisions = [
             (e.attrs["op"], e.attrs["step"])
             for e in tracer.events_named("placement")
         ]
         assert (decisions, schedule.starts) == brute_force_fds(
-            single_block(seed, 4, library), library
+            fds_block(seed, library), library
         )
 
     def test_ifds_cache_saves_evaluations(self, library):
