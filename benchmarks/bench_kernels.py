@@ -131,7 +131,7 @@ def bench_kernels_at(n_processes, library, repeats):
     for kernel, state, batch in kernels:
         ops = {}
         for op_id, step in batch:
-            ops.setdefault(op_id, []).append(step)
+            ops.setdefault(op_id, []).append((op_id, step))
         by_op.append((kernel, state, ops))
     record(
         "force_fold",
@@ -139,13 +139,13 @@ def bench_kernels_at(n_processes, library, repeats):
         lambda: [
             placement_force(state, op_id, step)
             for _kernel, state, ops in by_op
-            for op_id, steps in ops.items()
-            for step in steps
+            for pairs in ops.values()
+            for op_id, step in pairs
         ],
         lambda: [
-            kernel.forces(op_id, steps)
+            kernel.forces(pairs)
             for kernel, _state, ops in by_op
-            for op_id, steps in ops.items()
+            for pairs in ops.values()
         ],
     )
     return results

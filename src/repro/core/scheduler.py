@@ -126,11 +126,11 @@ class _SystemKernel:
       block; every other row stays valid, because a row reads only the
       frames of its operation and of that operation's neighbours;
     * **folds** of each touched type — and, on a non-``clean`` coupling
-      scope, of the same type in same-process siblings — are redone for
-      the type's whole stack in one vectorized pass: replay against the
-      current distribution, the modulo-max / eq. 9 / §5.2 terms or the
-      Hooke dots, and an in-place rewrite of the ``G`` rows.  Only the
-      affected constants are re-summed.
+      scope, of the same type in same-process siblings that hold rows
+      of it — are redone for the type's whole stack in one vectorized
+      pass: replay against the current distribution, the modulo-max /
+      eq. 9 / §5.2 terms or the Hooke dots, and an in-place rewrite of
+      the ``G`` rows.  Only the affected constants are re-summed.
 
     Guarded (conditional-branch) operations keep their
     :meth:`~repro.scheduling.state.BlockState.placement_deltas` rows and
@@ -506,17 +506,20 @@ class _SystemKernel:
           maximum; ``Q`` is unchanged and no other block is dirty.
         * ``"process"`` / ``"system"`` — ``Q`` changed, so sibling blocks
           of the *same* process see it through eq. 9's cross-block
-          maximum and the old process maximum: they re-fold the type.
-          Their rows stay valid, since their own distribution did not
-          move.  Blocks of **other** processes keep valid folds even when
-          ``S`` changed (``"system"``), because their ``delta_S`` only
-          reads their own process's coupling state; the S-version bump
-          re-dots their G rows at the next scan.
+          maximum and the old process maximum: those holding a row of
+          the type, or a guarded operation whose footprint holds it,
+          re-fold the type.  Their rows stay valid, since their own
+          distribution did not move; a sibling with neither holds no
+          value that reads the type.  Blocks of **other** processes keep
+          valid folds even when ``S`` changed (``"system"``), because
+          their ``delta_S`` only reads their own process's coupling
+          state; the S-version bump re-dots their G rows at the next
+          scan.
 
         With global balancing disabled the force of a block depends only
         on its own ``Q``, so no cross-block invalidation is needed at all.
-        The committed entry, and on a non-``clean`` scope its siblings,
-        reclassify at the next scan.
+        The committed entry, and on a non-``clean`` scope the siblings it
+        staled, reclassify at the next scan.
         """
         self._stale(entry_index, effect.dropped_ops, effect.touched_types)
         dirty = self._dirty
@@ -530,7 +533,10 @@ class _SystemKernel:
             if scope == "clean":
                 continue
             for index in siblings:
-                if index != entry_index:
+                if index != entry_index and (
+                    type_name in self._stacks[index]
+                    or type_name in self._guarded_by_type[index]
+                ):
                     self._stale(index, (), (type_name,))
                     dirty.add(index)
 
@@ -828,9 +834,10 @@ class ModuloSystemScheduler:
     """Time-constrained modulo scheduling with global resource sharing.
 
     Selection runs through one engine, :class:`_SystemKernel`: per-block
-    force caches invalidated by each commit's dirty set, batched array
-    kernels for fresh evaluations, and dirty-cone rescoring of only the
-    perturbed blocks (see docs/performance.md).
+    increment rows rebuilt only where a commit cut them, folds redone
+    only for the types it moved, batched array kernels for fresh rows,
+    and dirty-cone rescoring of only the perturbed blocks (see
+    docs/performance.md).
     Its decisions agree with the brute-force
     :class:`~repro.core.reference.ReferenceScheduler`.
 

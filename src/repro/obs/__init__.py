@@ -45,7 +45,6 @@ from .counters import (
     CERTIFIER_SLOT_CHECKS,
     DISTRIBUTION_REBUILDS,
     FORCE_CACHE_HITS,
-    FORCE_CACHE_INVALIDATIONS,
     FORCE_CACHE_MISSES,
     FORCE_EVALUATIONS,
     FRAME_REDUCTIONS,
@@ -80,7 +79,6 @@ from .metrics import (
     CANDIDATE_SECONDS,
     CANDIDATES_SCANNED,
     COMMIT_SECONDS,
-    DIRTY_SET_SIZE,
     FRAMES_REMAINING,
     INCUMBENT_AREA,
     KNOWN_GAUGES,
@@ -123,7 +121,6 @@ __all__ = [
     "Counter",
     "Counters",
     "DEFAULT_CAPACITY",
-    "DIRTY_SET_SIZE",
     "DISTRIBUTION_REBUILDS",
     "DecisionAudit",
     "EVENT_CANDIDATE",
@@ -136,7 +133,6 @@ __all__ = [
     "EVENT_REDUCTION",
     "EventBus",
     "FORCE_CACHE_HITS",
-    "FORCE_CACHE_INVALIDATIONS",
     "FORCE_CACHE_MISSES",
     "FORCE_EVALUATIONS",
     "FRAMES_REMAINING",

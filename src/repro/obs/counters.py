@@ -45,7 +45,6 @@ SCHEDULER_ITERATIONS = "scheduler_iterations"
 SIMULATION_CYCLES = "simulation_cycles"
 FORCE_CACHE_HITS = "force_cache_hits"
 FORCE_CACHE_MISSES = "force_cache_misses"
-FORCE_CACHE_INVALIDATIONS = "force_cache_invalidations"
 CERTIFIER_OFFSET_CLASSES = "certifier_offset_classes"
 CERTIFIER_SLOT_CHECKS = "certifier_slot_checks"
 ABSINT_TRANSFERS = "absint_transfers"
@@ -67,7 +66,6 @@ KNOWN_COUNTERS = (
     SIMULATION_CYCLES,
     FORCE_CACHE_HITS,
     FORCE_CACHE_MISSES,
-    FORCE_CACHE_INVALIDATIONS,
     CERTIFIER_OFFSET_CLASSES,
     CERTIFIER_SLOT_CHECKS,
     ABSINT_TRANSFERS,

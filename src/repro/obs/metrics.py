@@ -11,7 +11,7 @@ instruments:
 * :class:`Histogram` — a value distribution over fixed geometric
   buckets, reporting ``count``/``sum``/``min``/``max`` exactly and
   ``p50``/``p95`` from the buckets (per-iteration selection time,
-  dirty-set sizes, cache-assembly latencies, …).
+  candidates scanned, force-evaluation latencies, …).
 
 Two properties the rest of the stack depends on:
 
@@ -390,7 +390,6 @@ class MetricsRegistry:
 #: Canonical histogram names emitted by the instrumented schedulers.
 SELECT_SECONDS = "select_seconds"
 COMMIT_SECONDS = "commit_seconds"
-DIRTY_SET_SIZE = "dirty_set_size"
 REDUCTION_SCORE = "reduction_score"
 CANDIDATES_SCANNED = "candidates_scanned"
 CANDIDATE_SECONDS = "candidate_seconds"
@@ -403,7 +402,6 @@ INCUMBENT_AREA = "incumbent_area"
 KNOWN_HISTOGRAMS = (
     SELECT_SECONDS,
     COMMIT_SECONDS,
-    DIRTY_SET_SIZE,
     REDUCTION_SCORE,
     CANDIDATES_SCANNED,
     CANDIDATE_SECONDS,

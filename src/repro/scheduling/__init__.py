@@ -15,14 +15,12 @@ from .ifds import ImprovedForceDirectedScheduler, ReductionChoice, evaluate_redu
 from .kernels import PlacementKernel, row_dots, row_self_dots
 from .list_scheduling import ListScheduler
 from .schedule import BlockSchedule
-from .selection_cache import BlockSelectionCache
 from .state import BlockState, ReductionEffect
 from .timeframes import FrameTable, alap_schedule, asap_schedule
 
 __all__ = [
     "BlockDistributions",
     "BlockSchedule",
-    "BlockSelectionCache",
     "BlockState",
     "DEFAULT_LOOKAHEAD",
     "ForceDirectedListScheduler",

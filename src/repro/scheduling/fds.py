@@ -23,7 +23,6 @@ from .fallback import degraded_block_schedule, frames_state_hash
 from .forces import DEFAULT_LOOKAHEAD
 from .kernels import PlacementKernel
 from .schedule import BlockSchedule
-from .selection_cache import BlockSelectionCache
 from .state import BlockState
 
 _log = get_logger(__name__)
@@ -60,7 +59,6 @@ class ForceDirectedScheduler:
         """Schedule one block; returns a validated :class:`BlockSchedule`."""
         tracer = self.tracer
         state = BlockState(block, self.library)
-        cache = BlockSelectionCache(state)
         kernel = PlacementKernel(
             state, lookahead=self.lookahead, weights=self.weights
         )
@@ -92,25 +90,19 @@ class ForceDirectedScheduler:
                             block, self.library, reason, iterations=iterations
                         )
                 iterations += 1
+                batch = []
+                for op_id in candidates:
+                    lo, hi = state.frames.frame(op_id)
+                    batch.extend((op_id, step) for step in range(lo, hi + 1))
                 best_force = None
                 best_op = None
                 best_step = None
-                for op_id in candidates:
-                    lo, hi = state.frames.frame(op_id)
-                    # The cache stores the whole per-step force row so the
-                    # flat (op, step) fold below replays exactly as an
-                    # uncached scan would.
-                    forces = cache.get(op_id)
-                    if forces is None:
-                        forces = kernel.forces(op_id, range(lo, hi + 1))
-                        cache.put(op_id, forces)
-                    for offset, force in enumerate(forces):
-                        if best_force is None or force < best_force - 1e-12:
-                            best_force, best_op, best_step = force, op_id, lo + offset
+                for (op_id, step), force in zip(batch, kernel.forces(batch)):
+                    if best_force is None or force < best_force - 1e-12:
+                        best_force, best_op, best_step = force, op_id, step
                 if best_op is None:  # pragma: no cover - defensive
                     raise SchedulingError("no feasible placement found")
-                effect = state.commit_reduce_effect(best_op, best_step, best_step)
-                cache.invalidate_after_commit(effect)
+                state.commit_fix(best_op, best_step)
                 if tracer.enabled:
                     tracer.count(SCHEDULER_ITERATIONS)
                     tracer.observe(CANDIDATES_SCANNED, len(candidates))

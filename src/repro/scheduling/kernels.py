@@ -20,7 +20,7 @@ every scheduler:
 * :func:`row_dots` and :func:`row_self_dots` fold displacement rows
   into Hooke terms with one matrix product per displaced type;
 * :class:`PlacementKernel` is the FDS driver: one call returns the
-  forces of every start step in an operation's frame.
+  forces of every (op, step) placement of an iteration.
 
 Classic FDS probes every step of a frame and the IFDS schedulers only
 its two ends (§4); both batch shapes go through the same stacks.
@@ -36,9 +36,9 @@ differences, empirically ~1e-16).  Decisions in every scheduler compare
 forces against ``1e-12`` epsilons, so agreement with the scalar
 reference is pinned at the *decision* level by
 ``tests/core/test_kernel_parity.py`` (coupled scheduler, which also
-runs standalone IFDS) and ``tests/scheduling/test_selection_cache.py``
-(FDS/IFDS); results are deterministic because all matrix shapes are
-functions of the scheduling state alone.
+runs standalone IFDS) and ``TestSchedulerParity`` under
+``tests/scheduling`` (FDS/IFDS); results are deterministic because all
+matrix shapes are functions of the scheduling state alone.
 
 Operations whose force footprint (own resource type plus the types of
 direct predecessors/successors) contains a *guarded* type
@@ -314,11 +314,10 @@ def replay(stack: IncrementStack, base: np.ndarray) -> np.ndarray:
 class PlacementKernel:
     """Batched local-force evaluator for one block (FDS driver core).
 
-    One :meth:`forces` call returns the weighted Hooke force of placing
-    an operation at *every* requested start step: the displacement rows
-    come from one :func:`increment_stacks` batch replayed per displaced
-    type, the dots from one matrix product per type, guarded operations
-    included.
+    One :meth:`forces` call returns the weighted Hooke force of every
+    tentative placement of a batch: the displacement rows come from one
+    :func:`increment_stacks` batch replayed per displaced type, the dots
+    from one matrix product per type, guarded operations included.
 
     Instrumentation parity: ``force_evaluations`` advances by one per
     (candidate, displaced type) pair — the same total the scalar loop
@@ -343,20 +342,8 @@ class PlacementKernel:
             return 1.0
         return float(self.weights.get(type_name, 1.0))
 
-    def forces(self, op_id: str, steps: Sequence[int]) -> List[float]:
-        """Forces of tentatively placing ``op_id`` at each of ``steps``."""
-        registry_active = _ambient._active is not None
-        started = time.perf_counter() if registry_active else 0.0
-        totals = self._fold([(op_id, step) for step in steps])
-        if registry_active:
-            elapsed = time.perf_counter() - started
-            width = len(totals)
-            if width:
-                observe_many(FORCE_EVAL_SECONDS, elapsed / width, width)
-        return totals
-
-    def _fold(self, candidates: List[Tuple[str, int]]) -> List[float]:
-        """Per-candidate weighted force totals of a placement batch.
+    def forces(self, candidates: Sequence[Tuple[str, int]]) -> List[float]:
+        """Weighted force totals of a batch of ``(op, start)`` placements.
 
         Each type's forces land in a (type-order position × candidate)
         matrix whose rows are then summed from zero in position order,
@@ -364,10 +351,11 @@ class PlacementKernel:
         loop does; the zeros past a candidate's last type add exactly
         nothing.
         """
+        registry_active = _ambient._active is not None
+        started = time.perf_counter() if registry_active else 0.0
         dist = self.state.dist
         type_orders, stacks = increment_stacks(self.state, candidates)
-        evaluations = sum(len(order) for order in type_orders)
-        count(FORCE_EVALUATIONS, evaluations)
+        count(FORCE_EVALUATIONS, sum(len(order) for order in type_orders))
         depth = max((len(order) for order in type_orders), default=0)
         values = np.zeros((depth, len(candidates)))
         for type_name, stack in stacks.items():
@@ -379,4 +367,9 @@ class PlacementKernel:
         totals = np.zeros(len(candidates))
         for row in values:
             totals += row
+        if registry_active and candidates:
+            width = len(candidates)
+            observe_many(
+                FORCE_EVAL_SECONDS, (time.perf_counter() - started) / width, width
+            )
         return totals.tolist()

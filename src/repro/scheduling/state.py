@@ -38,7 +38,8 @@ class ReductionEffect:
     override sets (:func:`repro.scheduling.kernels.increment_stacks`)
     the commit invalidated, because an override set reads only the
     frames of its operation and of that operation's direct neighbours.
-    Selection caches derive their dirty sets from this.
+    The coupled kernel rebuilds the rows of ``dropped_ops`` and re-folds
+    ``touched_types``.
     """
 
     changed_ops: FrozenSet[str]
@@ -141,7 +142,7 @@ class BlockState:
 
         Incremental schedulers need both halves of the perturbation: the
         operations whose frames moved (their own and their neighbors'
-        cached forces are stale) and the types whose distributions moved.
+        rows are stale) and the types whose distributions moved.
         The effect also names the operations whose displacement records
         went stale: every changed operation and its direct predecessors
         and successors.

@@ -17,19 +17,26 @@ The subjects cover the paper system, a guarded (conditional-branch)
 workload, two scenario-corpus sizes, the 6-process random system of
 the A5 scaling bench, and multi-block processes whose blocks share
 global types (the only subject that exercises eq. 9's sibling path).
+Classic FDS is pinned on the elliptic wave filter and on a block mixing
+guarded and unguarded operations; it emits no ``force_cache_*`` key,
+since it evaluates every (op, step) placement in one batch per
+iteration.
 """
 
 import pytest
 
 from repro.core.periods import PeriodAssignment
 from repro.core.scheduler import ModuloSystemScheduler
+from repro.ir.operation import OpKind
 from repro.ir.process import Block, Process, SystemSpec
 from repro.obs import AuditTrail, Tracer
 from repro.resources.assignment import ResourceAssignment
 from repro.resources.library import default_library
+from repro.scheduling.fds import ForceDirectedScheduler
 from repro.scheduling.forces import area_weights
 from repro.workloads import (
     corpus_system,
+    elliptic_wave_filter,
     mode_switching_filter,
     paper_assignment,
     paper_periods,
@@ -151,8 +158,8 @@ PINS = {
             "frame_reductions": 925,
             "modulo_max_transforms": 6085,
             "scheduler_iterations": 925,
-            "selection_rescored": 3950,
-            "selection_skipped": 37720,
+            "selection_rescored": 2173,
+            "selection_skipped": 39497,
         },
     ),
     "corpus20": (
@@ -167,8 +174,8 @@ PINS = {
             "frame_reductions": 1772,
             "modulo_max_transforms": 11377,
             "scheduler_iterations": 1772,
-            "selection_rescored": 10111,
-            "selection_skipped": 153005,
+            "selection_rescored": 6664,
+            "selection_skipped": 156452,
         },
     ),
     "scaling6": (
@@ -199,8 +206,8 @@ PINS = {
             "frame_reductions": 311,
             "modulo_max_transforms": 5621,
             "scheduler_iterations": 311,
-            "selection_rescored": 2107,
-            "selection_skipped": 701,
+            "selection_rescored": 1965,
+            "selection_skipped": 843,
         },
     ),
 }
@@ -216,6 +223,67 @@ def test_counters_iterations_and_area_are_pinned(name):
     ).schedule(system, assignment, periods)
     assert result.iterations == iterations
     assert result.total_area() == area
+    assert tracer.counters.as_dict() == counters
+
+
+def _fds_ewf24():
+    library = default_library()
+    block = Block(name="ewf", graph=elliptic_wave_filter(), deadline=24)
+    return library, block, None
+
+
+def _fds_modal():
+    """The mode-switching filter plus an unguarded subtracter tail, under
+    area weights."""
+    library = default_library()
+    graph = mode_switching_filter(4, name="modal")
+    prev = "scale"
+    for index in range(3):
+        op = graph.add(f"post{index}", OpKind.SUB)
+        graph.add_edge(prev, op.op_id)
+        prev = op.op_id
+    deadline = graph.critical_path_length(library.latency_of) + 4
+    block = Block(name="modal", graph=graph, deadline=deadline)
+    return library, block, area_weights(library)
+
+
+FDS_PINS = {
+    "ewf24": (
+        _fds_ewf24,
+        26,
+        6.0,
+        {
+            "distribution_rebuilds": 35,
+            "force_evaluations": 4872,
+            "frame_reductions": 26,
+            "scheduler_iterations": 26,
+        },
+    ),
+    "modal": (
+        _fds_modal,
+        7,
+        6.0,
+        {
+            "distribution_rebuilds": 11,
+            "force_evaluations": 322,
+            "frame_reductions": 7,
+            "scheduler_iterations": 7,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FDS_PINS))
+def test_fds_counters_iterations_and_area_are_pinned(name):
+    build, iterations, area, counters = FDS_PINS[name]
+    library, block, weights = build()
+    tracer = Tracer()
+    schedule = ForceDirectedScheduler(
+        library, weights=weights, tracer=tracer
+    ).schedule(block)
+    assert schedule.iterations == iterations
+    peaks = schedule.peaks()
+    assert sum(library.type(t).area * peak for t, peak in peaks.items()) == area
     assert tracer.counters.as_dict() == counters
 
 

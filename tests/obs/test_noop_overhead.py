@@ -95,7 +95,7 @@ class TestPinnedBound:
         def burst():
             for _ in range(CALLS):
                 count("force_evaluations")
-                observe("dirty_set_size", 5)
+                observe("candidates_scanned", 5)
                 set_gauge("frames_remaining", 3)
 
         assert self._per_call(burst) / 3 < PINNED_BOUND_SECONDS

@@ -225,7 +225,7 @@ def test_placement_kernel_decision_level_parity(seed):
     for op_id in state.frames.unfixed():
         lo, hi = state.frames.frame(op_id)
         steps = range(lo, hi + 1)
-        batched = kernel.forces(op_id, steps)
+        batched = kernel.forces([(op_id, step) for step in steps])
         scalar = [placement_force(state, op_id, step) for step in steps]
         assert len(batched) == len(scalar)
         for got, want in zip(batched, scalar):
@@ -299,6 +299,6 @@ def test_placement_kernel_guarded_decision_level_parity():
     assert state.guarded_ops, "modal workload must have a guarded footprint"
     for op_id in sorted(state.guarded_ops):
         lo, hi = state.frames.frame(op_id)
-        batched = kernel.forces(op_id, range(lo, hi + 1))
+        batched = kernel.forces([(op_id, step) for step in range(lo, hi + 1)])
         for step, got in zip(range(lo, hi + 1), batched):
             assert abs(got - placement_force(state, op_id, step)) < DECISION_EPS

@@ -1,8 +1,7 @@
-"""Tests for the selection cache and its use by the FDS/IFDS schedulers."""
+"""FDS and IFDS replay brute-force scalar decisions exactly."""
 
 import pytest
 
-from repro.ir.dfg import DataFlowGraph
 from repro.ir.operation import OpKind
 from repro.ir.process import Block
 from repro.obs import Tracer
@@ -10,81 +9,13 @@ from repro.resources.library import default_library
 from repro.scheduling.fds import ForceDirectedScheduler
 from repro.scheduling.forces import placement_force
 from repro.scheduling.ifds import ImprovedForceDirectedScheduler, evaluate_reduction
-from repro.scheduling.selection_cache import BlockSelectionCache
-from repro.scheduling.state import BlockState, ReductionEffect
+from repro.scheduling.state import BlockState
 from repro.workloads import elliptic_wave_filter, mode_switching_filter, random_dfg
-
-
-def diamond_block(deadline=6):
-    """a -> {m, s} -> z : every op has at least one neighbor."""
-    graph = DataFlowGraph(name="d")
-    graph.add("a", OpKind.ADD)
-    graph.add("m", OpKind.MUL)
-    graph.add("s", OpKind.SUB)
-    graph.add("z", OpKind.ADD)
-    graph.add_edges([("a", "m"), ("a", "s"), ("m", "z"), ("s", "z")])
-    return Block(name="b", graph=graph, deadline=deadline)
 
 
 @pytest.fixture
 def library():
     return default_library()
-
-
-class TestBlockSelectionCache:
-    def test_get_put_roundtrip(self, library):
-        state = BlockState(diamond_block(), library)
-        cache = BlockSelectionCache(state)
-        assert cache.get("a") is None
-        cache.put("a", 1.25)
-        assert cache.get("a") == 1.25
-        assert len(cache) == 1
-
-    def test_changed_op_and_neighbors_dropped(self, library):
-        state = BlockState(diamond_block(), library)
-        cache = BlockSelectionCache(state)
-        for op in ("a", "m", "s", "z"):
-            cache.put(op, op)
-        # m changed: m itself plus its neighbors a and z go dirty; s
-        # survives only if its footprint avoids the touched types.
-        effect = ReductionEffect(
-            changed_ops=frozenset({"m"}), touched_types=frozenset()
-        )
-        cache.invalidate_after_commit(effect)
-        assert cache.get("m") is None
-        assert cache.get("a") is None
-        assert cache.get("z") is None
-        assert cache.get("s") == "s"
-
-    def test_touched_type_drops_footprint_ops(self, library):
-        state = BlockState(diamond_block(), library)
-        cache = BlockSelectionCache(state)
-        for op in ("a", "m", "s", "z"):
-            cache.put(op, op)
-        # multiplier footprint: m itself, plus a and z (m is their
-        # direct neighbor); s has no multiplier in its footprint.
-        effect = ReductionEffect(
-            changed_ops=frozenset(), touched_types=frozenset({"multiplier"})
-        )
-        cache.invalidate_after_commit(effect)
-        assert cache.get("m") is None
-        assert cache.get("a") is None
-        assert cache.get("z") is None
-        assert cache.get("s") == "s"
-
-    def test_counters(self, library):
-        state = BlockState(diamond_block(), library)
-        cache = BlockSelectionCache(state)
-        tracer = Tracer()
-        with tracer.activate():
-            cache.get("a")
-            cache.put("a", 1.0)
-            cache.get("a")
-            cache.invalidate_ops(["a"])
-        counters = tracer.counters.as_dict()
-        assert counters["force_cache_misses"] == 1
-        assert counters["force_cache_hits"] == 1
-        assert counters["force_cache_invalidations"] == 1
 
 
 def single_block(seed, slack, library):
