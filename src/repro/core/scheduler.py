@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from ..errors import SchedulingError
-from ..ir.process import Block, Process, SystemSpec
+from ..ir.process import Block, SystemSpec
 from ..obs import FORCE_EVALUATIONS, SCHEDULER_ITERATIONS, as_tracer, get_logger
 from ..obs import counters as _ambient
 from ..obs.audit import CACHE_FRESH, CACHE_HIT, CandidateAudit, DecisionAudit
@@ -59,7 +59,6 @@ from ..scheduling.forces import DEFAULT_LOOKAHEAD
 from ..scheduling.kernels import (
     IncrementStack,
     increment_stacks,
-    replay,
     row_dots,
     row_self_dots,
 )
@@ -113,7 +112,8 @@ class _SystemKernel:
       scan-order hysteresis fold with the scalar epsilons.
 
     Rows and folds go stale separately.  Each slot side (one frame end
-    of one operation) keeps its eq. 5 increment rows in per-(block,
+    of one operation) keeps its eq. 5 displacement rows — sums of
+    increments, independent of the distribution — in per-(block,
     type) stacks (:class:`~repro.scheduling.kernels.IncrementStack`,
     renumbered to flat side columns and value cells), and its per-type
     force values in a persistent (type-position × slot-side) matrix
@@ -128,9 +128,9 @@ class _SystemKernel:
     * **folds** of each touched type — and, on a non-``clean`` coupling
       scope, of the same type in same-process siblings that hold rows
       of it — are redone for the type's whole stack in one vectorized
-      pass: replay against the current distribution, the modulo-max /
-      eq. 9 / §5.2 terms or the Hooke dots, and an in-place rewrite of
-      the ``G`` rows.  Only the affected constants are re-summed.
+      pass against the current distribution: the modulo-max / eq. 9 /
+      §5.2 terms or the Hooke dots, and an in-place rewrite of the
+      ``G`` rows.  Only the affected constants are re-summed.
 
     Guarded (conditional-branch) operations keep their
     :meth:`~repro.scheduling.state.BlockState.placement_deltas` rows and
@@ -648,9 +648,7 @@ class _SystemKernel:
                 if stack is None:
                     # The batch's rows are views of one array for all its
                     # types; a copy sizes the stored stack exactly.
-                    batch.inc = batch.inc.copy()
-                    if batch.more is not None:
-                        batch.more = batch.more.copy()
+                    batch.delta = batch.delta.copy()
                     stack = batch
                 else:
                     stack = stack.extended(batch)
@@ -760,10 +758,12 @@ class _SystemKernel:
         balancing, eq. 9's sibling maximum minus the old process maximum
         (the ``w * delta_S`` rows go to ``G`` in place, with their
         current-``S`` dots); every other type takes the Hooke dots.
+        The stored rows are only read: the tentative distribution
+        ``delta + D`` is a new array.
         """
         coupling = self.coupling
         base = entry.state.dist.array(type_name)
-        deltas = replay(stack, base)
+        deltas = stack.delta
         cols, cells = stack.index
         weights = self.weights
         weight = 1.0 if weights is None else float(weights.get(type_name, 1.0))
@@ -771,8 +771,7 @@ class _SystemKernel:
         count(FORCE_EVALUATIONS, len(cols))
         if self.alignment and coupling.is_shared(entry.process_name, type_name):
             period = coupling.period(type_name)
-            deltas += base
-            q_new = modulo_max_rows(deltas, period)
+            q_new = modulo_max_rows(deltas + base, period)
             if not self.balancing:
                 q_old = coupling.block_q(index, type_name)
                 q_new -= q_old
@@ -834,7 +833,7 @@ class ModuloSystemScheduler:
     """Time-constrained modulo scheduling with global resource sharing.
 
     Selection runs through one engine, :class:`_SystemKernel`: per-block
-    increment rows rebuilt only where a commit cut them, folds redone
+    displacement rows rebuilt only where a commit cut them, folds redone
     only for the types it moved, batched array kernels for fresh rows,
     and dirty-cone rescoring of only the perturbed blocks (see
     docs/performance.md).

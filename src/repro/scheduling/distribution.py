@@ -218,31 +218,15 @@ class BlockDistributions:
         return row
 
     def tentative_array(
-        self,
-        type_name: str,
-        override: Mapping[str, np.ndarray],
-        out: Optional[np.ndarray] = None,
+        self, type_name: str, override: Mapping[str, np.ndarray]
     ) -> np.ndarray:
-        """Distribution the type would have with some rows replaced.
+        """Distribution the type would have with some rows replaced,
+        recombined with branch maxima.
 
-        Takes the fast additive path when the type has no guarded
-        operations; recombines with branch maxima otherwise.  ``out``
-        optionally reuses a caller-owned scratch buffer of length
-        ``horizon`` on the additive path (the hot tentative-evaluation
-        loops call this once per candidate, so per-call allocation is
-        measurable churn); the guarded path ignores it because the
-        branch-max recombination allocates its own accumulator.
+        Only guarded types need this: an unguarded type's displacement
+        is the plain sum of its increments
+        (:meth:`~repro.scheduling.state.BlockState.placement_deltas`).
         """
-        if type_name not in self._guarded_types:
-            if out is None:
-                result = self._sums[type_name].copy()
-            else:
-                result = out
-                np.copyto(result, self._sums[type_name])
-            for op_id, row in override.items():
-                if self.type_of[op_id] == type_name:
-                    result += row - self._rows[op_id]
-            return result
         return self._compute_array(type_name, override=override)
 
     # ------------------------------------------------------------------

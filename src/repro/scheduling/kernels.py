@@ -11,12 +11,11 @@ thousands of interpreter round-trips per run.
 This module builds the displacements of a whole batch one way, for
 every scheduler:
 
-* :func:`increment_stacks` builds the per-type increment rows
-  (:class:`IncrementStack`) of a batch of placements, and
-  :func:`replay` turns a stack into displacement rows against the
-  type's current distribution.  Rows do not depend on that
+* :func:`increment_stacks` builds the per-type displacement rows
+  (:class:`IncrementStack`) of a batch of placements.  A row is the
+  plain sum of its increments and never reads the type's current
   distribution, so the coupled scheduler keeps the stacks across
-  commits and only replays them when the distribution moves;
+  commits and only re-folds them when the distribution moves;
 * :func:`row_dots` and :func:`row_self_dots` fold displacement rows
   into Hooke terms with one matrix product per displaced type;
 * :class:`PlacementKernel` is the FDS driver: one call returns the
@@ -27,9 +26,9 @@ its two ends (§4); both batch shapes go through the same stacks.
 
 Exactness contract
 ------------------
-Displacement construction is purely elementwise (subtract, add, masked
-rows), so every :func:`replay` row is **bit-identical** to
-:meth:`BlockState.placement_deltas` for the same candidate.  The force
+Displacement construction is purely elementwise (subtract, add in
+override order, masked rows), so every stack row is **bit-identical**
+to :meth:`BlockState.placement_deltas` for the same candidate.  The force
 *dots* are batched matrix products, and BLAS matrix–vector products are
 not bitwise-identical to a sequence of ``np.dot`` calls (ulp-level
 differences, empirically ~1e-16).  Decisions in every scheduler compare
@@ -44,8 +43,8 @@ Operations whose force footprint (own resource type plus the types of
 direct predecessors/successors) contains a *guarded* type
 (:attr:`BlockState.guarded_ops`) displace through the branch-max
 recombination, which is not an additive update.  They still batch:
-their rows are :meth:`BlockState.placement_deltas` verbatim, filed into
-the same per-type stacks and folded by the same products.
+their rows are :meth:`BlockState.placement_deltas` copied into the
+same per-type stacks and folded by the same products.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ __all__ = [
     "row_self_dots",
     "IncrementStack",
     "increment_stacks",
-    "replay",
     "PlacementKernel",
 ]
 
@@ -88,86 +86,44 @@ def row_self_dots(matrix: np.ndarray) -> np.ndarray:
 
 
 class IncrementStack:
-    """The increment rows of one displaced type over a batch of placements.
+    """The displacement rows of one displaced type over a batch of placements.
 
     Row ``i`` of the stack belongs to batch row ``index[0, i]``, where
     the type sits at position ``index[1, i]`` of that row's type order
     (a consumer may renumber both into its own coordinates; the coupled
-    kernel stores flat slot-side columns and value cells).  ``inc[i]``
-    is the first increment ``override - current`` of the type;
-    ``more`` holds the further increments, each applied to stack row
-    ``more_at[j]``, in override order (``None`` when there are none).
-    Rows listed in ``verbatim`` hold a finished displacement instead:
-    guarded placements, whose rows come from
+    kernel stores flat slot-side columns and value cells).
+    ``delta[i]`` is the row's finished displacement: the sum of its
+    increments ``override - current`` in override order, or, for a
+    guarded placement, the branch-max row of
     :meth:`BlockState.placement_deltas` (branch-max recombination is
-    not an additive update).  None of the rows depends on the type's
-    distribution, so a stack stays valid while that distribution
-    moves; :func:`replay` folds it in at use time.
+    not an additive update).  No row reads the type's distribution, so
+    a stack stays valid while that distribution moves.
     """
 
-    __slots__ = ("index", "inc", "more_at", "more", "verbatim")
+    __slots__ = ("index", "delta")
 
-    def __init__(
-        self,
-        index: np.ndarray,
-        inc: np.ndarray,
-        more_at: Optional[np.ndarray] = None,
-        more: Optional[np.ndarray] = None,
-        verbatim: Optional[np.ndarray] = None,
-    ) -> None:
+    def __init__(self, index: np.ndarray, delta: np.ndarray) -> None:
         self.index = index
-        self.inc = inc
-        self.more_at = more_at
-        self.more = more
-        self.verbatim = verbatim
+        self.delta = delta
 
     def restricted(self, keep: np.ndarray) -> Optional["IncrementStack"]:
         """The rows ``keep`` marks, or ``None`` when no row is left."""
         if not keep.any():
             return None
-        more_at = more = verbatim = None
-        if self.more_at is not None or self.verbatim is not None:
-            renumber = np.cumsum(keep) - 1
-            if self.more_at is not None and self.more is not None:
-                kept = keep[self.more_at]
-                if kept.any():
-                    more_at = renumber[self.more_at[kept]]
-                    more = self.more[kept]
-            if self.verbatim is not None:
-                kept = keep[self.verbatim]
-                if kept.any():
-                    verbatim = renumber[self.verbatim[kept]]
-        return IncrementStack(
-            self.index[:, keep], self.inc[keep], more_at, more, verbatim
-        )
+        return IncrementStack(self.index[:, keep], self.delta[keep])
 
     def extended(self, other: "IncrementStack") -> "IncrementStack":
         """These rows followed by ``other``'s, in new arrays."""
-        size = self.inc.shape[0]
         return IncrementStack(
             np.concatenate((self.index, other.index), axis=1),
-            np.concatenate((self.inc, other.inc)),
-            _joined(self.more_at, other.more_at, size),
-            _joined(self.more, other.more, 0),
-            _joined(self.verbatim, other.verbatim, size),
+            np.concatenate((self.delta, other.delta)),
         )
-
-
-def _joined(
-    mine: Optional[np.ndarray], theirs: Optional[np.ndarray], shift: int
-) -> Optional[np.ndarray]:
-    """Two optional arrays end to end, the second shifted by ``shift``."""
-    if theirs is None:
-        return mine
-    if shift:
-        theirs = theirs + shift
-    return theirs if mine is None else np.concatenate((mine, theirs))
 
 
 def increment_stacks(
     state: BlockState, candidates: Sequence[Tuple[str, int]]
 ) -> Tuple[List[Tuple[str, ...]], Dict[str, IncrementStack]]:
-    """Per-type increment stacks of a batch of tentative placements.
+    """Per-type displacement stacks of a batch of tentative placements.
 
     Returns each candidate's displaced-type order and one
     :class:`IncrementStack` per displaced type, types in first-seen
@@ -179,8 +135,9 @@ def increment_stacks(
     Override rows are memoized tentative rows and current rows of the
     distribution, never new arrays, until all first increments of the
     batch come out of one stacked subtraction, and all further ones out
-    of another.  Guarded candidates are copied from
-    :meth:`BlockState.placement_deltas`.
+    of another; ``add.at`` then adds each further increment into its
+    row, in override order.  A guarded candidate's rows are
+    :meth:`BlockState.placement_deltas`, entered as ``row - 0``.
     """
     dist = state.dist
     tentative_row = dist.tentative_row
@@ -191,11 +148,11 @@ def increment_stacks(
     links = state.links
     interned = state._orders
     guarded = state.guarded_ops
+    horizon = dist.horizon
     type_orders: List[Tuple[str, ...]] = [()] * len(candidates)
-    # Per type: batch rows, type-order positions, the (override,
-    # current) first rows of the replayed rows, and the stack rows and
-    # displacements of the verbatim ones.
-    by_type: Dict[str, Tuple[List[int], List[int], list, List[int], list]] = {}
+    # Per type: batch rows, type-order positions, and the (override,
+    # current) first rows, or (guarded row, zero), of the stack rows.
+    by_type: Dict[str, Tuple[List[int], List[int], List[np.ndarray]]] = {}
     # Per type: the stack row of each further override and its
     # (override, current) rows, in override order.
     extra: Dict[str, Tuple[List[int], List[np.ndarray]]] = {}
@@ -212,7 +169,7 @@ def increment_stacks(
             return
         group = by_type.get(type_name)
         if group is None:
-            group = by_type[type_name] = ([], [], [], [], [])
+            group = by_type[type_name] = ([], [], [])
         group[0].append(row)
         group[1].append(len(order))
         group[2].append(new_row)
@@ -223,14 +180,15 @@ def increment_stacks(
         if op_id in guarded:
             deltas = state.placement_deltas(op_id, start)
             type_orders[row] = tuple(deltas)
+            zero = np.zeros(horizon)
             for position, (type_name, delta) in enumerate(deltas.items()):
                 group = by_type.get(type_name)
                 if group is None:
-                    group = by_type[type_name] = ([], [], [], [], [])
-                group[3].append(len(group[0]))
-                group[4].append(delta)
+                    group = by_type[type_name] = ([], [], [])
                 group[0].append(row)
                 group[1].append(position)
+                group[2].append(delta)
+                group[2].append(zero)
             continue
         latency, preds, succs = links[op_id]
         order: List[str] = []
@@ -247,43 +205,25 @@ def increment_stacks(
         type_orders[row] = interned.setdefault(key, key)
     if not by_type:
         return type_orders, {}
-    horizon = state.dist.horizon
-    first = _pair_differences(
-        [group[2] for group in by_type.values()], horizon
-    )
-    further = _pair_differences(
-        [extra[type_name][1] for type_name in extra], horizon
-    )
+    first = _pair_differences([group[2] for group in by_type.values()], horizon)
+    further = _pair_differences([extra[name][1] for name in extra], horizon)
     stacks: Dict[str, IncrementStack] = {}
-    offset = 0
-    for type_name, (rows, positions, pair_rows, copied, copies) in by_type.items():
-        replayed = len(pair_rows) // 2
-        block = first[offset : offset + replayed]
-        offset += replayed
-        if copied:
-            inc = np.empty((len(rows), horizon), dtype=float)
-            inc[copied] = copies
-            if replayed:
-                inc[np.setdiff1d(np.arange(len(rows)), copied)] = block
-            verbatim: Optional[np.ndarray] = np.asarray(copied, dtype=np.intp)
-        else:
-            inc = block
-            verbatim = None
+    end = 0
+    for type_name, (rows, positions, _pairs) in by_type.items():
+        begin, end = end, end + len(rows)
         stacks[type_name] = IncrementStack(
-            np.array((rows, positions), dtype=np.intp), inc, verbatim=verbatim
+            np.array((rows, positions), dtype=np.intp), first[begin:end]
         )
     offset = 0
-    for type_name, (at, more_rows) in extra.items():
-        stack = stacks[type_name]
-        stack.more_at = np.asarray(at, dtype=np.intp)
-        stack.more = further[offset : offset + len(at)]
+    for type_name, (at, _pairs) in extra.items():
+        np.add.at(stacks[type_name].delta, at, further[offset : offset + len(at)])
         offset += len(at)
     return type_orders, stacks
 
 
 def _pair_differences(groups: List[List[np.ndarray]], horizon: int) -> np.ndarray:
-    """``override - current`` of every (override, current) row pair of
-    every group, groups in order, as one stacked subtraction."""
+    """``first - second`` of every (first, second) row pair of every
+    group, groups in order, as one stacked subtraction."""
     flat = [row for group in groups for row in group]
     if not flat:
         return np.empty((0, horizon), dtype=float)
@@ -291,33 +231,13 @@ def _pair_differences(groups: List[List[np.ndarray]], horizon: int) -> np.ndarra
     return pairs[:, 0] - pairs[:, 1]
 
 
-def replay(stack: IncrementStack, base: np.ndarray) -> np.ndarray:
-    """The displacement rows of a stack against distribution ``base``.
-
-    Runs the scalar ``tentative_array`` round trip
-    ``((base + inc_1) + inc_2 ...) - base`` for every row at once
-    (IEEE addition commutes, so ``inc_1 + base`` equals
-    ``base + inc_1``; ``add.at`` applies repeated indices one after
-    another, i.e. each row's further increments in override order),
-    so each row equals :meth:`BlockState.placement_deltas` bit for
-    bit.  Verbatim rows are copied.  Returns a new array.
-    """
-    deltas = stack.inc + base
-    if stack.more_at is not None and stack.more is not None:
-        np.add.at(deltas, stack.more_at, stack.more)
-    deltas -= base
-    if stack.verbatim is not None:
-        deltas[stack.verbatim] = stack.inc[stack.verbatim]
-    return deltas
-
-
 class PlacementKernel:
     """Batched local-force evaluator for one block (FDS driver core).
 
     One :meth:`forces` call returns the weighted Hooke force of every
     tentative placement of a batch: the displacement rows come from one
-    :func:`increment_stacks` batch replayed per displaced type, the dots
-    from one matrix product per type, guarded operations included.
+    :func:`increment_stacks` batch, the dots from one matrix product per
+    displaced type, guarded operations included.
 
     Instrumentation parity: ``force_evaluations`` advances by one per
     (candidate, displaced type) pair — the same total the scalar loop
@@ -360,7 +280,7 @@ class PlacementKernel:
         values = np.zeros((depth, len(candidates)))
         for type_name, stack in stacks.items():
             base = dist.array(type_name)
-            deltas = replay(stack, base)
+            deltas = stack.delta
             values[stack.index[1], stack.index[0]] = self._weight(type_name) * (
                 row_dots(deltas, base) + self.lookahead * row_self_dots(deltas)
             )

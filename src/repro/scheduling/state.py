@@ -65,11 +65,6 @@ class BlockState:
         self.library = library
         self.frames = FrameTable(block.graph, library.latency_of, block.deadline)
         self.dist = BlockDistributions(block.graph, library, self.frames)
-        # Scratch buffer for tentative-array evaluation: one horizon-length
-        # array reused across every placement_deltas call instead of a
-        # fresh allocation per (candidate, type).  Single-threaded use
-        # only, like the rest of the scheduling state.
-        self._scratch = np.empty(self.frames.deadline, dtype=float)
         latency = self.frames._latency
         graph = self.graph
         self.links: Dict[str, OpLinks] = {
@@ -84,7 +79,7 @@ class BlockState:
         #: direct predecessors and successors) holds a guarded type: their
         #: displacement goes through the branch-max recombination, so
         #: batch kernels take their rows from :meth:`placement_deltas`
-        #: instead of replaying additive increments.
+        #: instead of summing increments.
         type_of = self.dist.type_of
         has_guards = self.dist.has_guards
         self.guarded_ops: FrozenSet[str] = frozenset(
@@ -109,25 +104,35 @@ class BlockState:
         Includes the operation's own displacement and the first-order
         displacements of direct predecessors/successors whose frames the
         placement would implicitly reduce.  Returns a mapping from resource
-        type name to its displacement array; nothing is mutated.  For
+        type name to its displacement array; nothing is mutated.  A type
+        without guarded operations displaces by the sum of its
+        increments ``override - current``, in override order.  For
         types with guarded (conditional) operations the displacement is
         computed on the branch-max-combined distribution, so moves hidden
         inside a non-dominant branch cost nothing.
         """
+        dist = self.dist
         overrides: Dict[str, np.ndarray] = {
-            op_id: self.dist.tentative_row(op_id, start, start)
+            op_id: dist.tentative_row(op_id, start, start)
         }
         implied = self.frames.implied_neighbor_frames(op_id, start)
         for oid, (lo, hi) in implied.items():
-            overrides[oid] = self.dist.tentative_row(oid, lo, hi)
+            overrides[oid] = dist.tentative_row(oid, lo, hi)
 
         # First-occurrence order (own type, then predecessors', then
         # successors'), the order of the kernels' type orders: forces
         # sum per type in this order, so it must not follow set hashing.
         deltas: Dict[str, np.ndarray] = {}
-        for type_name in dict.fromkeys(self.dist.type_of[oid] for oid in overrides):
-            after = self.dist.tentative_array(type_name, overrides, out=self._scratch)
-            deltas[type_name] = after - self.dist.array(type_name)
+        for oid, new_row in overrides.items():
+            type_name = dist.type_of[oid]
+            if dist.has_guards(type_name):
+                if type_name not in deltas:
+                    after = dist.tentative_array(type_name, overrides)
+                    deltas[type_name] = after - dist.array(type_name)
+            elif type_name in deltas:
+                deltas[type_name] += new_row - dist.row(oid)
+            else:
+                deltas[type_name] = new_row - dist.row(oid)
         return deltas
 
     def commit_reduce(self, op_id: str, lo: int, hi: int) -> Set[str]:

@@ -1,11 +1,12 @@
 """Exact telemetry pins of production scheduler runs.
 
-Each subject's full ``tracer.counters.as_dict()``, iteration count and
-area are recorded as literals.  Any change to the selection engine that
-moves a counter — rows re-folded and built, force evaluations, the
-scoreboard's rescored/skipped split — fails here, so a
-refactor that claims "no observable change" has to prove it.  A change
-that moves a counter on purpose re-pins the literals and says why.
+Each subject's full ``tracer.counters.as_dict()``, iteration count,
+area and a digest of its block starts are recorded as literals.  Any
+change to the selection engine that moves a counter — rows re-folded
+and built, force evaluations, the scoreboard's rescored/skipped split —
+or a start fails here, so a refactor that claims "no observable
+change" has to prove it.  A change that moves a counter on purpose
+re-pins the literals and says why.
 
 ``force_cache_misses`` counts the slot sides (frame ends) whose rows the
 kernel built and ``force_cache_hits`` those it re-folded without a
@@ -22,6 +23,8 @@ guarded and unguarded operations; it emits no ``force_cache_*`` key,
 since it evaluates every (op, step) placement in one batch per
 iteration.
 """
+
+import hashlib
 
 import pytest
 
@@ -114,11 +117,19 @@ def _siblings(seed=0):
     return library, system, assignment, periods, None
 
 
+def _starts_digest(schedules):
+    """First 16 hex digits of the SHA-256 of every block's sorted starts,
+    blocks sorted by key: equal digests mean equal schedules."""
+    text = repr(sorted((key, sorted(sched.starts.items())) for key, sched in schedules))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 PINS = {
     "paper": (
         _paper,
         1150,
         13.0,
+        "25887dd0b5ffb0e5",
         {
             "distribution_rebuilds": 1252,
             "force_cache_hits": 29342,
@@ -135,6 +146,7 @@ PINS = {
         _guarded,
         70,
         9.0,
+        "2451c520122e0b39",
         {
             "distribution_rebuilds": 80,
             "force_cache_misses": 850,
@@ -150,6 +162,7 @@ PINS = {
         lambda: _corpus(10),
         925,
         106.5,
+        "246b9c201a33393a",
         {
             "distribution_rebuilds": 1062,
             "force_cache_hits": 3908,
@@ -166,6 +179,7 @@ PINS = {
         lambda: _corpus(20),
         1772,
         238.0,
+        "5bea855279f48267",
         {
             "distribution_rebuilds": 2062,
             "force_cache_hits": 7091,
@@ -182,6 +196,7 @@ PINS = {
         _scaling6,
         482,
         24.0,
+        "f1ced58d8fa92d61",
         {
             "distribution_rebuilds": 493,
             "force_cache_hits": 2919,
@@ -198,6 +213,7 @@ PINS = {
         _siblings,
         311,
         13.0,
+        "8e2905942823a541",
         {
             "distribution_rebuilds": 315,
             "force_cache_hits": 3796,
@@ -215,7 +231,7 @@ PINS = {
 
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_counters_iterations_and_area_are_pinned(name):
-    build, iterations, area, counters = PINS[name]
+    build, iterations, area, starts, counters = PINS[name]
     library, system, assignment, periods, weights = build()
     tracer = Tracer()
     result = ModuloSystemScheduler(
@@ -223,6 +239,7 @@ def test_counters_iterations_and_area_are_pinned(name):
     ).schedule(system, assignment, periods)
     assert result.iterations == iterations
     assert result.total_area() == area
+    assert _starts_digest(result.block_schedules.items()) == starts
     assert tracer.counters.as_dict() == counters
 
 
@@ -252,6 +269,7 @@ FDS_PINS = {
         _fds_ewf24,
         26,
         6.0,
+        "c152887d69e5ee4d",
         {
             "distribution_rebuilds": 35,
             "force_evaluations": 4872,
@@ -263,6 +281,7 @@ FDS_PINS = {
         _fds_modal,
         7,
         6.0,
+        "4fa08c96b7ce5d04",
         {
             "distribution_rebuilds": 11,
             "force_evaluations": 322,
@@ -275,7 +294,7 @@ FDS_PINS = {
 
 @pytest.mark.parametrize("name", sorted(FDS_PINS))
 def test_fds_counters_iterations_and_area_are_pinned(name):
-    build, iterations, area, counters = FDS_PINS[name]
+    build, iterations, area, starts, counters = FDS_PINS[name]
     library, block, weights = build()
     tracer = Tracer()
     schedule = ForceDirectedScheduler(
@@ -284,6 +303,7 @@ def test_fds_counters_iterations_and_area_are_pinned(name):
     assert schedule.iterations == iterations
     peaks = schedule.peaks()
     assert sum(library.type(t).area * peak for t, peak in peaks.items()) == area
+    assert _starts_digest([(block.name, schedule)]) == starts
     assert tracer.counters.as_dict() == counters
 
 

@@ -13,7 +13,7 @@ unfixed slot side must match a kernel freshly constructed over the same
 block states and coupling:
 
 * type orders, assigned balanced types, ``eta`` and ``G`` rows bit for
-  bit (rows are elementwise replays of ``placement_deltas``);
+  bit (rows are elementwise sums, like ``placement_deltas``);
 * constants and ``G`` dots within ``1e-12`` (batched matrix products
   are not bitwise-stable across batch shapes).
 
@@ -141,13 +141,27 @@ def test_persistent_state_equals_a_fresh_kernel_after_every_commit(name):
 
 
 def test_rows_with_several_overrides_of_one_type_are_stacked():
-    """The paper system's adder chains cut two neighbours of one type."""
-    _scheduler, _entries, _coupling, kernel = build(_paper)
-    assert any(
-        stack.more_at is not None
-        for stacks in kernel._stacks
-        for stack in stacks.values()
-    )
+    """The paper system's adder chains cut two neighbours of one type:
+    such a frame end keeps one row of the type, the oracle's sum."""
+    _scheduler, entries, _coupling, kernel = build(_paper)
+    found = 0
+    for index, entry in enumerate(entries):
+        state = entry.state
+        type_of = state.dist.type_of
+        for op_id in state.frames.unfixed():
+            slot = kernel.slot_of[index][op_id]
+            for side, end in enumerate(state.frames.frame(op_id)):
+                implied = state.frames.implied_neighbor_frames(op_id, end)
+                types = [type_of[op_id]] + [type_of[oid] for oid in implied]
+                repeated = {name for name in types if types.count(name) > 1}
+                for type_name in repeated:
+                    stack = kernel._stacks[index][type_name]
+                    (rows,) = np.nonzero(stack.index[0] == slot + side * kernel._n)
+                    assert rows.size == 1, (op_id, end, type_name)
+                    want = state.placement_deltas(op_id, end)[type_name]
+                    assert stack.delta[rows[0]].tobytes() == want.tobytes()
+                    found += 1
+    assert found
 
 
 def test_commit_moving_only_a_neighbour_rebuilds_the_rows():

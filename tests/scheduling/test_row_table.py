@@ -1,9 +1,9 @@
 """Property tests for the displacement rows (docs/performance.md).
 
 Every displacement row is built from the override sets of
-:func:`increment_stacks` and :func:`replay`'s run of the scalar round
-trip, so a wrong override set or replay would show up as a row that
-differs from the scalar :meth:`BlockState.placement_deltas` oracle.  Random
+:func:`increment_stacks` as the sum of its increments, so a wrong
+override set or sum would show up as a row that differs from the
+scalar :meth:`BlockState.placement_deltas` oracle.  Random
 frame-end commits drive the paper system, the guarded workload and
 random blocks; after every commit each mobile operation's two frame-end
 rows must equal the oracle bit for bit, with the displaced types in
@@ -16,12 +16,11 @@ its persistent state.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
 
 from repro.ir.operation import OpKind
 from repro.ir.process import Block
 from repro.resources.library import default_library
-from repro.scheduling.kernels import increment_stacks, replay
+from repro.scheduling.kernels import increment_stacks
 from repro.scheduling.state import BlockState
 from repro.workloads import mode_switching_filter, paper_system, random_dfg
 
@@ -54,8 +53,7 @@ def check_frame_ends(state, skip=frozenset()):
     type_orders, stacks = increment_stacks(state, candidates)
     rows = {}
     for type_name, stack in stacks.items():
-        deltas = replay(stack, state.dist.array(type_name))
-        for (row, position), delta in zip(stack.index.T.tolist(), deltas):
+        for (row, position), delta in zip(stack.index.T.tolist(), stack.delta):
             assert type_orders[row][position] == type_name
             rows[row, type_name] = delta
     for row, (op_id, start) in enumerate(candidates):
@@ -68,12 +66,13 @@ def check_frame_ends(state, skip=frozenset()):
     assert not rows
 
 
-def frame_end_candidates(state):
-    candidates = []
-    for op_id in state.frames.unfixed():
-        lo, hi = state.frames.frame(op_id)
-        candidates.extend([(op_id, lo), (op_id, hi)])
-    return candidates
+def repeats_a_type(state, op_id, start):
+    """Whether the placement's override set holds two rows of one type,
+    so its displacement row sums several increments."""
+    type_of = state.dist.type_of
+    implied = state.frames.implied_neighbor_frames(op_id, start)
+    types = [type_of[op_id]] + [type_of[oid] for oid in implied]
+    return len(types) != len(set(types))
 
 
 def drive(state, seed):
@@ -98,8 +97,12 @@ def drive(state, seed):
             effect = state.commit_reduce_effect(op_id, lo, hi - 1)
         assert effect.changed_ops <= effect.dropped_ops
         check_frame_ends(state, skip)
-        _orders, stacks = increment_stacks(state, frame_end_candidates(state))
-        multi += any(stack.more_at is not None for stack in stacks.values())
+        multi += any(
+            repeats_a_type(state, op_id, end)
+            for op_id in state.frames.unfixed()
+            if op_id not in skip
+            for end in state.frames.frame(op_id)
+        )
     return multi
 
 
