@@ -19,17 +19,20 @@ normalized away: graph construction order feeds the schedulers'
 deterministic tie-breaks, so differently-ordered texts are genuinely
 different computations.
 
-The option dict is canonicalized by a JSON round trip with sorted keys;
-options that do not affect the result (observability toggles, fault
-directives for the chaos harness) must be kept out of the options dict
-by the caller — :mod:`repro.service.jobstore` does.
+The option dict is canonicalized by a JSON round trip with sorted keys,
+then validated against its kind's whitelist, with each value in its
+declared type and every option equal to its default left out
+(:func:`repro.service.runner.normalize_options`).  Options that do not
+affect the result (observability toggles, fault directives for the
+chaos harness) must be kept out of the options dict by the caller —
+:mod:`repro.service.jobstore` does.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from ..errors import SpecificationError
 
@@ -57,21 +60,27 @@ def canonical_problem_text(text: str) -> str:
     return dumps_problem(loads_problem(text))
 
 
-def canonical_options(options: Optional[Mapping[str, object]]) -> dict:
-    """A plain, JSON-round-tripped copy of the options mapping.
+def canonical_options(
+    kind: str, options: Optional[Mapping[str, object]]
+) -> Dict[str, object]:
+    """The options of a ``kind`` job as its key hashes them.
 
-    Defaults equal to "absent" are the caller's responsibility; this
-    only guarantees a stable, comparable, hashable representation and
-    rejects values JSON cannot express.
+    A JSON round trip gives a plain, comparable copy and rejects values
+    JSON cannot express; validation then rejects unknown or ill-typed
+    options, and defaults are left out, so spellings of the same
+    computation share one key.
     """
+    from .runner import normalize_options
+
     if not options:
         return {}
     try:
-        return json.loads(json.dumps(dict(options), sort_keys=True))
+        plain = json.loads(json.dumps(dict(options), sort_keys=True))
     except (TypeError, ValueError) as exc:
         raise SpecificationError(
             f"job options are not JSON-serializable: {exc}"
         ) from exc
+    return normalize_options(kind, plain)
 
 
 def cache_key(
@@ -87,7 +96,9 @@ def cache_key(
     result-affecting scheduler options.
     """
     return key_of_canonical(
-        kind, canonical_problem_text(problem_text), canonical_options(options)
+        kind,
+        canonical_problem_text(problem_text),
+        canonical_options(kind, options),
     )
 
 

@@ -171,15 +171,12 @@ class JobSpec:
         fault: Optional[str] = None,
     ) -> Tuple["JobSpec", str]:
         """Canonicalize a request; returns ``(spec, cache_key)``."""
-        from .runner import validate_options
-
         if kind not in JOB_KINDS:
             raise ServiceError(
                 f"unknown job kind {kind!r}; known: {', '.join(JOB_KINDS)}"
             )
         canonical = canonical_problem_text(problem_text)
-        opts = canonical_options(options)
-        validate_options(kind, opts)
+        opts = canonical_options(kind, options)
         key = key_of_canonical(kind, canonical, opts)
         return cls(kind, canonical, opts, fault), key
 
@@ -739,6 +736,20 @@ class JobStore:
         except OSError:
             return False
 
+    def _committed_bytes(self, job_id: str) -> Optional[bytes]:
+        """A committed payload's bytes, or None when there are none.
+
+        Read-only and lock-free: a payload evicted between the check and
+        the read reads as None, like one that was never written.
+        """
+        if not self._cache_file_ok(job_id):
+            return None
+        try:
+            with open(self._cache_path(job_id), "rb") as handle:
+                return handle.read()
+        except OSError:
+            return None
+
     def _touch_cache(self, job_id: str) -> None:
         """Refresh a payload's mtime: the LRU clock of :meth:`gc`."""
         try:
@@ -879,6 +890,8 @@ class JobStore:
             corrupt_target=sweep_path or self.journal_path,
             should_stop=record.cancel_event.is_set,
             fault=fault,
+            committed=self._committed_bytes,
+            note_reuse=lambda: self.metrics.inc("service_schedules_reused"),
         )
 
         outcome: Dict[str, object] = {}

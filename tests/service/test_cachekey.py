@@ -190,3 +190,66 @@ def test_unknown_kind_rejected():
 
     with pytest.raises(ServiceError):
         JobSpec.create("meditate", SMALL_TEXT)
+
+
+# ----------------------------------------------------------------------
+# Default-valued options
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "kind,options",
+    [
+        ("schedule", {"local": False}),
+        ("sweep", {"prune": True}),
+        ("sweep", {"harmonic": True}),
+        ("sweep", {"limit": 10000}),
+        ("sweep", {"limit": 10000.0}),
+        ("sweep", {"candidate_delay": 0}),
+        ("sweep", {"candidate_delay": 0.0}),
+        ("sweep", {"prune": True, "harmonic": True, "limit": 10000}),
+        ("certify", {"offset_model": "deployed"}),
+    ],
+)
+def test_explicit_default_spelling_collides_with_no_options(kind, options):
+    spec, key = JobSpec.create(kind, SMALL_TEXT, options)
+    assert key == cache_key(kind, SMALL_TEXT, options)
+    assert key == cache_key(kind, SMALL_TEXT, {})
+    assert spec.options == {}
+
+
+@pytest.mark.parametrize(
+    "kind,options",
+    [
+        ("schedule", {"local": True}),
+        ("schedule", {"max_iterations": 5}),
+        ("sweep", {"prune": False}),
+        ("sweep", {"harmonic": False}),
+        ("sweep", {"limit": 6}),
+        ("sweep", {"max_grid": 4}),
+        ("sweep", {"candidate_delay": 0.4}),
+        ("certify", {"offset_model": "any"}),
+    ],
+)
+def test_non_default_option_values_keep_their_own_key(kind, options):
+    spec, key = JobSpec.create(kind, SMALL_TEXT, options)
+    assert key == cache_key(kind, SMALL_TEXT, options)
+    assert key != cache_key(kind, SMALL_TEXT, {})
+    assert spec.options == options
+
+
+def test_integral_float_spells_an_int_option():
+    spec, key = JobSpec.create("sweep", SMALL_TEXT, {"limit": 6.0})
+    assert key == cache_key("sweep", SMALL_TEXT, {"limit": 6})
+    assert spec.options == {"limit": 6}
+    assert isinstance(spec.options["limit"], int)
+    _spec, delay_key = JobSpec.create("sweep", SMALL_TEXT, {"candidate_delay": 1})
+    assert delay_key == cache_key("sweep", SMALL_TEXT, {"candidate_delay": 1.0})
+
+
+@pytest.mark.parametrize(
+    "options", [{"limit": 6.5}, {"limit": True}, {"max_iterations": "5"}]
+)
+def test_non_integral_int_option_rejected(options):
+    kind = "schedule" if "max_iterations" in options else "sweep"
+    with pytest.raises(SpecificationError) as excinfo:
+        JobSpec.create(kind, SMALL_TEXT, options)
+    assert excinfo.value.code == "SPEC"

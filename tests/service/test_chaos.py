@@ -142,3 +142,31 @@ def test_corrupted_sweep_journal_still_resumes(
     assert dropped >= 1, "the fault should have garbled the journal"
     restarted = serve_factory()
     _finish_and_check(restarted, job_id, reference_bytes)
+
+
+def test_crash_on_a_reusing_certify_attempt_recovers(serve_factory):
+    # The schedule job commits; the fault plan then os._exit(3)s the
+    # server as the certify attempt, which would reuse that schedule,
+    # starts.  The restarted server must finish the certify job with
+    # the bytes of an uninterrupted run.
+    with LocalSession() as session:
+        reference = session.certify(SMALL_TEXT).raw
+    crashing = serve_factory("--inject-fault", "exit:3@2")
+    client = ServiceClient(crashing.address, timeout=10.0)
+    scheduled = client.submit("schedule", SMALL_TEXT)
+    assert client.wait(str(scheduled["job"]), timeout=60.0)["state"] == "done"
+    certify_id = cache_key("certify", SMALL_TEXT)
+    try:
+        client.submit("certify", SMALL_TEXT)
+    except ServiceError:
+        pass  # the crash may beat the acknowledgment; the id is the key
+    assert crashing.wait_exit() == 3
+    restarted = serve_factory()
+    client = ServiceClient(restarted.address, timeout=10.0)
+    final = client.wait(certify_id, timeout=120.0)
+    assert final["state"] == "done", final
+    assert client.result_bytes(certify_id) == reference
+    assert "service_schedules_reused_total 1" in client.metrics_text()
+    resubmit = client.submit("certify", SMALL_TEXT)
+    assert resubmit["cached"] is True
+    assert client.result_bytes(certify_id) == reference
