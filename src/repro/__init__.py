@@ -23,136 +23,67 @@ Subpackages: :mod:`repro.ir` (dataflow graphs, processes),
 (instances, authorizations), :mod:`repro.sim` (dynamic validation),
 :mod:`repro.workloads` and :mod:`repro.analysis` (evaluation),
 :mod:`repro.obs` (tracing, counters, logging, profiling).
+
+Package exports resolve on first access (:mod:`repro._lazy`): ``import
+repro`` loads no subpackage, and ``repro.ModuloSystemScheduler`` imports
+only the modules that define it.
 """
 
-from .errors import (
-    BindingError,
-    GraphError,
-    InfeasibleError,
-    PeriodError,
-    ReproError,
-    ResourceError,
-    SchedulingError,
-    SimulationError,
-    SpecificationError,
-    VerificationError,
-)
-from .ir import (
-    Block,
-    DataFlowGraph,
-    ExprBuilder,
-    OpKind,
-    Operation,
-    Process,
-    SystemSpec,
-    parse_behavior,
-)
-from .resources import (
-    ResourceAssignment,
-    ResourceLibrary,
-    ResourceType,
-    alu_library,
-    default_library,
-    resource_type,
-)
-from .scheduling import (
-    BlockSchedule,
-    ForceDirectedScheduler,
-    ImprovedForceDirectedScheduler,
-    ListScheduler,
-    area_weights,
-    uniform_weights,
-)
-from .core import (
-    ModuloSystemScheduler,
-    PeriodAssignment,
-    RCModuloScheduler,
-    SystemSchedule,
-    auto_assignment,
-    enumerate_period_assignments,
-    suggest_periods,
-    verify,
-    verify_system_schedule,
-)
-from .binding import AccessAuthorizationTable, InstanceBinding, bind_instances
-from .obs import (
-    NULL_TRACER,
-    Counters,
-    NullTracer,
-    Tracer,
-    configure_logging,
-    get_logger,
-    render_profile,
-)
-from .sim import SystemSimulator
-from .analysis import Comparison, bound_report, compare_scopes, table1
-from .api import Problem, load_problem, loads_problem
-from .core import optimize_offsets, optimize_periods
-from .rtl import RTLDesign, build_rtl, emit_verilog
+from ._lazy import attach
+
+_EXPORTS = {
+    "analysis.bounds": ["bound_report"],
+    "analysis.compare": ["Comparison", "compare_scopes"],
+    "analysis.tables": ["table1"],
+    "api": ["Problem", "load_problem", "loads_problem"],
+    "binding.authorization": ["AccessAuthorizationTable"],
+    "binding.instances": ["InstanceBinding", "bind_instances"],
+    "core.auto_assignment": ["auto_assignment"],
+    "core.offsets": ["optimize_offsets"],
+    "core.period_search": ["optimize_periods"],
+    "core.periods": [
+        "PeriodAssignment",
+        "enumerate_period_assignments",
+        "suggest_periods",
+    ],
+    "core.rc_modulo": ["RCModuloScheduler"],
+    "core.result": ["SystemSchedule"],
+    "core.scheduler": ["ModuloSystemScheduler"],
+    "core.verify": ["verify", "verify_system_schedule"],
+    "errors": [
+        "BindingError",
+        "GraphError",
+        "InfeasibleError",
+        "PeriodError",
+        "ReproError",
+        "ResourceError",
+        "SchedulingError",
+        "SimulationError",
+        "SpecificationError",
+        "VerificationError",
+    ],
+    "ir.behavior": ["parse_behavior"],
+    "ir.dfg": ["DataFlowGraph"],
+    "ir.expr": ["ExprBuilder"],
+    "ir.operation": ["OpKind", "Operation"],
+    "ir.process": ["Block", "Process", "SystemSpec"],
+    "obs.counters": ["Counters"],
+    "obs.logconfig": ["configure_logging", "get_logger"],
+    "obs.profile": ["render_profile"],
+    "obs.tracer": ["NULL_TRACER", "NullTracer", "Tracer"],
+    "resources.assignment": ["ResourceAssignment"],
+    "resources.library": ["ResourceLibrary", "alu_library", "default_library"],
+    "resources.types": ["ResourceType", "resource_type"],
+    "rtl.design": ["RTLDesign", "build_rtl"],
+    "rtl.verilog": ["emit_verilog"],
+    "scheduling.fds": ["ForceDirectedScheduler"],
+    "scheduling.forces": ["area_weights", "uniform_weights"],
+    "scheduling.ifds": ["ImprovedForceDirectedScheduler"],
+    "scheduling.list_scheduling": ["ListScheduler"],
+    "scheduling.schedule": ["BlockSchedule"],
+    "sim.simulator": ["SystemSimulator"],
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AccessAuthorizationTable",
-    "BindingError",
-    "Block",
-    "BlockSchedule",
-    "Comparison",
-    "Counters",
-    "DataFlowGraph",
-    "ExprBuilder",
-    "ForceDirectedScheduler",
-    "GraphError",
-    "ImprovedForceDirectedScheduler",
-    "InfeasibleError",
-    "InstanceBinding",
-    "ListScheduler",
-    "ModuloSystemScheduler",
-    "NULL_TRACER",
-    "NullTracer",
-    "OpKind",
-    "Operation",
-    "PeriodAssignment",
-    "PeriodError",
-    "Problem",
-    "Process",
-    "RCModuloScheduler",
-    "RTLDesign",
-    "ReproError",
-    "ResourceAssignment",
-    "ResourceError",
-    "ResourceLibrary",
-    "ResourceType",
-    "SchedulingError",
-    "SimulationError",
-    "SpecificationError",
-    "SystemSchedule",
-    "SystemSimulator",
-    "SystemSpec",
-    "Tracer",
-    "VerificationError",
-    "alu_library",
-    "area_weights",
-    "auto_assignment",
-    "bind_instances",
-    "bound_report",
-    "build_rtl",
-    "compare_scopes",
-    "configure_logging",
-    "default_library",
-    "emit_verilog",
-    "enumerate_period_assignments",
-    "get_logger",
-    "load_problem",
-    "loads_problem",
-    "optimize_offsets",
-    "parse_behavior",
-    "optimize_periods",
-    "render_profile",
-    "resource_type",
-    "suggest_periods",
-    "table1",
-    "uniform_weights",
-    "verify",
-    "verify_system_schedule",
-]

@@ -1,50 +1,31 @@
 """Evaluation harness: metrics, tables, comparisons, attribution."""
 
-from .attribution import (
-    AttributionReport,
-    BottleneckEntry,
-    ContributingOp,
-    attribute,
-)
-from .bounds import block_bound, bound_report, global_pool_bound, process_bound
-from .compare import Comparison, compare_scopes
-from .export import export_result, result_to_dict, result_to_json
-from .gantt import block_gantt, system_gantt, usage_gantt
-from .interconnect import (
-    InterconnectReport,
-    interconnect_report,
-    total_area_with_interconnect,
-)
-from .metrics import AreaItem, area_breakdown, mobility_histogram, static_utilization
-from .report import RunReport, run_report
-from .tables import table1, usage_table
+from .._lazy import attach
 
-__all__ = [
-    "AreaItem",
-    "AttributionReport",
-    "BottleneckEntry",
-    "ContributingOp",
-    "RunReport",
-    "attribute",
-    "run_report",
-    "block_bound",
-    "bound_report",
-    "Comparison",
-    "area_breakdown",
-    "block_gantt",
-    "compare_scopes",
-    "export_result",
-    "InterconnectReport",
-    "interconnect_report",
-    "global_pool_bound",
-    "process_bound",
-    "mobility_histogram",
-    "static_utilization",
-    "table1",
-    "result_to_dict",
-    "result_to_json",
-    "system_gantt",
-    "usage_gantt",
-    "total_area_with_interconnect",
-    "usage_table",
-]
+_EXPORTS = {
+    "attribution": [
+        "AttributionReport",
+        "BottleneckEntry",
+        "ContributingOp",
+        "attribute",
+    ],
+    "bounds": ["block_bound", "bound_report", "global_pool_bound", "process_bound"],
+    "compare": ["Comparison", "compare_scopes"],
+    "export": ["export_result", "result_to_dict", "result_to_json"],
+    "gantt": ["block_gantt", "system_gantt", "usage_gantt"],
+    "interconnect": [
+        "InterconnectReport",
+        "interconnect_report",
+        "total_area_with_interconnect",
+    ],
+    "metrics": [
+        "AreaItem",
+        "area_breakdown",
+        "mobility_histogram",
+        "static_utilization",
+    ],
+    "report": ["RunReport", "run_report"],
+    "tables": ["table1", "usage_table"],
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

@@ -16,54 +16,35 @@ Consumers: sweep pruning (`analysis.bounds`), the certifier's interval
 fast path, the ``LINT3xx`` pressure rules, and ``repro analyze``.
 """
 
-from .analyze import (
-    MODEL_ANY,
-    MODEL_DEPLOYED,
-    analyze_problem,
-    analyze_schedule,
-    forced_process_bound,
-    interval_pool_bound,
-    join_rotations,
-)
-from .cone import ConeOp, SubgraphExtract, extract_bottleneck_cone
-from .domain import (
-    ABSINT_FORMAT,
-    ABSINT_VERSION,
-    MODE_PROBLEM,
-    MODE_SCHEDULE,
-    AbsIntResult,
-    ProcessPressure,
-    TypePressure,
-)
-from .transfer import (
-    DEFAULT_WIDEN_FLOOR,
-    block_step_profiles,
-    effective_busy,
-    fold_profiles,
-    mobility_frames,
-)
+from ..._lazy import attach
 
-__all__ = [
-    "ABSINT_FORMAT",
-    "ABSINT_VERSION",
-    "AbsIntResult",
-    "ConeOp",
-    "DEFAULT_WIDEN_FLOOR",
-    "MODE_PROBLEM",
-    "MODE_SCHEDULE",
-    "MODEL_ANY",
-    "MODEL_DEPLOYED",
-    "ProcessPressure",
-    "SubgraphExtract",
-    "TypePressure",
-    "analyze_problem",
-    "analyze_schedule",
-    "block_step_profiles",
-    "effective_busy",
-    "extract_bottleneck_cone",
-    "fold_profiles",
-    "forced_process_bound",
-    "interval_pool_bound",
-    "join_rotations",
-    "mobility_frames",
-]
+_EXPORTS = {
+    "analyze": [
+        "MODEL_ANY",
+        "MODEL_DEPLOYED",
+        "analyze_problem",
+        "analyze_schedule",
+        "forced_process_bound",
+        "interval_pool_bound",
+        "join_rotations",
+    ],
+    "cone": ["ConeOp", "SubgraphExtract", "extract_bottleneck_cone"],
+    "domain": [
+        "ABSINT_FORMAT",
+        "ABSINT_VERSION",
+        "AbsIntResult",
+        "MODE_PROBLEM",
+        "MODE_SCHEDULE",
+        "ProcessPressure",
+        "TypePressure",
+    ],
+    "transfer": [
+        "DEFAULT_WIDEN_FLOOR",
+        "block_step_profiles",
+        "effective_busy",
+        "fold_profiles",
+        "mobility_frames",
+    ],
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

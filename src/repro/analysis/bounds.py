@@ -112,7 +112,7 @@ def _strengthened_process_bound(
 ) -> int:
     bound = process_bound(process, library, type_name)
     if use_intervals:
-        from .absint import forced_process_bound
+        from .absint.analyze import forced_process_bound
 
         forced = forced_process_bound(process, library, type_name)
         if forced > bound:
@@ -147,7 +147,7 @@ def type_instance_bound(
     if assignment.is_global(type_name):
         bound = global_pool_bound(system, library, assignment, periods, type_name)
         if use_intervals:
-            from .absint import interval_pool_bound
+            from .absint.analyze import interval_pool_bound
 
             interval = interval_pool_bound(
                 system, library, assignment, periods, type_name

@@ -12,58 +12,36 @@ Two pillars (see docs/static-analysis.md):
   ``LINT*`` diagnostic codes over a problem and its schedule.
 """
 
-from .certificate import (
-    CERTIFICATE_FORMAT,
-    CERTIFICATE_VERSION,
-    METHOD_ENUMERATION,
-    METHOD_INTERVAL,
-    MODEL_ANY,
-    MODEL_DEPLOYED,
-    VERDICT_SAFE,
-    VERDICT_UNSAFE,
-    Certificate,
-    Contribution,
-    Counterexample,
-    ProcessEnvelope,
-    SlotWitness,
-    TypeProof,
-)
-from .certifier import CertificationError, certify, pool_conflict
-from .checker import check_certificate
-from .lint import (
-    DEFAULT_RULES,
-    RULES_BY_NAME,
-    SCOPE_PROBLEM,
-    SCOPE_SCHEDULE,
-    LintContext,
-    LintRule,
-    run_lint,
-)
+from ..._lazy import attach
 
-__all__ = [
-    "CERTIFICATE_FORMAT",
-    "CERTIFICATE_VERSION",
-    "METHOD_ENUMERATION",
-    "METHOD_INTERVAL",
-    "MODEL_ANY",
-    "MODEL_DEPLOYED",
-    "VERDICT_SAFE",
-    "VERDICT_UNSAFE",
-    "Certificate",
-    "CertificationError",
-    "Contribution",
-    "Counterexample",
-    "DEFAULT_RULES",
-    "LintContext",
-    "LintRule",
-    "ProcessEnvelope",
-    "RULES_BY_NAME",
-    "SCOPE_PROBLEM",
-    "SCOPE_SCHEDULE",
-    "SlotWitness",
-    "TypeProof",
-    "certify",
-    "check_certificate",
-    "pool_conflict",
-    "run_lint",
-]
+_EXPORTS = {
+    "certificate": [
+        "CERTIFICATE_FORMAT",
+        "CERTIFICATE_VERSION",
+        "Certificate",
+        "Contribution",
+        "Counterexample",
+        "METHOD_ENUMERATION",
+        "METHOD_INTERVAL",
+        "MODEL_ANY",
+        "MODEL_DEPLOYED",
+        "ProcessEnvelope",
+        "SlotWitness",
+        "TypeProof",
+        "VERDICT_SAFE",
+        "VERDICT_UNSAFE",
+    ],
+    "certifier": ["CertificationError", "certify", "pool_conflict"],
+    "checker": ["check_certificate"],
+    "lint": [
+        "DEFAULT_RULES",
+        "LintContext",
+        "LintRule",
+        "RULES_BY_NAME",
+        "SCOPE_PROBLEM",
+        "SCOPE_SCHEDULE",
+        "run_lint",
+    ],
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

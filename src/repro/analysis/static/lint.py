@@ -320,7 +320,7 @@ def _rule_residue_pressure(ctx: LintContext, report: DiagnosticReport) -> None:
     result = ctx.schedule
     if result is None:
         return
-    from ..absint import analyze_problem
+    from ..absint.analyze import analyze_problem
 
     pools = {
         type_name: result.global_instances(type_name)

@@ -1,20 +1,16 @@
 """Post-scheduling binding: instances, authorizations, registers."""
 
-from .authorization import AccessAuthorizationTable
-from .instances import InstanceBinding, bind_instances
-from .registers import (
-    Lifetime,
-    allocate_registers,
-    register_requirement,
-    value_lifetimes,
-)
+from .._lazy import attach
 
-__all__ = [
-    "AccessAuthorizationTable",
-    "InstanceBinding",
-    "allocate_registers",
-    "Lifetime",
-    "bind_instances",
-    "register_requirement",
-    "value_lifetimes",
-]
+_EXPORTS = {
+    "authorization": ["AccessAuthorizationTable"],
+    "instances": ["InstanceBinding", "bind_instances"],
+    "registers": [
+        "Lifetime",
+        "allocate_registers",
+        "register_requirement",
+        "value_lifetimes",
+    ],
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

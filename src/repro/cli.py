@@ -44,33 +44,23 @@ import json
 import os
 import sys
 import traceback
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .analysis.compare import compare_scopes, render_comparison
-from .analysis.tables import table1
 from .api import load_problem
 from .binding.instances import bind_instances
 from .core.periods import enumerate_period_assignments_capped
 from .core.verify import verify_system_schedule
 from .errors import ReproError
-from .obs import (
-    AuditTrail,
-    EventBus,
-    Tracer,
-    configure_logging,
-    get_logger,
-    render_profile,
-)
-from .obs.events import EVENT_CANDIDATE, EVENT_PRUNE
-from .parallel import (
-    STATUS_OK,
-    STATUS_PRUNED,
-    CandidateResult,
-    ExplorationEngine,
-)
+from .obs.audit import AuditTrail
+from .obs.logconfig import configure_logging, get_logger
+from .obs.profile import render_profile
+from .obs.tracer import Tracer
 from .scheduling.forces import area_weights
-from .sim.simulator import SystemSimulator
-from .validation import RunBudget, validate_path
+from .validation.budget import RunBudget
+from .validation.preflight import validate_path
+
+if TYPE_CHECKING:
+    from .parallel.engine import CandidateResult
 
 _log = get_logger(__name__)
 
@@ -618,6 +608,9 @@ def _live_progress(tracer: Tracer, total: int) -> None:
     instead of a post-mortem.  Lines go to stderr so piped stdout stays
     machine-readable.
     """
+    from .obs.events import EVENT_CANDIDATE, EVENT_PRUNE, EventBus
+    from .parallel.engine import STATUS_OK, STATUS_PRUNED
+
     if tracer.bus is None:
         tracer.bus = EventBus()
     done = {"count": 0}
@@ -688,7 +681,7 @@ def _reject_server_flags(
     embedded in the message) raises a ``SERVE``-coded error instead of
     being silently dropped.
     """
-    from .service import ServiceError
+    from .service.jobstore import ServiceError
 
     for attr, flag in flags.items():
         if getattr(args, attr, None):
@@ -700,7 +693,7 @@ def _reject_server_flags(
 
 def _remote_outcome(args: argparse.Namespace, kind: str, options: Dict):
     """Submit one job to the daemon and wait for its payload."""
-    from .service import RemoteSession
+    from .service.session import RemoteSession
 
     with open(args.file, encoding="utf-8") as handle:
         text = handle.read()
@@ -776,7 +769,7 @@ def _remote_sweep(args: argparse.Namespace) -> int:
         },
     )
     if args.workers > 1 or args.chunk_size > 1:
-        from .service import ServiceError
+        from .service.jobstore import ServiceError
 
         raise ServiceError(
             "--workers/--chunk-size are not supported with --server; "
@@ -801,6 +794,8 @@ def _remote_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.verbose:
+        from .parallel.engine import STATUS_OK, STATUS_PRUNED
+
         for record in payload.get("candidates") or []:
             if record["status"] == STATUS_OK:
                 print(f"  {record['periods']} -> area {record['area']:g}")
@@ -859,8 +854,10 @@ def _remote_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from .obs.events import EventBus
     from .parallel.jobs import FaultPlan
-    from .service import JobStore, ServiceServer
+    from .service.jobstore import JobStore
+    from .service.server import ServiceServer
 
     fault_plan = (
         FaultPlan.parse(args.inject_fault) if args.inject_fault else None
@@ -909,10 +906,10 @@ def _job_line(job: Dict) -> str:
 def cmd_jobs(args: argparse.Namespace) -> int:
     import time as _time
 
-    from .service import ServiceClient
+    from .service.client import ServiceClient
 
     if args.gc:
-        from .service import JobStore
+        from .service.jobstore import JobStore
 
         if not args.state_dir or args.max_cache_bytes is None:
             print(
@@ -988,7 +985,7 @@ def _sys_paths(paths: List[str]) -> List[str]:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis.static import RULES_BY_NAME, run_lint
+    from .analysis.static.lint import RULES_BY_NAME, run_lint
 
     rules = None
     if args.rule:
@@ -1044,7 +1041,8 @@ def _parse_pools(entries: Optional[List[str]]) -> Optional[Dict[str, int]]:
 def cmd_certify(args: argparse.Namespace) -> int:
     if getattr(args, "server", None):
         return _remote_certify(args)
-    from .analysis.static import certify, check_certificate
+    from .analysis.static.certifier import certify
+    from .analysis.static.checker import check_certificate
 
     pools = _parse_pools(args.pool)
     problem = load_problem(args.file)
@@ -1081,11 +1079,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .analysis.absint import (
-        analyze_problem,
-        analyze_schedule,
-        extract_bottleneck_cone,
-    )
+    from .analysis.absint.analyze import analyze_problem, analyze_schedule
+    from .analysis.absint.cone import extract_bottleneck_cone
 
     pools = _parse_pools(args.pool)
     problem = load_problem(args.file)
@@ -1158,6 +1153,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.table:
+        from .analysis.tables import table1
+
         print()
         print(table1(result))
     if args.profile:
@@ -1189,6 +1186,9 @@ def _comparison_record(result: CandidateResult) -> dict:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .analysis.compare import compare_scopes, render_comparison
+    from .parallel.engine import ExplorationEngine
+
     problem = load_problem(args.file)
     tracer = _tracer_for(args)
     if args.workers > 1:
@@ -1226,6 +1226,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .sim.simulator import SystemSimulator
+
     problem = load_problem(args.file)
     result = problem.schedule()
     simulator = SystemSimulator(
@@ -1262,6 +1264,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if getattr(args, "server", None):
         return _remote_sweep(args)
+    from .parallel.engine import STATUS_OK, STATUS_PRUNED, ExplorationEngine
+
     if not _preflight(args):
         return 2
     problem = load_problem(args.file)

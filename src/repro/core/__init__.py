@@ -1,60 +1,32 @@
 """Core contribution: time-constrained modulo scheduling with global sharing."""
 
-from .auto_assignment import ScopeDecision, auto_assignment, decide_scopes
-from .balancing import balance, process_max, system_sum
-from .modulo import fold, modulo_delta, modulo_max, modulo_max_int, slot_steps
-from .periods import (
-    PeriodAssignment,
-    candidate_periods,
-    divisors,
-    enumerate_period_assignments,
-    estimate_enumeration_size,
-    is_harmonic,
-    lcm_all,
-    suggest_periods,
-)
-from .exhaustive import ExhaustiveReport, exhaustive_interleaving_check
-from .merging import merge_system, schedule_merged
-from .offsets import OffsetOutcome, optimize_offsets
-from .period_search import SearchOutcome, optimize_periods
-from .rc_modulo import RCModuloResult, RCModuloScheduler
-from .result import SystemSchedule
-from .scheduler import ModuloSystemScheduler
-from .verify import VerificationReport, verify, verify_system_schedule
+from .._lazy import attach
+# Bound eagerly: these exports share their submodule's name (see repro._lazy).
+from .auto_assignment import auto_assignment as auto_assignment
+from .verify import verify as verify
 
-__all__ = [
-    "ExhaustiveReport",
-    "ModuloSystemScheduler",
-    "OffsetOutcome",
-    "PeriodAssignment",
-    "RCModuloResult",
-    "RCModuloScheduler",
-    "ScopeDecision",
-    "SearchOutcome",
-    "SystemSchedule",
-    "VerificationReport",
-    "auto_assignment",
-    "balance",
-    "candidate_periods",
-    "decide_scopes",
-    "divisors",
-    "enumerate_period_assignments",
-    "estimate_enumeration_size",
-    "exhaustive_interleaving_check",
-    "fold",
-    "is_harmonic",
-    "lcm_all",
-    "merge_system",
-    "modulo_delta",
-    "modulo_max",
-    "modulo_max_int",
-    "optimize_offsets",
-    "optimize_periods",
-    "process_max",
-    "schedule_merged",
-    "slot_steps",
-    "suggest_periods",
-    "system_sum",
-    "verify",
-    "verify_system_schedule",
-]
+_EXPORTS = {
+    "auto_assignment": ["ScopeDecision", "auto_assignment", "decide_scopes"],
+    "balancing": ["balance", "process_max", "system_sum"],
+    "exhaustive": ["ExhaustiveReport", "exhaustive_interleaving_check"],
+    "merging": ["merge_system", "schedule_merged"],
+    "modulo": ["fold", "modulo_delta", "modulo_max", "modulo_max_int", "slot_steps"],
+    "offsets": ["OffsetOutcome", "optimize_offsets"],
+    "period_search": ["SearchOutcome", "optimize_periods"],
+    "periods": [
+        "PeriodAssignment",
+        "candidate_periods",
+        "divisors",
+        "enumerate_period_assignments",
+        "estimate_enumeration_size",
+        "is_harmonic",
+        "lcm_all",
+        "suggest_periods",
+    ],
+    "rc_modulo": ["RCModuloResult", "RCModuloScheduler"],
+    "result": ["SystemSchedule"],
+    "scheduler": ["ModuloSystemScheduler"],
+    "verify": ["VerificationReport", "verify", "verify_system_schedule"],
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

@@ -29,20 +29,22 @@ import numpy as np
 
 from ..errors import SchedulingError
 from ..ir.process import Block, SystemSpec
-from ..obs import FORCE_EVALUATIONS, SCHEDULER_ITERATIONS, as_tracer, get_logger
 from ..obs import counters as _ambient
 from ..obs.audit import CACHE_FRESH, CACHE_HIT, CandidateAudit, DecisionAudit
 from ..obs.counters import (
     AUDIT_DECISIONS,
-    Counters,
     FORCE_CACHE_HITS,
     FORCE_CACHE_MISSES,
+    FORCE_EVALUATIONS,
+    SCHEDULER_ITERATIONS,
     SELECTION_RESCORED,
     SELECTION_SKIPPED,
+    Counters,
     count,
     observe_many,
 )
 from ..obs.events import EVENT_COMMIT, EVENT_DEGRADE, EVENT_REDUCTION
+from ..obs.logconfig import get_logger
 from ..obs.metrics import (
     CANDIDATES_SCANNED,
     COMMIT_SECONDS,
@@ -52,6 +54,7 @@ from ..obs.metrics import (
     SELECT_SECONDS,
     MetricsRegistry,
 )
+from ..obs.tracer import as_tracer
 from ..resources.assignment import ResourceAssignment
 from ..resources.library import ResourceLibrary
 from ..scheduling.fallback import degraded_block_schedule, frames_state_hash

@@ -1,23 +1,15 @@
 """Intermediate representation: operations, dataflow graphs, processes."""
 
-from .behavior import BehaviorParser, parse_behavior
-from .dfg import DataFlowGraph
-from .expr import ExprBuilder, Value
-from .operation import OpKind, Operation
-from .process import Block, Process, SystemSpec
-from . import systemio, textio
+from .._lazy import attach
 
-__all__ = [
-    "BehaviorParser",
-    "Block",
-    "DataFlowGraph",
-    "ExprBuilder",
-    "OpKind",
-    "Operation",
-    "Process",
-    "SystemSpec",
-    "Value",
-    "parse_behavior",
-    "systemio",
-    "textio",
-]
+_EXPORTS = {
+    "behavior": ["BehaviorParser", "parse_behavior"],
+    "dfg": ["DataFlowGraph"],
+    "expr": ["ExprBuilder", "Value"],
+    "operation": ["OpKind", "Operation"],
+    "process": ["Block", "Process", "SystemSpec"],
+}
+
+__getattr__, __dir__, __all__ = attach(
+    __name__, _EXPORTS, submodules=["systemio", "textio"]
+)

@@ -73,15 +73,12 @@ class DataFlowGraph:
             raise GraphError(f"self-loop on operation {src!r}")
         if dst in self._succs[src]:
             return
+        if self._reaches(dst, src):
+            # Checked before the edge goes in, so the graph stays usable.
+            raise GraphError(f"edge {src!r} -> {dst!r} would create a cycle")
         self._succs[src].append(dst)
         self._preds[dst].append(src)
         self._topo_cache = None
-        if self._creates_cycle():
-            # Roll back so the graph stays usable after the error.
-            self._succs[src].remove(dst)
-            self._preds[dst].remove(src)
-            self._topo_cache = None
-            raise GraphError(f"edge {src!r} -> {dst!r} would create a cycle")
 
     def add_edges(self, edges: Iterable[Tuple[str, str]]) -> None:
         """Add many edges at once."""
@@ -186,11 +183,17 @@ class DataFlowGraph:
         self._topo_cache = order
         return list(order)
 
-    def _creates_cycle(self) -> bool:
-        try:
-            self.topological_order()
-        except GraphError:
-            return True
+    def _reaches(self, start: str, target: str) -> bool:
+        """Whether ``target`` is reachable from ``start`` over successors."""
+        stack = [start]
+        seen = {start}
+        while stack:
+            for succ in self._succs[stack.pop()]:
+                if succ == target:
+                    return True
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
         return False
 
     def critical_path_length(self, latency_of) -> int:

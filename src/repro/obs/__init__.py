@@ -30,150 +30,86 @@ and an inactive counter registry behaves — and costs — the same as
 before instrumentation.  See docs/observability.md.
 """
 
-from .audit import (
-    DEFAULT_CAPACITY,
-    NULL_AUDIT,
-    AuditTrail,
-    CandidateAudit,
-    DecisionAudit,
-    NullAuditTrail,
-)
-from .counters import (
-    AUDIT_DECISIONS,
-    AUTHORIZATION_CHECKS,
-    CERTIFIER_OFFSET_CLASSES,
-    CERTIFIER_SLOT_CHECKS,
-    DISTRIBUTION_REBUILDS,
-    FORCE_CACHE_HITS,
-    FORCE_CACHE_MISSES,
-    FORCE_EVALUATIONS,
-    FRAME_REDUCTIONS,
-    KNOWN_COUNTERS,
-    LINT_FINDINGS,
-    LINT_RULES_RUN,
-    MODULO_MAX_TRANSFORMS,
-    SCHEDULER_ITERATIONS,
-    SIMULATION_CYCLES,
-    Counters,
-    active_counters,
-    count,
-    observe,
-    set_gauge,
-)
-from .events import (
-    EVENT_CANDIDATE,
-    EVENT_CERTIFY,
-    EVENT_CERTIFY_TYPE,
-    EVENT_COMMIT,
-    EVENT_DEGRADE,
-    EVENT_PLACEMENT,
-    EVENT_PRUNE,
-    EVENT_REDUCTION,
-    EventBus,
-    JsonlEventWriter,
-    prometheus_text,
-)
-from .logconfig import configure_logging, get_logger, verbosity_level
-from .merge import merge_telemetry
-from .metrics import (
-    CANDIDATE_SECONDS,
-    CANDIDATES_SCANNED,
-    COMMIT_SECONDS,
-    FRAMES_REMAINING,
-    INCUMBENT_AREA,
-    KNOWN_GAUGES,
-    KNOWN_HISTOGRAMS,
-    REDUCTION_SCORE,
-    SELECT_SECONDS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_gauge_summary,
-    merge_histogram_summary,
-)
-from .profile import (
-    render_counter_table,
-    render_gauge_table,
-    render_histogram_table,
-    render_phase_table,
-    render_profile,
-)
-from .tracer import (
-    NULL_TRACER,
-    NullTracer,
-    SpanRecord,
-    TraceEvent,
-    Tracer,
-    as_tracer,
-)
+from .._lazy import attach
 
-__all__ = [
-    "AUDIT_DECISIONS",
-    "AUTHORIZATION_CHECKS",
-    "AuditTrail",
-    "CANDIDATES_SCANNED",
-    "CANDIDATE_SECONDS",
-    "CERTIFIER_OFFSET_CLASSES",
-    "CERTIFIER_SLOT_CHECKS",
-    "COMMIT_SECONDS",
-    "CandidateAudit",
-    "Counter",
-    "Counters",
-    "DEFAULT_CAPACITY",
-    "DISTRIBUTION_REBUILDS",
-    "DecisionAudit",
-    "EVENT_CANDIDATE",
-    "EVENT_CERTIFY",
-    "EVENT_CERTIFY_TYPE",
-    "EVENT_COMMIT",
-    "EVENT_DEGRADE",
-    "EVENT_PLACEMENT",
-    "EVENT_PRUNE",
-    "EVENT_REDUCTION",
-    "EventBus",
-    "FORCE_CACHE_HITS",
-    "FORCE_CACHE_MISSES",
-    "FORCE_EVALUATIONS",
-    "FRAMES_REMAINING",
-    "FRAME_REDUCTIONS",
-    "Gauge",
-    "Histogram",
-    "INCUMBENT_AREA",
-    "JsonlEventWriter",
-    "KNOWN_COUNTERS",
-    "KNOWN_GAUGES",
-    "KNOWN_HISTOGRAMS",
-    "LINT_FINDINGS",
-    "LINT_RULES_RUN",
-    "MODULO_MAX_TRANSFORMS",
-    "MetricsRegistry",
-    "NULL_AUDIT",
-    "NULL_TRACER",
-    "NullAuditTrail",
-    "NullTracer",
-    "REDUCTION_SCORE",
-    "SCHEDULER_ITERATIONS",
-    "SELECT_SECONDS",
-    "SIMULATION_CYCLES",
-    "SpanRecord",
-    "TraceEvent",
-    "Tracer",
-    "active_counters",
-    "as_tracer",
-    "configure_logging",
-    "count",
-    "get_logger",
-    "merge_gauge_summary",
-    "merge_histogram_summary",
-    "merge_telemetry",
-    "observe",
-    "prometheus_text",
-    "render_counter_table",
-    "render_gauge_table",
-    "render_histogram_table",
-    "render_phase_table",
-    "render_profile",
-    "set_gauge",
-    "verbosity_level",
-]
+_EXPORTS = {
+    "audit": [
+        "AuditTrail",
+        "CandidateAudit",
+        "DEFAULT_CAPACITY",
+        "DecisionAudit",
+        "NULL_AUDIT",
+        "NullAuditTrail",
+    ],
+    "counters": [
+        "AUDIT_DECISIONS",
+        "AUTHORIZATION_CHECKS",
+        "CERTIFIER_OFFSET_CLASSES",
+        "CERTIFIER_SLOT_CHECKS",
+        "Counters",
+        "DISTRIBUTION_REBUILDS",
+        "FORCE_CACHE_HITS",
+        "FORCE_CACHE_MISSES",
+        "FORCE_EVALUATIONS",
+        "FRAME_REDUCTIONS",
+        "KNOWN_COUNTERS",
+        "LINT_FINDINGS",
+        "LINT_RULES_RUN",
+        "MODULO_MAX_TRANSFORMS",
+        "SCHEDULER_ITERATIONS",
+        "SIMULATION_CYCLES",
+        "active_counters",
+        "count",
+        "observe",
+        "set_gauge",
+    ],
+    "events": [
+        "EVENT_CANDIDATE",
+        "EVENT_CERTIFY",
+        "EVENT_CERTIFY_TYPE",
+        "EVENT_COMMIT",
+        "EVENT_DEGRADE",
+        "EVENT_PLACEMENT",
+        "EVENT_PRUNE",
+        "EVENT_REDUCTION",
+        "EventBus",
+        "JsonlEventWriter",
+        "prometheus_text",
+    ],
+    "logconfig": ["configure_logging", "get_logger", "verbosity_level"],
+    "merge": ["merge_telemetry"],
+    "metrics": [
+        "CANDIDATES_SCANNED",
+        "CANDIDATE_SECONDS",
+        "COMMIT_SECONDS",
+        "Counter",
+        "FRAMES_REMAINING",
+        "Gauge",
+        "Histogram",
+        "INCUMBENT_AREA",
+        "KNOWN_GAUGES",
+        "KNOWN_HISTOGRAMS",
+        "MetricsRegistry",
+        "REDUCTION_SCORE",
+        "SELECT_SECONDS",
+        "merge_gauge_summary",
+        "merge_histogram_summary",
+    ],
+    "profile": [
+        "render_counter_table",
+        "render_gauge_table",
+        "render_histogram_table",
+        "render_phase_table",
+        "render_profile",
+    ],
+    "tracer": [
+        "NULL_TRACER",
+        "NullTracer",
+        "SpanRecord",
+        "TraceEvent",
+        "Tracer",
+        "as_tracer",
+    ],
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

@@ -20,51 +20,32 @@ for one problem at once:
 CLI front ends; ``repro sweep --resume PATH`` enables checkpointing.
 """
 
-from .checkpoint import CheckpointError, SweepJournal, load_jsonl_tolerant
-from .engine import (
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_PRUNED,
-    CandidateResult,
-    CompareOutcome,
-    ExplorationEngine,
-    ExplorationError,
-    SweepInterrupted,
-    SweepOutcome,
-)
-from .jobs import (
-    FaultPlan,
-    JobResult,
-    JobTimeout,
-    SweepJob,
-    inject_fault,
-    parse_fault,
-    run_job,
-    run_jobs,
-)
-from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from .._lazy import attach
 
-__all__ = [
-    "DEFAULT_RETRY_POLICY",
-    "STATUS_FAILED",
-    "STATUS_OK",
-    "STATUS_PRUNED",
-    "CandidateResult",
-    "CheckpointError",
-    "CompareOutcome",
-    "ExplorationEngine",
-    "ExplorationError",
-    "FaultPlan",
-    "JobResult",
-    "JobTimeout",
-    "RetryPolicy",
-    "SweepInterrupted",
-    "SweepJob",
-    "SweepJournal",
-    "SweepOutcome",
-    "inject_fault",
-    "load_jsonl_tolerant",
-    "parse_fault",
-    "run_job",
-    "run_jobs",
-]
+_EXPORTS = {
+    "checkpoint": ["CheckpointError", "SweepJournal", "load_jsonl_tolerant"],
+    "engine": [
+        "CandidateResult",
+        "CompareOutcome",
+        "ExplorationEngine",
+        "ExplorationError",
+        "STATUS_FAILED",
+        "STATUS_OK",
+        "STATUS_PRUNED",
+        "SweepInterrupted",
+        "SweepOutcome",
+    ],
+    "jobs": [
+        "FaultPlan",
+        "JobResult",
+        "JobTimeout",
+        "SweepJob",
+        "inject_fault",
+        "parse_fault",
+        "run_job",
+        "run_jobs",
+    ],
+    "retry": ["DEFAULT_RETRY_POLICY", "RetryPolicy"],
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

@@ -24,7 +24,7 @@ import os
 from typing import IO, TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
-from ..obs import get_logger
+from ..obs.logconfig import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import CandidateResult

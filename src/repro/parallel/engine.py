@@ -48,8 +48,9 @@ from ..analysis.bounds import area_lower_bound
 from ..core.periods import PeriodAssignment
 from ..core.scheduler import ModuloSystemScheduler
 from ..errors import ReproError
-from ..obs import get_logger, merge_telemetry
 from ..obs.events import EVENT_CANDIDATE, EVENT_PRUNE
+from ..obs.logconfig import get_logger
+from ..obs.merge import merge_telemetry
 from ..obs.metrics import CANDIDATE_SECONDS, INCUMBENT_AREA, merge_gauge_summary
 from ..obs.tracer import as_tracer
 from ..resources.assignment import ResourceAssignment
@@ -425,7 +426,7 @@ class ExplorationEngine:
         """
         if outcome.best is None:
             return None
-        from ..analysis.static import certify
+        from ..analysis.static.certifier import certify
 
         scheduler = ModuloSystemScheduler(
             self.problem.library,

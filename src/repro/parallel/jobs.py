@@ -60,8 +60,8 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 from ..core.periods import PeriodAssignment
 from ..core.scheduler import ModuloSystemScheduler
 from ..errors import SpecificationError
-from ..obs import Tracer
 from ..obs.metrics import CANDIDATE_SECONDS
+from ..obs.tracer import Tracer
 from ..resources.assignment import ResourceAssignment
 from ..scheduling.forces import area_weights
 

@@ -1,14 +1,11 @@
 """Resource model: functional-unit types, libraries, scope assignment (S1)."""
 
-from .assignment import ResourceAssignment
-from .library import ResourceLibrary, alu_library, default_library
-from .types import ResourceType, resource_type
+from .._lazy import attach
 
-__all__ = [
-    "ResourceAssignment",
-    "ResourceLibrary",
-    "ResourceType",
-    "alu_library",
-    "default_library",
-    "resource_type",
-]
+_EXPORTS = {
+    "assignment": ["ResourceAssignment"],
+    "library": ["ResourceLibrary", "alu_library", "default_library"],
+    "types": ["ResourceType", "resource_type"],
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

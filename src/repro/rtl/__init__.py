@@ -1,13 +1,10 @@
 """RTL backend: controllers, datapath units, authorization ROMs, HDL text."""
 
-from .design import ControllerSpec, IssueSpec, RTLDesign, UnitSpec, build_rtl
-from .verilog import emit_verilog
+from .._lazy import attach
 
-__all__ = [
-    "ControllerSpec",
-    "IssueSpec",
-    "RTLDesign",
-    "UnitSpec",
-    "build_rtl",
-    "emit_verilog",
-]
+_EXPORTS = {
+    "design": ["ControllerSpec", "IssueSpec", "RTLDesign", "UnitSpec", "build_rtl"],
+    "verilog": ["emit_verilog"],
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

@@ -19,7 +19,8 @@ from typing import Dict, List, Mapping, Optional, Set
 
 from ..errors import InfeasibleError, SchedulingError
 from ..ir.process import Block
-from ..obs import as_tracer, get_logger
+from ..obs.logconfig import get_logger
+from ..obs.tracer import as_tracer
 from ..resources.library import ResourceLibrary
 from ..resources.types import ResourceType
 from .forces import DEFAULT_LOOKAHEAD, hooke_force

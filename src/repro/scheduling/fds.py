@@ -14,9 +14,11 @@ from typing import Mapping, Optional
 
 from ..errors import SchedulingError
 from ..ir.process import Block
-from ..obs import SCHEDULER_ITERATIONS, as_tracer, get_logger
+from ..obs.counters import SCHEDULER_ITERATIONS
 from ..obs.events import EVENT_DEGRADE, EVENT_PLACEMENT
+from ..obs.logconfig import get_logger
 from ..obs.metrics import CANDIDATES_SCANNED, FRAMES_REMAINING
+from ..obs.tracer import as_tracer
 from ..resources.library import ResourceLibrary
 from ..validation.budget import RunBudget
 from .fallback import degraded_block_schedule, frames_state_hash

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from ..ir.process import Block, Process, SystemSpec
-from ..obs import as_tracer
+from ..obs.tracer import as_tracer
 from ..resources.assignment import ResourceAssignment
 from ..resources.library import ResourceLibrary
 from ..validation.budget import RunBudget

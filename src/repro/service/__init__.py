@@ -22,43 +22,24 @@ schedule|sweep|certify`` turns those commands into thin clients;
 ``repro jobs --server ADDR`` inspects and watches the queue.
 """
 
-from .cachekey import CACHE_KEY_FORMAT, cache_key, canonical_problem_text
-from .client import ServiceClient
-from .jobstore import (
-    JOB_KINDS,
-    JobCancelled,
-    JobRecord,
-    JobSpec,
-    JobStore,
-    QueueFullError,
-    ServiceError,
-    UnknownJobError,
-)
-from .runner import PAYLOAD_FORMAT, RunContext, execute_job, validate_options
-from .server import ServiceServer, serve
-from .session import JobOutcome, LocalSession, RemoteSession, Session
+from .._lazy import attach
 
-__all__ = [
-    "CACHE_KEY_FORMAT",
-    "JOB_KINDS",
-    "PAYLOAD_FORMAT",
-    "JobCancelled",
-    "JobOutcome",
-    "JobRecord",
-    "JobSpec",
-    "JobStore",
-    "LocalSession",
-    "QueueFullError",
-    "RemoteSession",
-    "RunContext",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceServer",
-    "Session",
-    "UnknownJobError",
-    "cache_key",
-    "canonical_problem_text",
-    "execute_job",
-    "serve",
-    "validate_options",
-]
+_EXPORTS = {
+    "cachekey": ["CACHE_KEY_FORMAT", "cache_key", "canonical_problem_text"],
+    "client": ["ServiceClient"],
+    "jobstore": [
+        "JOB_KINDS",
+        "JobCancelled",
+        "JobRecord",
+        "JobSpec",
+        "JobStore",
+        "QueueFullError",
+        "ServiceError",
+        "UnknownJobError",
+    ],
+    "runner": ["PAYLOAD_FORMAT", "RunContext", "execute_job", "validate_options"],
+    "server": ["ServiceServer", "serve"],
+    "session": ["JobOutcome", "LocalSession", "RemoteSession", "Session"],
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

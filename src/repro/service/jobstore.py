@@ -59,15 +59,15 @@ from dataclasses import dataclass, field, replace
 from typing import IO, TYPE_CHECKING, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ReproError
-from ..obs import get_logger
+from ..obs.logconfig import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..parallel.checkpoint import load_jsonl_tolerant
-from ..parallel.jobs import FaultPlan
 from ..parallel.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from .cachekey import canonical_options, canonical_problem_text, key_of_canonical
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.events import EventBus
+    from ..parallel.jobs import FaultPlan
 
 _log = get_logger(__name__)
 

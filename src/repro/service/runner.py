@@ -443,7 +443,7 @@ def _add_certificate(
     options: Mapping[str, object],
 ) -> None:
     """Add the certificate of the summary's schedule to ``payload``."""
-    from ..analysis.static import certify
+    from ..analysis.static.certifier import certify
 
     certificate = certify(
         _rebuilt_schedule(problem, payload),

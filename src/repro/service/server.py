@@ -44,8 +44,8 @@ from typing import Any, List, Optional, Tuple
 from urllib.parse import urlparse
 
 from ..errors import ReproError
-from ..obs import get_logger
 from ..obs.events import prometheus_text
+from ..obs.logconfig import get_logger
 from .jobstore import JobStore, QueueFullError, ServiceError, UnknownJobError
 
 _log = get_logger(__name__)

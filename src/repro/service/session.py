@@ -18,7 +18,6 @@ import json
 import tempfile
 from typing import Any, Dict, Mapping, Optional
 
-from .client import ServiceClient
 from .jobstore import JobStore, ServiceError
 
 
@@ -144,6 +143,8 @@ class RemoteSession(Session):
         timeout: Optional[float] = None,
         poll: float = 0.1,
     ) -> None:
+        from .client import ServiceClient
+
         self.client = ServiceClient(address)
         self.timeout = timeout
         self.poll = poll

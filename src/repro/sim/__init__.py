@@ -1,12 +1,10 @@
 """Cycle-accurate simulation of scheduled multi-process systems."""
 
-from .simulator import SimulationStats, SystemSimulator
-from .trace import Activation, Trace, Violation
+from .._lazy import attach
 
-__all__ = [
-    "Activation",
-    "SimulationStats",
-    "SystemSimulator",
-    "Trace",
-    "Violation",
-]
+_EXPORTS = {
+    "simulator": ["SimulationStats", "SystemSimulator"],
+    "trace": ["Activation", "Trace", "Violation"],
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

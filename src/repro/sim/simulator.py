@@ -26,13 +26,9 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..core.result import SystemSchedule
-from ..obs import (
-    AUTHORIZATION_CHECKS,
-    SIMULATION_CYCLES,
-    as_tracer,
-    get_logger,
-)
-from ..obs.counters import count
+from ..obs.counters import AUTHORIZATION_CHECKS, SIMULATION_CYCLES, count
+from ..obs.logconfig import get_logger
+from ..obs.tracer import as_tracer
 from .trace import Activation, Trace, Violation
 
 _log = get_logger(__name__)

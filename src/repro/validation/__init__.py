@@ -11,51 +11,34 @@ Three robustness facilities live here (see docs/robustness.md):
   ``tests/fuzz`` and ``benchmarks/fuzz_runner.py``.
 """
 
-from .budget import BudgetTracker, RunBudget
-from .fuzz import (
-    OUTCOME_CRASHED,
-    OUTCOME_DIVERGED,
-    OUTCOME_REJECTED,
-    OUTCOME_SCHEDULED,
-    FuzzOutcome,
-    differential_text,
-    exercise_text,
-    mutate_text,
-)
-from .diagnostics import (
-    CODES,
-    SEVERITY_ERROR,
-    SEVERITY_INFO,
-    SEVERITY_WARNING,
-    Diagnostic,
-    DiagnosticReport,
-)
-from .preflight import (
-    validate_document,
-    validate_path,
-    validate_problem,
-    validate_text,
-)
+from .._lazy import attach
 
-__all__ = [
-    "BudgetTracker",
-    "CODES",
-    "Diagnostic",
-    "DiagnosticReport",
-    "FuzzOutcome",
-    "OUTCOME_CRASHED",
-    "OUTCOME_DIVERGED",
-    "OUTCOME_REJECTED",
-    "OUTCOME_SCHEDULED",
-    "RunBudget",
-    "SEVERITY_ERROR",
-    "SEVERITY_INFO",
-    "SEVERITY_WARNING",
-    "differential_text",
-    "exercise_text",
-    "mutate_text",
-    "validate_document",
-    "validate_path",
-    "validate_problem",
-    "validate_text",
-]
+_EXPORTS = {
+    "budget": ["BudgetTracker", "RunBudget"],
+    "diagnostics": [
+        "CODES",
+        "Diagnostic",
+        "DiagnosticReport",
+        "SEVERITY_ERROR",
+        "SEVERITY_INFO",
+        "SEVERITY_WARNING",
+    ],
+    "fuzz": [
+        "FuzzOutcome",
+        "OUTCOME_CRASHED",
+        "OUTCOME_DIVERGED",
+        "OUTCOME_REJECTED",
+        "OUTCOME_SCHEDULED",
+        "differential_text",
+        "exercise_text",
+        "mutate_text",
+    ],
+    "preflight": [
+        "validate_document",
+        "validate_path",
+        "validate_problem",
+        "validate_text",
+    ],
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

@@ -189,7 +189,7 @@ def differential_text(
     certifier must never refute.  Disagreement is the ``diverged``
     outcome (``ok`` is False): one of the two sides is wrong.
     """
-    from ..analysis.static import certify
+    from ..analysis.static.certifier import certify
     from ..api import problem_from_document
     from ..ir import systemio
     from ..sim.simulator import SystemSimulator

@@ -55,6 +55,28 @@ class TestConstruction:
         assert ("n2", "n0") not in graph.edges
         graph.validate()
 
+    def test_building_does_not_sort(self, monkeypatch):
+        """The cycle check walks successors; no added edge runs a Kahn sort."""
+        calls = []
+        sort = DataFlowGraph.topological_order
+
+        def counted(graph):
+            calls.append(graph.name)
+            return sort(graph)
+
+        monkeypatch.setattr(DataFlowGraph, "topological_order", counted)
+        graph = build_chain(2000)
+        for op_id in ("a", "b", "c", "d"):
+            graph.add(op_id, OpKind.MUL)
+        graph.add_edges(
+            [("n1999", "a"), ("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+        )
+        with pytest.raises(GraphError, match="would create a cycle"):
+            graph.add_edge("d", "n0")
+        assert calls == []
+        assert ("d", "n0") not in graph.edges
+        assert graph.topological_order()[-4:] == ["a", "b", "c", "d"]
+
     def test_add_operation_object(self):
         graph = DataFlowGraph()
         op = Operation("x", OpKind.MUL)
