@@ -9,18 +9,18 @@ baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict
 
 from .core.periods import PeriodAssignment, suggest_periods
-from .core.result import SystemSchedule
-from .core.scheduler import ModuloSystemScheduler
 from .errors import SpecificationError
 from .ir.process import SystemSpec
 from .ir.systemio import SystemDocument
 from .resources.assignment import ResourceAssignment
 from .resources.library import ResourceLibrary, default_library
 from .resources.types import resource_type
-from .scheduling.forces import area_weights
+
+if TYPE_CHECKING:
+    from .core.result import SystemSchedule
 
 
 @dataclass
@@ -42,6 +42,9 @@ class Problem:
         self, *, use_area_weights: bool = True, **scheduler_kwargs
     ) -> SystemSchedule:
         """Run the modulo system scheduler on this problem."""
+        from .core.scheduler import ModuloSystemScheduler
+        from .scheduling.forces import area_weights
+
         weights = area_weights(self.library) if use_area_weights else None
         scheduler = ModuloSystemScheduler(
             self.library, weights=weights, **scheduler_kwargs
@@ -52,6 +55,9 @@ class Problem:
         self, *, use_area_weights: bool = True, **scheduler_kwargs
     ) -> SystemSchedule:
         """Run the traditional all-local scheduling for comparison."""
+        from .core.scheduler import ModuloSystemScheduler
+        from .scheduling.forces import area_weights
+
         weights = area_weights(self.library) if use_area_weights else None
         scheduler = ModuloSystemScheduler(
             self.library, weights=weights, **scheduler_kwargs

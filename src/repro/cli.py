@@ -46,21 +46,17 @@ import sys
 import traceback
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .api import load_problem
-from .binding.instances import bind_instances
-from .core.periods import enumerate_period_assignments_capped
-from .core.verify import verify_system_schedule
 from .errors import ReproError
-from .obs.audit import AuditTrail
 from .obs.logconfig import configure_logging, get_logger
-from .obs.profile import render_profile
-from .obs.tracer import Tracer
-from .scheduling.forces import area_weights
-from .validation.budget import RunBudget
-from .validation.preflight import validate_path
 
+# Each command imports the modules it runs, so ``--help``, ``check`` or
+# ``serve`` never load numpy or the scheduler (docs/performance.md).
 if TYPE_CHECKING:
+    from .obs.audit import AuditTrail
+    from .obs.tracer import Tracer
     from .parallel.engine import CandidateResult
+    from .parallel.jobs import FaultPlan
+    from .validation.budget import RunBudget
 
 _log = get_logger(__name__)
 
@@ -564,6 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _tracer_for(args: argparse.Namespace) -> Optional[Tracer]:
     """A live tracer when ``--trace``/``--profile`` ask for one, else None."""
+    from .obs.tracer import Tracer
+
     if getattr(args, "trace", None) or getattr(args, "profile", False):
         return Tracer()
     return None
@@ -584,6 +582,8 @@ def _audit_for(
     ``always`` forces a trail even without the flag (``explain`` and
     ``report`` enrich their output with it regardless).
     """
+    from .obs.audit import AuditTrail
+
     if not always and not getattr(args, "audit", None):
         return None
     capacity = getattr(args, "audit_capacity", None)
@@ -645,6 +645,8 @@ def _preflight(args: argparse.Namespace) -> bool:
     """
     if getattr(args, "no_check", False):
         return True
+    from .validation.preflight import validate_path
+
     report = validate_path(args.file)
     if report.errors or report.warnings:
         print(report.render(), file=sys.stderr)
@@ -665,6 +667,8 @@ def _run_budget(args: argparse.Namespace) -> Optional[RunBudget]:
     time_budget = getattr(args, "time_budget", None)
     if max_iterations is None and time_budget is None:
         return None
+    from .validation.budget import RunBudget
+
     return RunBudget(max_iterations=max_iterations, wall_deadline=time_budget)
 
 
@@ -855,14 +859,15 @@ def _remote_certify(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from .obs.events import EventBus
-    from .parallel.jobs import FaultPlan
     from .service.jobstore import JobStore
     from .service.server import ServiceServer
 
-    fault_plan = (
-        FaultPlan.parse(args.inject_fault) if args.inject_fault else None
-    )
-    if fault_plan is not None:
+    fault_plan: Optional[FaultPlan] = None
+    if args.inject_fault:
+        # ``parallel.jobs`` loads the scheduler; only chaos runs need it.
+        from .parallel.jobs import FaultPlan
+
+        fault_plan = FaultPlan.parse(args.inject_fault)
         _log.warning(
             "fault injection armed: %s (chaos-testing mode)",
             fault_plan.spec(),
@@ -965,6 +970,8 @@ def cmd_jobs(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .validation.preflight import validate_path
+
     report = validate_path(args.file)
     if getattr(args, "format", "text") == "json":
         print(json.dumps(report.as_dict(), indent=2))
@@ -986,6 +993,8 @@ def _sys_paths(paths: List[str]) -> List[str]:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     from .analysis.static.lint import RULES_BY_NAME, run_lint
+    from .api import load_problem
+    from .validation.preflight import validate_path
 
     rules = None
     if args.rule:
@@ -1043,6 +1052,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return _remote_certify(args)
     from .analysis.static.certifier import certify
     from .analysis.static.checker import check_certificate
+    from .api import load_problem
+    from .obs.profile import render_profile
 
     pools = _parse_pools(args.pool)
     problem = load_problem(args.file)
@@ -1081,6 +1092,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis.absint.analyze import analyze_problem, analyze_schedule
     from .analysis.absint.cone import extract_bottleneck_cone
+    from .api import load_problem
+    from .obs.profile import render_profile
 
     pools = _parse_pools(args.pool)
     problem = load_problem(args.file)
@@ -1132,6 +1145,11 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         return _remote_schedule(args)
     if not _preflight(args):
         return 2
+    from .api import load_problem
+    from .binding.instances import bind_instances
+    from .core.verify import verify_system_schedule
+    from .obs.profile import render_profile
+
     problem = load_problem(args.file)
     tracer = _tracer_for(args)
     audit = _audit_for(args)
@@ -1187,7 +1205,10 @@ def _comparison_record(result: CandidateResult) -> dict:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     from .analysis.compare import compare_scopes, render_comparison
+    from .api import load_problem
+    from .obs.profile import render_profile
     from .parallel.engine import ExplorationEngine
+    from .scheduling.forces import area_weights
 
     problem = load_problem(args.file)
     tracer = _tracer_for(args)
@@ -1226,6 +1247,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .api import load_problem
     from .sim.simulator import SystemSimulator
 
     problem = load_problem(args.file)
@@ -1264,6 +1286,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if getattr(args, "server", None):
         return _remote_sweep(args)
+    from .api import load_problem
+    from .core.periods import enumerate_period_assignments_capped
+    from .obs.profile import render_profile
+    from .obs.tracer import Tracer
     from .parallel.engine import STATUS_OK, STATUS_PRUNED, ExplorationEngine
 
     if not _preflight(args):
@@ -1360,6 +1386,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from .api import load_problem
+    from .obs.profile import render_profile
+    from .obs.tracer import Tracer
+
     problem = load_problem(args.file)
     tracer = Tracer()
     if args.local:
@@ -1378,6 +1408,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     from .analysis.attribution import attribute
+    from .api import load_problem
 
     problem = load_problem(args.file)
     audit = _audit_for(args, always=True)
@@ -1395,6 +1426,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     from .analysis.report import run_report
+    from .api import load_problem
+    from .obs.tracer import Tracer
 
     problem = load_problem(args.file)
     tracer = Tracer()
@@ -1417,6 +1450,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
+    from .api import load_problem
+
     problem = load_problem(args.file)
     system = problem.system
     print(f"system {system.name!r}: {len(system)} processes, "
@@ -1443,6 +1478,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_rtl(args: argparse.Namespace) -> int:
+    from .api import load_problem
     from .rtl.design import build_rtl
     from .rtl.verilog import emit_verilog
 
@@ -1466,6 +1502,7 @@ def cmd_rtl(args: argparse.Namespace) -> int:
 
 def cmd_gantt(args: argparse.Namespace) -> int:
     from .analysis.gantt import system_gantt
+    from .api import load_problem
 
     problem = load_problem(args.file)
     result = problem.schedule()
@@ -1477,6 +1514,7 @@ def cmd_gantt(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     from .analysis.export import export_result, result_to_json
+    from .api import load_problem
 
     problem = load_problem(args.file)
     result = problem.schedule()

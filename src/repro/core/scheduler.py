@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -282,7 +282,7 @@ class _SystemKernel:
         self._gslot: Dict[str, np.ndarray] = {}
         self._seen_version: Dict[str, int] = {}
         for type_name in balanced:
-            period = coupling.period(type_name)
+            period = coupling.type_period[type_name]
             self._g[type_name] = np.zeros((16, period), dtype=float)
             self._gdots[type_name] = np.zeros(16, dtype=float)
             self._top[type_name] = 1  # row 0: permanent all-zero sentinel
@@ -726,7 +726,7 @@ class _SystemKernel:
                 part = balanced_part[order] = tuple(
                     name
                     for name in order
-                    if balancing and coupling.is_shared(process_name, name)
+                    if balancing and (process_name, name) in coupling.shared
                 )
             old = assigned[col]
             if part == old:
@@ -772,8 +772,8 @@ class _SystemKernel:
         weight = 1.0 if weights is None else float(weights.get(type_name, 1.0))
         lookahead = self.lookahead
         count(FORCE_EVALUATIONS, len(cols))
-        if self.alignment and coupling.is_shared(entry.process_name, type_name):
-            period = coupling.period(type_name)
+        if self.alignment and (entry.process_name, type_name) in coupling.shared:
+            period = coupling.type_period[type_name]
             q_new = modulo_max_rows(deltas + base, period)
             if not self.balancing:
                 q_old = coupling.block_q(index, type_name)
@@ -1193,6 +1193,17 @@ class _GlobalCoupling:
         self.entries = entries
         self.assignment = assignment
         self.periods = periods
+        # Read directly by the hot paths: the (process, type) pairs that
+        # share globally, and each global type's period.
+        self.shared: FrozenSet[Tuple[str, str]] = frozenset(
+            (process_name, type_name)
+            for type_name in assignment.global_types
+            for process_name in assignment.group(type_name)
+        )
+        self.type_period: Dict[str, int] = {
+            type_name: periods.period(type_name)
+            for type_name in assignment.global_types
+        }
         self._q: Dict[Tuple[int, str], np.ndarray] = {}
         self._m: Dict[Tuple[str, str], np.ndarray] = {}
         # Persistent (processes, period) stack of the group's M rows per
@@ -1257,7 +1268,7 @@ class _GlobalCoupling:
         if cached is not None:
             return cached
         process_name = self.entries[entry_index].process_name
-        period = self.period(type_name)
+        period = self.type_period[type_name]
         result = np.zeros(period, dtype=float)
         entries = self.entries
         for index in self._process_entries.get(process_name, ()):
@@ -1283,8 +1294,9 @@ class _GlobalCoupling:
         """
         entry = self.entries[entry_index]
         scopes: Dict[str, str] = {}
+        shared = self.shared
         for type_name in touched_types:
-            if not self.is_shared(entry.process_name, type_name):
+            if (entry.process_name, type_name) not in shared:
                 continue
             key = (entry_index, type_name)
             old_q = self._q.get(key)
@@ -1310,19 +1322,19 @@ class _GlobalCoupling:
         return [
             type_name
             for type_name in entry.state.dist.type_names
-            if self.is_shared(entry.process_name, type_name)
+            if (entry.process_name, type_name) in self.shared
         ]
 
     def _fold(self, entry_index: int, type_name: str) -> np.ndarray:
         entry = self.entries[entry_index]
-        period = self.period(type_name)
+        period = self.type_period[type_name]
         if type_name not in entry.state.dist.type_names:
             return np.zeros(period, dtype=float)
         return modulo_max(entry.state.dist.array(type_name), period)
 
     def _rebuild_process(self, process_name: str, type_name: str) -> bool:
         """Recompute the process maximum ``M``; returns whether it changed."""
-        period = self.period(type_name)
+        period = self.type_period[type_name]
         result = np.zeros(period, dtype=float)
         entries = self.entries
         for index in self._process_entries.get(process_name, ()):
@@ -1341,7 +1353,7 @@ class _GlobalCoupling:
         return changed
 
     def _rebuild_system(self, type_name: str) -> None:
-        period = self.period(type_name)
+        period = self.type_period[type_name]
         rows = self._m_rows.get(type_name)
         if rows is None:
             group = list(self.assignment.group(type_name))

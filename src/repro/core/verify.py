@@ -19,13 +19,12 @@ The randomized dynamic counterpart lives in :mod:`repro.sim`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from ..errors import VerificationError
-from .modulo import modulo_max_int
-from .result import SystemSchedule
+
+if TYPE_CHECKING:
+    from .result import SystemSchedule
 
 
 @dataclass
@@ -101,6 +100,12 @@ def _check_blocks(result: SystemSchedule, report: VerificationReport) -> None:
 
 
 def _check_authorizations(result: SystemSchedule, report: VerificationReport) -> None:
+    # Imported here, not at module level: ``repro.core`` binds ``verify``
+    # eagerly, and numpy must not load with every ``repro.core`` import.
+    import numpy as np
+
+    from .modulo import modulo_max_int
+
     for type_name in result.assignment.global_types:
         period = result.periods.period(type_name)
         for process_name in result.assignment.group(type_name):

@@ -9,7 +9,9 @@ the hash seed, so they hold a start-up change to account where wall
 times cannot.
 
 A change that lowers a count lowers its pin; one that raises a count
-says why.
+says why.  The commands that need no scheduling (``--help``, ``check``,
+``info``, ``serve``, ``jobs`` and the ``--server`` thin client) also
+run in an interpreter that refuses to import numpy.
 """
 
 import ast
@@ -29,7 +31,10 @@ PACKAGE_ROOT = Path(SRC) / "repro"
 #: Entry -> (code run after ``import repro``, max modules, max lines).
 PINS = {
     "import": ("", 2, 155),
-    "cli": ("import repro.cli", 45, 10197),
+    "cli": ("import repro.cli", 6, 1995),
+    "load_problem": ("from repro.api import load_problem", 17, 2422),
+    "periods": ("import repro.core.periods", 15, 1842),
+    "preflight": ("import repro.validation.preflight", 19, 3046),
     "service": (
         "from repro.service import LocalSession\nLocalSession(sys.argv[1])",
         13,
@@ -41,6 +46,10 @@ PINS = {
 ABSENT = {
     "import": ("numpy", "repro.core", "repro.obs"),
     "cli": (
+        "numpy",
+        "repro.api",
+        "repro.core",
+        "repro.core.scheduler",
         "repro.parallel.engine",
         "repro.analysis.static",
         "repro.analysis.absint",
@@ -50,6 +59,9 @@ ABSENT = {
         "concurrent.futures.process",
         "http.server",
     ),
+    "load_problem": ("numpy", "repro.core.scheduler", "repro.scheduling"),
+    "periods": ("numpy",),
+    "preflight": ("numpy",),
     "service": ("numpy", "repro.core.scheduler"),
 }
 
@@ -65,17 +77,22 @@ print(json.dumps({{"modules": names, "lines": lines, "loaded": sorted(sys.module
 """
 
 
-def _surface(entry, tmp_path):
+def _run_probe(code, *argv):
+    """Run ``code`` in a fresh interpreter; return the JSON it prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
-        [sys.executable, "-c", PROBE.format(entry=entry), str(tmp_path / "state")],
+        [sys.executable, "-c", code, *argv],
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
     return json.loads(out.stdout)
+
+
+def _surface(entry, tmp_path):
+    return _run_probe(PROBE.format(entry=entry), str(tmp_path / "state"))
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
@@ -124,3 +141,58 @@ def _package_table_imports():
 
 def test_internal_code_imports_from_defining_modules():
     assert _package_table_imports() == []
+
+
+#: Runs CLI commands in an interpreter that refuses to import numpy.
+#: ``serve`` binds port 0; its ``serve_forever`` returns at once, so the
+#: command goes straight to its shutdown.
+NO_NUMPY_PROBE = """import contextlib, io, json, sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"{name} is refused in this probe")
+        return None
+
+sys.meta_path.insert(0, RefuseNumpy())
+from repro.cli import main
+from repro.service.server import ServiceServer
+
+ServiceServer.serve_forever = lambda self: None
+example, state, missing = sys.argv[1:]
+commands = {
+    "help": ["--help"],
+    "check": ["check", example],
+    "info": ["info", example],
+    "serve": ["serve", "--state", state, "--address", "127.0.0.1:0"],
+    "jobs": ["jobs", "--gc", "--state-dir", state, "--max-cache-bytes", "0"],
+    "remote": ["schedule", example, "--server", missing],
+}
+results = {}
+for name, argv in commands.items():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results[name] = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+print(json.dumps(results))
+"""
+
+
+def test_argparse_time_commands_run_without_numpy(tmp_path):
+    example = Path(SRC).parent / "examples" / "paper_system.sys"
+    results = _run_probe(
+        NO_NUMPY_PROBE,
+        str(example),
+        str(tmp_path / "state"),
+        str(tmp_path / "no-daemon.sock"),
+    )
+    for name in ("help", "check", "info", "serve", "jobs"):
+        assert results[name]["code"] == 0, results[name]
+    address = results["serve"]["stdout"].split("listening on ", 1)[1].split()[0]
+    assert int(address.rsplit(":", 1)[1]) > 0  # port 0 was bound
+    remote = results["remote"]
+    assert remote["code"] == 2
+    assert remote["stderr"].startswith("error [SERVE]: cannot reach"), remote
