@@ -30,7 +30,7 @@ admissible while pruning at least as many candidates.
 from __future__ import annotations
 
 import math
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..ir.process import Block, Process, SystemSpec
 from ..resources.assignment import ResourceAssignment
@@ -197,6 +197,64 @@ def area_lower_bound(
         * rtype.area
         for rtype in library.types
     )
+
+
+class CandidateBounds:
+    """:func:`area_lower_bound` for many period candidates of one problem.
+
+    Sweep candidates differ only in their periods, and a type's bound
+    reads little of them: a local type's bound reads none, a global
+    type's only its own period (plus the sharing processes' grids when a
+    block is long enough for the interval analysis to widen; see
+    :func:`repro.analysis.absint.analyze.interval_pool_grids`).  So
+    :func:`type_instance_bound` runs once per distinct (type, period)
+    and is reused across candidates; :meth:`area` equals
+    :func:`area_lower_bound` exactly.
+    """
+
+    def __init__(
+        self,
+        system: SystemSpec,
+        library: ResourceLibrary,
+        assignment: ResourceAssignment,
+        *,
+        use_intervals: bool = True,
+    ) -> None:
+        self.system = system
+        self.library = library
+        self.assignment = assignment
+        self.use_intervals = use_intervals
+        self._counts: Dict[Tuple[object, ...], int] = {}
+
+    def _key(self, periods: PeriodAssignment, type_name: str) -> Tuple[object, ...]:
+        if not self.assignment.is_global(type_name):
+            return (type_name,)
+        key: Tuple[object, ...] = (type_name, periods.period(type_name))
+        if self.use_intervals:
+            from .absint.analyze import interval_pool_grids
+
+            key += interval_pool_grids(
+                self.system, self.assignment, periods, type_name
+            )
+        return key
+
+    def area(self, periods: PeriodAssignment) -> float:
+        """The admissible area lower bound of one candidate."""
+        total: float = 0
+        for rtype in self.library.types:
+            key = self._key(periods, rtype.name)
+            count = self._counts.get(key)
+            if count is None:
+                count = self._counts[key] = type_instance_bound(
+                    self.system,
+                    self.library,
+                    self.assignment,
+                    periods,
+                    rtype.name,
+                    use_intervals=self.use_intervals,
+                )
+            total += count * rtype.area
+        return total
 
 
 def bound_report(result: SystemSchedule) -> Dict[str, Dict[str, int]]:

@@ -18,7 +18,7 @@ eq. 3 rules as the enumeration, and the search is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from ..ir.process import SystemSpec
 from ..resources.assignment import ResourceAssignment
@@ -32,6 +32,9 @@ from .periods import (
 )
 from .result import SystemSchedule
 from .scheduler import ModuloSystemScheduler
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..analysis.bounds import CandidateBounds
 
 
 @dataclass
@@ -80,7 +83,7 @@ def optimize_periods(
     Args:
         budget: Maximum number of scheduling evaluations.
         prune_with_bounds: Skip neighbors whose admissible area lower
-            bound (:func:`repro.analysis.bounds.area_lower_bound`)
+            bound (:class:`repro.analysis.bounds.CandidateBounds`)
             already meets the incumbent area.  Saves evaluations
             without ever discarding an area improvement; off by
             default because the tie-break on equal-area neighbors
@@ -97,6 +100,11 @@ def optimize_periods(
     cache: Dict[Tuple[int, ...], SystemSchedule] = {}
     trace: List[Tuple[Dict[str, int], float]] = []
     pruned = 0
+    bounds: "Optional[CandidateBounds]" = None
+    if prune_with_bounds:
+        from ..analysis.bounds import CandidateBounds
+
+        bounds = CandidateBounds(system, library, assignment)
 
     def evaluate(periods: Dict[str, int]) -> Optional[SystemSchedule]:
         key = tuple(periods[name] for name in global_types)
@@ -134,17 +142,10 @@ def optimize_periods(
                 neighbor[name] = options[neighbor_index]
                 if not _passes_filters(system, assignment, neighbor):
                     continue
-                if prune_with_bounds and tuple(
+                if bounds is not None and tuple(
                     neighbor[n] for n in global_types
                 ) not in cache:
-                    from ..analysis.bounds import area_lower_bound
-
-                    bound = area_lower_bound(
-                        system,
-                        library,
-                        assignment,
-                        PeriodAssignment(dict(neighbor)),
-                    )
+                    bound = bounds.area(PeriodAssignment(dict(neighbor)))
                     if bound >= best_result.total_area():
                         pruned += 1
                         continue

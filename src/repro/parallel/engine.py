@@ -10,14 +10,16 @@ Two orthogonal accelerations:
 * **Parallelism** — candidates fan out over a
   ``ProcessPoolExecutor``; the problem travels as ``.sys`` text, results
   stream back unordered, and per-worker telemetry merges into one
-  aggregate (:func:`repro.obs.merge_telemetry`).  ``workers=1`` keeps
+  aggregate (:func:`repro.obs.merge_telemetry`).  Workers trace their
+  runs only under an enabled engine tracer.  ``workers=1`` keeps
   everything in-process with a single shared scheduler — the exact
   serial path the CLI always had.
 * **Pruning** — each candidate's admissible area lower bound
-  (:func:`repro.analysis.bounds.area_lower_bound`) is computed up
-  front (no scheduling needed); candidates are dispatched cheapest
-  bound first, and a candidate whose bound meets or exceeds the best
-  area found so far is skipped.  Admissibility makes this sound: a
+  (:class:`repro.analysis.bounds.CandidateBounds`, which computes each
+  type's bound once per period) is computed up front (no scheduling
+  needed); candidates are dispatched cheapest bound first, and a
+  candidate whose bound meets or exceeds the best area found so far is
+  skipped.  Admissibility makes this sound: a
   skipped candidate can tie the incumbent but never beat it, so the
   best *area* matches the exhaustive sweep exactly.  Skipped and
   failed candidates are always counted and reported — no silent caps.
@@ -44,7 +46,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..analysis.bounds import area_lower_bound
+from ..analysis.bounds import CandidateBounds
 from ..core.periods import PeriodAssignment
 from ..core.scheduler import ModuloSystemScheduler
 from ..errors import ReproError
@@ -211,10 +213,9 @@ class ExplorationEngine:
             are admissible, so the best area is identical either way.
         chunk_size: Jobs batched per worker call; raise above 1 when
             single candidates schedule in well under ~50 ms and IPC
-            starts to dominate.
-        inflight_factor: Outstanding chunks kept per worker.  Lower
-            values prune harder (dispatch sees fresher incumbents),
-            higher values keep workers busier.
+            starts to dominate.  At most ``workers`` chunks are in
+            flight, so every dispatch sees the incumbent of all
+            finished candidates.
         timeout: Per-job wall-clock budget in seconds (enforced via
             ``SIGALRM`` where available).
         retries: How often a crashed/raised/timed-out candidate is
@@ -232,7 +233,8 @@ class ExplorationEngine:
             exactly-once and the incumbent area bound is restored so
             pruning stays sound.  See docs/robustness.md.
         tracer: Optional :class:`repro.obs.Tracer`; receives one event
-            per candidate and the merged worker counters.
+            per candidate and the merged worker counters.  Workers
+            trace their runs only when this tracer is enabled.
         fault_for: Test hook — maps a candidate's period dict to a
             fault directive for its job (see
             :mod:`repro.parallel.jobs`), or None.
@@ -250,7 +252,6 @@ class ExplorationEngine:
         prune: bool = True,
         interval_bounds: bool = True,
         chunk_size: int = 1,
-        inflight_factor: int = 2,
         timeout: Optional[float] = None,
         retries: int = 1,
         retry_policy: Optional[RetryPolicy] = None,
@@ -268,7 +269,6 @@ class ExplorationEngine:
         self.prune = prune
         self.interval_bounds = interval_bounds
         self.chunk_size = chunk_size
-        self.inflight_factor = max(1, inflight_factor)
         self.timeout = timeout
         self.retry_policy = retry_policy
         if retry_policy is not None:
@@ -298,22 +298,21 @@ class ExplorationEngine:
         not for candidates replayed from a checkpoint journal.
         """
         started = time.perf_counter()
+        bounds = CandidateBounds(
+            self.problem.system,
+            self.problem.library,
+            self.problem.assignment,
+            use_intervals=self.interval_bounds,
+        )
         specs: List[_Spec] = []
         for order, candidate in enumerate(candidates):
             periods = dict(candidate.as_dict)
-            bound = area_lower_bound(
-                self.problem.system,
-                self.problem.library,
-                self.problem.assignment,
-                candidate,
-                use_intervals=self.interval_bounds,
-            )
             specs.append(
                 _Spec(
                     order=order,
                     periods=periods,
                     lexkey=_lexkey(periods),
-                    bound=bound,
+                    bound=bounds.area(candidate),
                     fault=self.fault_for(periods) if self.fault_for else None,
                 )
             )
@@ -562,7 +561,6 @@ class ExplorationEngine:
         records: List[CandidateResult] = []
         pending = deque(specs)
         inflight: Dict[object, List[_Spec]] = {}
-        max_inflight = self.workers * self.inflight_factor
         best_area: Optional[float] = initial_best
 
         def finish(record: CandidateResult) -> None:
@@ -625,7 +623,7 @@ class ExplorationEngine:
 
         def dispatch() -> None:
             nonlocal pool
-            while pending and len(inflight) < max_inflight:
+            while pending and len(inflight) < self.workers:
                 chunk = next_chunk()
                 if not chunk:
                     continue
@@ -734,6 +732,7 @@ class ExplorationEngine:
             timeout=self.timeout,
             fault=spec.fault,
             attempt=spec.attempt,
+            traced=self.tracer.enabled,
         )
 
     def _failed_record(

@@ -91,6 +91,9 @@ class SweepJob:
         fault: Optional fault-injection directive (see the module
             docstring table) for exercising failure handling.
         attempt: 1 for the first try, incremented by the engine's retry.
+        traced: Trace the run and ship its counters and histograms back
+            (the engine sets it when its own tracer is enabled); an
+            untraced job returns empty counters and no histograms.
     """
 
     job_id: int
@@ -100,6 +103,7 @@ class SweepJob:
     timeout: Optional[float] = None
     fault: Optional[str] = None
     attempt: int = 1
+    traced: bool = False
 
 
 @dataclass
@@ -323,7 +327,7 @@ def run_job(job: SweepJob) -> JobResult:
         with _deadline(job.timeout):
             inject_fault(job.fault)
             problem = _problem_for(job.problem_text)
-            tracer = Tracer()
+            tracer = Tracer() if job.traced else None
             scheduler = ModuloSystemScheduler(
                 problem.library,
                 weights=area_weights(problem.library),
@@ -342,10 +346,12 @@ def run_job(job: SweepJob) -> JobResult:
                 )
         wall = time.perf_counter() - started
         telemetry = dict(result.telemetry)
-        # The candidate's end-to-end latency joins the run's histograms
-        # so the sweep-level merge can report per-candidate quantiles.
-        tracer.observe(CANDIDATE_SECONDS, wall)
-        telemetry["histograms"] = tracer.metrics.histograms_dict()
+        if tracer is not None:
+            # The candidate's end-to-end latency joins the run's
+            # histograms so the sweep-level merge can report
+            # per-candidate quantiles.
+            tracer.observe(CANDIDATE_SECONDS, wall)
+            telemetry["histograms"] = tracer.metrics.histograms_dict()
         return JobResult(
             job_id=job.job_id,
             ok=True,

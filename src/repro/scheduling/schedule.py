@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..errors import VerificationError
 from ..ir.dfg import DataFlowGraph
+from ..ir.operation import Operation
 from ..resources.library import ResourceLibrary
 
 
@@ -38,6 +39,14 @@ class BlockSchedule:
     iterations: int = 0
     degraded: bool = False
     degraded_reason: Optional[str] = None
+    #: Built on first use from ``graph`` and ``library``, which never
+    #: change: type name -> (occupancy, the type's operations).
+    _ops_by_type: Optional[Dict[str, Tuple[int, List[Operation]]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _op_ids: FrozenSet[str] = field(
+        default=frozenset(), init=False, repr=False, compare=False
+    )
 
     def start(self, op_id: str) -> int:
         return self.starts[op_id]
@@ -62,24 +71,37 @@ class BlockSchedule:
         branch executes per activation), so the profile is the worst case
         over all branch outcomes.
         """
+        if self._ops_by_type is None:
+            index: Dict[str, Tuple[int, List[Operation]]] = {}
+            for op in self.graph:
+                rtype = self.library.type_of(op)
+                index.setdefault(rtype.name, (rtype.occupancy, []))[1].append(op)
+            self._ops_by_type = index
+            self._op_ids = frozenset(self.graph.op_ids)
+        starts = self.starts
+        if not starts.keys() <= self._op_ids:
+            for oid in starts:
+                self.graph.operation(oid)  # raises GraphError for a stray id
         profile = np.zeros(self.deadline, dtype=int)
+        if type_name not in self._ops_by_type:
+            return profile
+        occupancy, ops = self._ops_by_type[type_name]
         branch_sums: Dict[str, Dict[str, np.ndarray]] = {}
-        for oid, start in self.starts.items():
-            op = self.graph.operation(oid)
-            rtype = self.library.type_of(op)
-            if rtype.name != type_name:
+        for op in ops:
+            start = starts.get(op.op_id)
+            if start is None:
+                continue
+            if op.guard is None:
+                profile[start : start + occupancy] += 1
                 continue
             row = np.zeros(self.deadline, dtype=int)
-            row[start : start + rtype.occupancy] += 1
-            if op.guard is None:
-                profile += row
+            row[start : start + occupancy] += 1
+            condition, branch = op.guard
+            per_branch = branch_sums.setdefault(condition, {})
+            if branch in per_branch:
+                per_branch[branch] += row
             else:
-                condition, branch = op.guard
-                per_branch = branch_sums.setdefault(condition, {})
-                if branch in per_branch:
-                    per_branch[branch] += row
-                else:
-                    per_branch[branch] = row
+                per_branch[branch] = row
         for per_branch in branch_sums.values():
             profile += np.maximum.reduce(list(per_branch.values()))
         return profile

@@ -1,22 +1,38 @@
 """Tests for the instance-count lower bounds."""
 
+from pathlib import Path
+
 import pytest
 
+import repro.analysis.bounds as bounds_module
 from repro.analysis.bounds import (
+    CandidateBounds,
+    area_lower_bound,
     block_bound,
     bound_report,
     global_pool_bound,
     process_bound,
     process_slot_density,
 )
-from repro.core.periods import PeriodAssignment
+from repro.api import load_problem
+from repro.core.periods import (
+    PeriodAssignment,
+    enumerate_period_assignments_capped,
+)
 from repro.core.scheduler import ModuloSystemScheduler
 from repro.ir.dfg import DataFlowGraph
 from repro.ir.operation import OpKind
 from repro.ir.process import Block, Process, SystemSpec
 from repro.resources.assignment import ResourceAssignment
 from repro.resources.library import default_library
-from repro.workloads import paper_assignment, paper_periods, paper_system
+from repro.workloads import (
+    corpus_system,
+    paper_assignment,
+    paper_periods,
+    paper_system,
+)
+
+PAPER_SYS = Path(__file__).resolve().parents[2] / "examples" / "paper_system.sys"
 
 
 def adds_block(n, deadline):
@@ -117,3 +133,122 @@ class TestBoundReport:
         # deadline-25 wave filter needs ceil(26/25) = 2 adders.
         assert report["adder"]["bound"] == 6
         assert report["subtracter"]["bound"] == 2
+
+
+def counted_type_bounds(monkeypatch):
+    """Count the :func:`type_instance_bound` calls CandidateBounds makes."""
+    calls = []
+    original = bounds_module.type_instance_bound
+
+    def counting(*args, **kwargs):
+        calls.append(args[-1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bounds_module, "type_instance_bound", counting)
+    return calls
+
+
+def long_block_system():
+    """A 300-step block whose two forced adders sit past the widening cut.
+
+    With adder period 4 the block spans 75 windows.  A subtracter period
+    of 4 leaves the widening limit at its floor of 64 windows, so the
+    interval analysis drops the tail; a subtracter period of 300 raises
+    the limit to 75 and keeps it.  The adder bound therefore reads the
+    subtracter period through the process grid.
+    """
+    library = default_library()
+    system = SystemSpec(name="long")
+    graph = DataFlowGraph(name="g1")
+    for i in range(299):
+        graph.add(f"s{i}", OpKind.SUB)
+        if i:
+            graph.add_edge(f"s{i - 1}", f"s{i}")
+    for add in ("a0", "a1"):
+        graph.add(add, OpKind.ADD)
+        graph.add_edge("s298", add)
+    system.add_process(
+        Process(name="p1", blocks=[Block(name="main", graph=graph, deadline=300)])
+    )
+    small = DataFlowGraph(name="g2")
+    small.add("a0", OpKind.ADD)
+    small.add("s0", OpKind.SUB)
+    system.add_process(
+        Process(name="p2", blocks=[Block(name="main", graph=small, deadline=300)])
+    )
+    assignment = ResourceAssignment(library)
+    assignment.make_global("adder", ["p1", "p2"])
+    assignment.make_global("subtracter", ["p1", "p2"])
+    return system, library, assignment
+
+
+class TestCandidateBounds:
+    @pytest.mark.parametrize("use_intervals", [True, False])
+    def test_paper_sweep_one_call_per_type_and_period(
+        self, monkeypatch, use_intervals
+    ):
+        problem = load_problem(PAPER_SYS)
+        candidates, _ = enumerate_period_assignments_capped(
+            problem.system, problem.assignment, limit=500
+        )
+        expected = [
+            area_lower_bound(
+                problem.system,
+                problem.library,
+                problem.assignment,
+                candidate,
+                use_intervals=use_intervals,
+            )
+            for candidate in candidates
+        ]
+        calls = counted_type_bounds(monkeypatch)
+        bounds = CandidateBounds(
+            problem.system,
+            problem.library,
+            problem.assignment,
+            use_intervals=use_intervals,
+        )
+        assert [bounds.area(candidate) for candidate in candidates] == expected
+        pairs = {
+            (name, candidate.period(name))
+            for candidate in candidates
+            for name in problem.assignment.global_types
+        }
+        assert len(candidates) == 73
+        assert len(pairs) == 18
+        assert len(calls) == len(pairs)
+
+    def test_corpus_instance_matches_area_lower_bound(self):
+        instance = corpus_system(6, seed=1)
+        candidates, _ = enumerate_period_assignments_capped(
+            instance.system, instance.assignment, limit=40
+        )
+        bounds = CandidateBounds(
+            instance.system, instance.library, instance.assignment
+        )
+        for candidate in candidates:
+            assert bounds.area(candidate) == area_lower_bound(
+                instance.system,
+                instance.library,
+                instance.assignment,
+                candidate,
+            ), candidate
+
+    def test_long_block_bound_reads_the_grid(self):
+        system, library, assignment = long_block_system()
+        candidates = [
+            PeriodAssignment({"adder": 4, "subtracter": period})
+            for period in (4, 300)
+        ]
+        adder = [
+            bounds_module.type_instance_bound(
+                system, library, assignment, candidate, "adder"
+            )
+            for candidate in candidates
+        ]
+        assert adder[0] != adder[1]
+        bounds = CandidateBounds(system, library, assignment)
+        assert [bounds.area(candidate) for candidate in candidates] == [
+            area_lower_bound(system, library, assignment, candidate)
+            for candidate in candidates
+        ]

@@ -9,6 +9,8 @@ profile-compatible summary.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.compare import compare_scopes
@@ -122,6 +124,20 @@ class TestParallelPath:
         ) == len(small_candidates)
         # Merged worker counters land in the parent tracer too.
         assert tracer.counters.as_dict()["force_evaluations"] > 0
+
+    def test_untraced_workers_ship_no_instruments(
+        self, small_problem, small_candidates
+    ):
+        outcome = ExplorationEngine(
+            small_problem, workers=2, prune=False
+        ).sweep(small_candidates)
+        evaluated = [r for r in outcome.results if r.status == STATUS_OK]
+        assert len(evaluated) == len(small_candidates)
+        for record in evaluated:
+            assert record.telemetry["counters"] == {}
+            assert "histograms" not in record.telemetry
+        assert outcome.telemetry["counters"] == {}
+        assert "histograms" not in outcome.telemetry
 
     def test_chunked_dispatch_same_results(
         self, small_problem, small_candidates
@@ -271,6 +287,23 @@ class TestJobProtocol:
         assert result.area == direct.total_area()
         assert result.iterations == direct.iterations
         assert result.instance_counts == direct.instance_counts()
+
+    def test_job_traces_only_when_asked(self, small_problem, small_candidates):
+        from repro.api import dumps_problem
+
+        job = SweepJob(
+            job_id=0,
+            problem_text=dumps_problem(small_problem),
+            periods=tuple(small_candidates[0].as_dict.items()),
+        )
+        untraced = run_job(job)
+        traced = run_job(replace(job, traced=True))
+        assert untraced.ok and traced.ok
+        assert untraced.area == traced.area
+        assert untraced.telemetry["counters"] == {}
+        assert "histograms" not in untraced.telemetry
+        assert traced.telemetry["counters"]["force_evaluations"] > 0
+        assert traced.telemetry["histograms"]["candidate_seconds"]["count"] == 1
 
     def test_pruned_statuses_have_no_area(self, small_problem, small_candidates):
         outcome = ExplorationEngine(

@@ -12,13 +12,18 @@ systems:
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.bounds import area_lower_bound
-from repro.api import Problem
-from repro.core.periods import enumerate_period_assignments
+from repro.api import Problem, load_problem
+from repro.core.periods import (
+    enumerate_period_assignments,
+    enumerate_period_assignments_capped,
+)
 from repro.ir.process import Block, Process, SystemSpec
-from repro.parallel import STATUS_OK, ExplorationEngine
+from repro.parallel import STATUS_OK, STATUS_PRUNED, ExplorationEngine
 from repro.resources.assignment import ResourceAssignment
 from repro.resources.library import default_library
 from repro.workloads import (
@@ -28,6 +33,7 @@ from repro.workloads import (
     random_dfg,
 )
 
+PAPER_SYS = Path(__file__).resolve().parents[2] / "examples" / "paper_system.sys"
 RANDOM_SYSTEM_COUNT = 10
 MAX_CANDIDATES = 12
 
@@ -111,3 +117,24 @@ def test_bounds_never_exceed_achieved_area_paper_periods():
     bound = area_lower_bound(system, library, assignment, periods)
     result = problem.schedule()
     assert bound <= result.total_area() + 1e-9
+
+
+def test_parallel_dispatch_sees_every_finished_incumbent():
+    """One chunk in flight per worker: the two-worker paper sweep
+    evaluates the serial sweep's 7 candidates and prunes the bound-13
+    candidate, which a deeper dispatch window scheduled (area 18)
+    before any area-13 result had come back."""
+    problem = load_problem(PAPER_SYS)
+    candidates, _ = enumerate_period_assignments_capped(
+        problem.system, problem.assignment, limit=500
+    )
+    outcome = ExplorationEngine(problem, workers=2).sweep(candidates)
+    assert outcome.best_area == 13
+    assert outcome.evaluated == 7
+    assert outcome.failed == 0
+    status = {
+        tuple(sorted(record.periods.items())): record.status
+        for record in outcome.results
+    }
+    bound_13 = (("adder", 3), ("multiplier", 6), ("subtracter", 3))
+    assert status[bound_13] == STATUS_PRUNED

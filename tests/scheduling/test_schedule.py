@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import VerificationError
+from repro.errors import GraphError, VerificationError
 from repro.ir.dfg import DataFlowGraph
 from repro.ir.operation import OpKind
 from repro.resources.library import default_library
@@ -78,6 +78,22 @@ class TestUsage:
             graph=graph, library=library, starts={"x": 0, "y": 0}, deadline=2
         )
         assert sched.peak_usage("adder") == 2
+
+    def test_profile_reads_starts_on_every_call(self):
+        """The per-type operation index is cached; the starts are not."""
+        sched = make_schedule({"a1": 0, "m1": 1, "a2": 3})
+        assert sched.usage_profile("adder").tolist() == [1, 0, 0, 1, 0, 0]
+        sched.starts["a2"] = 4
+        assert sched.usage_profile("adder").tolist() == [1, 0, 0, 0, 1, 0]
+        del sched.starts["a2"]
+        assert sched.usage_profile("adder").tolist() == [1, 0, 0, 0, 0, 0]
+
+    def test_stray_start_raises_graph_error(self):
+        sched = make_schedule({"a1": 0, "m1": 1, "a2": 3})
+        sched.usage_profile("adder")
+        sched.starts["ghost"] = 2
+        with pytest.raises(GraphError, match="ghost"):
+            sched.usage_profile("multiplier")
 
 
 class TestRendering:

@@ -130,6 +130,15 @@ class TestSweepEngine:
         assert "phase timings" in out
         assert "counters" in out
 
+    def test_parallel_sweep_profile_merges_worker_counters(
+        self, sys_file, capsys
+    ):
+        assert main(["sweep", sys_file, "--workers", "2", "--profile"]) == 0
+        out = capsys.readouterr().out
+        counters = out.split("counters", 1)[1]
+        assert "force_evaluations" in counters
+        assert "candidate_seconds" in out
+
     def test_compare_workers(self, sys_file, capsys):
         assert main(["compare", sys_file]) == 0
         serial_out = capsys.readouterr().out
