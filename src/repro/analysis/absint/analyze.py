@@ -357,35 +357,6 @@ def interval_pool_bound(
     return result.types[0].lower_peak
 
 
-def interval_pool_grids(
-    system: "Any",
-    assignment: "Any",
-    periods: "Any",
-    type_name: str,
-) -> Tuple[int, ...]:
-    """The grids :func:`interval_pool_bound` reads besides the type's period.
-
-    A sharing process's grid enters the bound only through the widening
-    limit, which never falls below ``DEFAULT_WIDEN_FLOOR`` period
-    windows.  Unless a block of the group spans more windows than that,
-    the bound reads no grid and this returns ``()``; otherwise it
-    returns every sharing process's grid.
-    """
-    period = periods.period(type_name)
-    group = assignment.group(type_name)
-    longest = max(
-        (
-            block.deadline
-            for name in group
-            for block in system.process(name).blocks
-        ),
-        default=0,
-    )
-    if -(-longest // period) <= DEFAULT_WIDEN_FLOOR:
-        return ()
-    return tuple(periods.process_grid(assignment, name) for name in group)
-
-
 def forced_process_bound(
     process: "Any", library: "Any", type_name: str
 ) -> int:

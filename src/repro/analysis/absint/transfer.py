@@ -33,12 +33,14 @@ block the authorization covers the worst folded step), so
 **Widening.**  A block folds ``ceil(T / P)`` steps onto every residue.
 When that quotient exceeds the widening limit (never smaller than the
 lcm quotient ``lcm(g_p, P) / P`` the certifier's rotation reduction is
-built on), only the first ``limit * P`` steps are folded exactly; the
-remaining tail contributes ``[0, n_tail]`` where ``n_tail`` counts the
-operations whose may-window reaches the tail — each operation occupies
-at most one instance at a time, so the count is a sound (if coarse)
-upper bound, and dropping the tail from the lower profile only widens
-the interval.
+built on), only the first ``limit * P`` steps of the upper profile are
+folded exactly; the remaining tail contributes ``[0, n_tail]`` where
+``n_tail`` counts the operations whose may-window reaches the tail —
+each operation occupies at most one instance at a time, so the count is
+a sound (if coarse) upper bound.  The must-busy profile is folded over
+the whole block, which costs the same ``O(T)`` as building it, so the
+lower bound never depends on the limit (nor, through it, on the
+sharing processes' grids).
 """
 
 from __future__ import annotations
@@ -201,11 +203,13 @@ def fold_profiles(
 ) -> Tuple[List[int], List[int], bool]:
     """Fold step profiles onto the period axis (max over ``j ≡ tau``).
 
-    Returns ``(lo_fold, hi_fold, widened)``.  With a ``widen_limit`` and
-    more than that many period windows, steps past ``widen_limit * P``
-    are widened: they add ``[0, coarse]`` to the residues the tail
-    touches, where ``coarse`` is the tail's maximum possible concurrent
-    usage bounded by the pointwise profile maximum over the tail.
+    Returns ``(lo_fold, hi_fold, widened)``.  The must-busy profile
+    ``flo`` is folded over the whole block.  With a ``widen_limit`` and
+    more than that many period windows, steps of ``up`` past
+    ``widen_limit * P`` are widened: they add ``[0, coarse]`` to the
+    residues the tail touches, where ``coarse`` is the tail's maximum
+    possible concurrent usage bounded by the pointwise profile maximum
+    over the tail.  So ``lo_fold`` never depends on the limit.
     """
     steps = len(up)
     windows = -(-steps // period) if steps else 0
@@ -216,11 +220,11 @@ def fold_profiles(
         widened = True
     lo_fold = [0] * period
     hi_fold = [0] * period
-    for j in range(cut):
+    for j in range(steps):
         tau = j % period
         if flo[j] > lo_fold[tau]:
             lo_fold[tau] = flo[j]
-        if up[j] > hi_fold[tau]:
+        if j < cut and up[j] > hi_fold[tau]:
             hi_fold[tau] = up[j]
     if widened:
         coarse = max(up[cut:], default=0)

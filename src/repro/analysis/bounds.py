@@ -204,12 +204,10 @@ class CandidateBounds:
 
     Sweep candidates differ only in their periods, and a type's bound
     reads little of them: a local type's bound reads none, a global
-    type's only its own period (plus the sharing processes' grids when a
-    block is long enough for the interval analysis to widen; see
-    :func:`repro.analysis.absint.analyze.interval_pool_grids`).  So
-    :func:`type_instance_bound` runs once per distinct (type, period)
-    and is reused across candidates; :meth:`area` equals
-    :func:`area_lower_bound` exactly.
+    type's only its own period (the interval analysis's lower bound
+    reads no process grid).  So :func:`type_instance_bound` runs once
+    per distinct (type, period) and is reused across candidates;
+    :meth:`area` equals :func:`area_lower_bound` exactly.
     """
 
     def __init__(
@@ -229,14 +227,7 @@ class CandidateBounds:
     def _key(self, periods: PeriodAssignment, type_name: str) -> Tuple[object, ...]:
         if not self.assignment.is_global(type_name):
             return (type_name,)
-        key: Tuple[object, ...] = (type_name, periods.period(type_name))
-        if self.use_intervals:
-            from .absint.analyze import interval_pool_grids
-
-            key += interval_pool_grids(
-                self.system, self.assignment, periods, type_name
-            )
-        return key
+        return (type_name, periods.period(type_name))
 
     def area(self, periods: PeriodAssignment) -> float:
         """The admissible area lower bound of one candidate."""

@@ -1,10 +1,10 @@
 """Crash-safe sweep checkpoints: a JSONL journal of finished candidates.
 
 Each line of a :class:`SweepJournal` file is one completed candidate
-outcome (evaluated, pruned, or failed), appended with ``flush`` +
-``fsync`` *before* the result is surfaced, so a sweep killed at any
-instant — including ``SIGKILL`` — loses at most the candidate that was
-still in flight.  Resuming a sweep with the same journal path restores
+outcome (evaluated, pruned, or failed), appended with
+:func:`repro.durable.append` *before* the result is surfaced, so a
+sweep killed at any instant — including ``SIGKILL`` — loses at most the
+candidate that was still in flight.  Resuming a sweep with the same journal path restores
 every journaled outcome by its deterministic candidate key
 (``tuple(sorted(periods.items()))``), skips those candidates
 exactly-once, and seeds the incumbent-area bound from the journaled
@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import IO, TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+from .. import durable
 from ..errors import ReproError
 from ..obs.logconfig import get_logger
 
@@ -32,6 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _log = get_logger(__name__)
 
 LexKey = Tuple[Tuple[str, int], ...]
+
+#: Re-exported: the journal reader lives with the durable writes.
+load_jsonl_tolerant = durable.load_jsonl_tolerant
 
 #: Journal schema version; bump only on incompatible record changes.
 JOURNAL_VERSION = 1
@@ -48,50 +52,18 @@ def candidate_key(periods: Dict[str, int]) -> LexKey:
     return tuple(sorted(periods.items()))
 
 
-def load_jsonl_tolerant(path: str) -> Tuple[List[Dict[str, object]], int]:
-    """Read a JSONL file, tolerating torn and corrupt lines.
-
-    Returns ``(records, dropped)``: every line that parses as a JSON
-    object, in file order, plus the count of lines that did not.  The
-    file is read as *bytes* and each line decoded independently, so a
-    crash that tears a record anywhere — including mid-way through a
-    multi-byte UTF-8 character — costs exactly that record, never the
-    readable ones around it.  A journal whose very first record is torn
-    (zero-length file, truncated line) simply loads as empty.
-
-    ``OSError`` propagates: an unreadable *file* is the caller's
-    policy decision, an unreadable *line* is this function's.
-    """
-    records: List[Dict[str, object]] = []
-    dropped = 0
-    with open(path, "rb") as handle:
-        data = handle.read()
-    for raw_line in data.split(b"\n"):
-        if not raw_line.strip():
-            continue
-        try:
-            entry = json.loads(raw_line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            dropped += 1
-            continue
-        if not isinstance(entry, dict):
-            dropped += 1
-            continue
-        records.append(entry)
-    return records, dropped
-
-
 class SweepJournal:
     """Append-only JSONL journal of completed sweep candidates.
 
     Opening a path that already holds a journal is the resume case:
     :meth:`load` returns the previously completed records keyed by
     candidate, and subsequent :meth:`append` calls extend the same file.
+    Each append opens the file afresh, so a journal holds nothing open
+    and its ``with`` form only scopes the name.
     """
 
     def __init__(self, path: "str | os.PathLike[str]") -> None:
         self.path = str(path)
-        self._handle: Optional[IO[str]] = None
 
     # ------------------------------------------------------------------
     # Reading (resume)
@@ -108,7 +80,7 @@ class SweepJournal:
             return {}
         records: Dict[LexKey, Dict[str, object]] = {}
         try:
-            entries, dropped = load_jsonl_tolerant(self.path)
+            entries, dropped = durable.load_jsonl_tolerant(self.path)
         except OSError as exc:
             raise CheckpointError(
                 f"cannot read sweep checkpoint {self.path!r}: {exc}"
@@ -166,24 +138,16 @@ class SweepJournal:
             "error": record.error,
             "attempts": record.attempts,
         }
+        line = json.dumps(entry, sort_keys=True) + "\n"
         try:
-            if self._handle is None:
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            durable.append(self.path, line.encode("utf-8"))
         except OSError as exc:
             raise CheckpointError(
                 f"cannot write sweep checkpoint {self.path!r}: {exc}"
             ) from exc
 
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
     def __enter__(self) -> "SweepJournal":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        pass

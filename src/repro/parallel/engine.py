@@ -86,10 +86,10 @@ class ExplorationError(ReproError):
 class SweepInterrupted(Exception):
     """A sweep stopped at a candidate boundary via ``stop_when``.
 
-    Control flow, not failure: raised *before* the next candidate is
-    evaluated or journaled, so an abandoned sweep (a timed-out service
-    attempt, a cancelled job) never races a successor on the shared
-    checkpoint journal."""
+    Control flow, not failure: raised before the next candidate is
+    evaluated, or after an evaluation instead of journaling it, so an
+    abandoned sweep (a timed-out service attempt, a cancelled job)
+    stops appending to the checkpoint journal a successor may own."""
 
 
 def _lexkey(periods: Dict[str, int]) -> LexKey:
@@ -239,9 +239,10 @@ class ExplorationEngine:
             fault directive for its job (see
             :mod:`repro.parallel.jobs`), or None.
         stop_when: Optional cooperative-cancellation probe, polled
-            before each candidate is evaluated (and journaled); when it
-            returns True the sweep raises :class:`SweepInterrupted`
-            without touching the checkpoint journal again.
+            before each candidate is evaluated and again before an
+            evaluated candidate is journaled; when it returns True the
+            sweep raises :class:`SweepInterrupted` and the candidate in
+            hand is dropped, never journaled.
     """
 
     def __init__(
@@ -352,8 +353,6 @@ class ExplorationEngine:
             )
         finally:
             self._journal = None
-            if journal is not None:
-                journal.close()
         records.extend(restored)
         records.sort(key=lambda record: record.order)
         best = self._best_of(records)
@@ -496,6 +495,9 @@ class ExplorationEngine:
                     best_area = record.area
                     if self.tracer.enabled:
                         self.tracer.set_gauge(INCUMBENT_AREA, best_area)
+                # An attempt abandoned while it evaluated drops its late
+                # record: a successor may already own the journal.
+                self._check_stop()
             records.append(record)
             self._emit(record, on_result)
         return records

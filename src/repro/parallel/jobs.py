@@ -57,6 +57,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
+from .. import durable
 from ..core.periods import PeriodAssignment
 from ..core.scheduler import ModuloSystemScheduler
 from ..errors import SpecificationError
@@ -251,10 +252,7 @@ def inject_fault(
         os._exit(int(arg) if arg else 1)
     if kind == "corrupt-journal":
         if journal_path is not None:
-            with open(journal_path, "ab") as handle:
-                handle.write(_JOURNAL_GARBAGE)
-                handle.flush()
-                os.fsync(handle.fileno())
+            durable.append(journal_path, _JOURNAL_GARBAGE)
         return
 
 

@@ -6,17 +6,17 @@ serve`` daemon share.  It owns three pieces of on-disk state under its
 
 ``jobs.jsonl``
     The crash-safe job journal.  Every job-state transition is appended
-    with ``flush`` + ``fsync`` *before* the effect is surfaced
+    with :func:`repro.durable.append` *before* the effect is surfaced
     (fsync-before-ack), and loading tolerates torn or corrupt lines
-    byte-robustly (:func:`repro.parallel.checkpoint.load_jsonl_tolerant`),
-    so a ``SIGKILL`` at any instant loses at most the in-flight
-    transition — never completed work.
+    byte-robustly (:func:`repro.durable.load_jsonl_tolerant`), so a
+    ``SIGKILL`` at any instant loses at most the in-flight transition —
+    never completed work.
 
 ``cache/<key>.json``
     The content-addressed result cache.  A job's identity *is* its
     :func:`repro.service.cachekey.cache_key`; payloads are canonical
-    JSON bytes written atomically (temp file + ``rename`` after
-    ``fsync``), so repeated submissions of the same problem return
+    JSON bytes written atomically (:func:`repro.durable.replace`), so
+    repeated submissions of the same problem return
     byte-identical bytes without rescheduling.  :meth:`JobStore.gc`
     bounds the cache to a byte budget by evicting least-recently-used
     payloads (mtime is refreshed on every hit) behind fsync'd
@@ -51,17 +51,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
-from typing import IO, TYPE_CHECKING, Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Mapping, Optional, Tuple
 
+from .. import durable
 from ..errors import ReproError
 from ..obs.logconfig import get_logger
 from ..obs.metrics import MetricsRegistry
-from ..parallel.checkpoint import load_jsonl_tolerant
 from ..parallel.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from .cachekey import canonical_options, canonical_problem_text, key_of_canonical
 
@@ -292,7 +291,6 @@ class JobStore:
         #: Submit memo: :func:`request_digest` -> cache key, LRU-bounded
         #: by :data:`SUBMIT_MEMO_SIZE`.
         self._memo: "OrderedDict[str, str]" = OrderedDict()
-        self._journal_handle: Optional[IO[str]] = None
         #: Attempt starts across this store's lifetime (fault-plan index).
         self._executions = 0
         self._closed = False
@@ -492,7 +490,7 @@ class JobStore:
         """
         if not os.path.exists(self.journal_path):
             return 0
-        entries, dropped = load_jsonl_tolerant(self.journal_path)
+        entries, dropped = durable.load_jsonl_tolerant(self.journal_path)
         if dropped:
             _log.warning(
                 "job journal %s: dropped %d unreadable line(s); the "
@@ -675,9 +673,6 @@ class JobStore:
         """Stop accepting work and wake blocked workers."""
         with self._cond:
             self._closed = True
-            if self._journal_handle is not None:
-                self._journal_handle.close()
-                self._journal_handle: Optional[IO[str]] = None
             self._cond.notify_all()
 
     def __enter__(self) -> "JobStore":
@@ -781,16 +776,9 @@ class JobStore:
             entry["error"] = error
         if backoff is not None:
             entry["backoff"] = backoff
+        line = json.dumps(entry, sort_keys=True) + "\n"
         try:
-            if self._journal_handle is None:
-                self._journal_handle = open(
-                    self.journal_path, "a", encoding="utf-8"
-                )
-            self._journal_handle.write(
-                json.dumps(entry, sort_keys=True) + "\n"
-            )
-            self._journal_handle.flush()
-            os.fsync(self._journal_handle.fileno())
+            durable.append(self.journal_path, line.encode("utf-8"))
         except OSError as exc:
             raise ServiceError(
                 f"cannot write job journal {self.journal_path!r}: {exc}"
@@ -816,33 +804,13 @@ class JobStore:
             self.bus.publish(event)
 
     def _write_cache(self, job_id: str, payload: bytes) -> None:
-        """Atomically persist the payload bytes (tmp + fsync + rename)."""
-        final = self._cache_path(job_id)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.cache_dir, prefix=f".{job_id[:16]}.", suffix=".tmp"
-        )
+        """Atomically persist the payload bytes."""
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, final)
+            durable.replace(self._cache_path(job_id), payload)
         except OSError as exc:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             raise ServiceError(
                 f"cannot write result cache for job {job_id}: {exc}"
             ) from exc
-        try:  # best-effort directory durability
-            dir_fd = os.open(self.cache_dir, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:
-            pass
 
     def _execute(self, record: JobRecord) -> None:
         """Run one attempt of ``record`` in the calling worker thread."""

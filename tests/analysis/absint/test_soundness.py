@@ -3,7 +3,8 @@
 The abstract interpretation claims, per (type, slot residue class), a
 lower/upper occupancy interval valid for *any* grid-admissible schedule.
 These tests pit that claim against two independent oracles over the
-paper system, ten corpus instances, and twenty random systems:
+paper system, a block longer than the widening floor, ten corpus
+instances, and twenty random systems:
 
 * the exact symbolic certifier (full coset enumeration, no fast path)
   — its proven peak must land inside the problem-mode interval and
@@ -43,6 +44,7 @@ from repro.workloads import (
     paper_system,
     random_dfg,
 )
+from tests.conftest import long_block_system
 
 #: Simulation sampling: seeds x cycles per soundness subject.
 SIM_SEEDS = (0, 1)
@@ -50,7 +52,7 @@ SIM_CYCLES = 300
 
 
 # ----------------------------------------------------------------------
-# Subjects: paper + 10 corpus instances + 20 random systems
+# Subjects: paper + long block + 10 corpus instances + 20 random systems
 # ----------------------------------------------------------------------
 def paper_problem() -> Problem:
     system, library = paper_system()
@@ -85,11 +87,21 @@ def random_problem(seed: int) -> Problem:
     return Problem(system, library, assignment, periods)
 
 
+def long_block_problem() -> Problem:
+    """A block longer than the widening floor: its must-busy tail counts."""
+    system, library, assignment = long_block_system()
+    periods = PeriodAssignment({"adder": 4, "subtracter": 4})
+    return Problem(system, library, assignment, periods)
+
+
 CORPUS_SEEDS = range(10)
 RANDOM_SEEDS = range(20)
 
 SUBJECTS = (
-    [pytest.param(paper_problem, None, id="paper")]
+    [
+        pytest.param(paper_problem, None, id="paper"),
+        pytest.param(long_block_problem, None, id="long-block"),
+    ]
     + [
         pytest.param(corpus_problem, seed, id=f"corpus-s{seed}")
         for seed in CORPUS_SEEDS

@@ -31,6 +31,7 @@ from repro.workloads import (
     paper_periods,
     paper_system,
 )
+from tests.conftest import long_block_system
 
 PAPER_SYS = Path(__file__).resolve().parents[2] / "examples" / "paper_system.sys"
 
@@ -148,40 +149,6 @@ def counted_type_bounds(monkeypatch):
     return calls
 
 
-def long_block_system():
-    """A 300-step block whose two forced adders sit past the widening cut.
-
-    With adder period 4 the block spans 75 windows.  A subtracter period
-    of 4 leaves the widening limit at its floor of 64 windows, so the
-    interval analysis drops the tail; a subtracter period of 300 raises
-    the limit to 75 and keeps it.  The adder bound therefore reads the
-    subtracter period through the process grid.
-    """
-    library = default_library()
-    system = SystemSpec(name="long")
-    graph = DataFlowGraph(name="g1")
-    for i in range(299):
-        graph.add(f"s{i}", OpKind.SUB)
-        if i:
-            graph.add_edge(f"s{i - 1}", f"s{i}")
-    for add in ("a0", "a1"):
-        graph.add(add, OpKind.ADD)
-        graph.add_edge("s298", add)
-    system.add_process(
-        Process(name="p1", blocks=[Block(name="main", graph=graph, deadline=300)])
-    )
-    small = DataFlowGraph(name="g2")
-    small.add("a0", OpKind.ADD)
-    small.add("s0", OpKind.SUB)
-    system.add_process(
-        Process(name="p2", blocks=[Block(name="main", graph=small, deadline=300)])
-    )
-    assignment = ResourceAssignment(library)
-    assignment.make_global("adder", ["p1", "p2"])
-    assignment.make_global("subtracter", ["p1", "p2"])
-    return system, library, assignment
-
-
 class TestCandidateBounds:
     @pytest.mark.parametrize("use_intervals", [True, False])
     def test_paper_sweep_one_call_per_type_and_period(
@@ -234,7 +201,7 @@ class TestCandidateBounds:
                 candidate,
             ), candidate
 
-    def test_long_block_bound_reads_the_grid(self):
+    def test_long_block_bound_reads_no_grid(self, monkeypatch):
         system, library, assignment = long_block_system()
         candidates = [
             PeriodAssignment({"adder": 4, "subtracter": period})
@@ -246,9 +213,14 @@ class TestCandidateBounds:
             )
             for candidate in candidates
         ]
-        assert adder[0] != adder[1]
-        bounds = CandidateBounds(system, library, assignment)
-        assert [bounds.area(candidate) for candidate in candidates] == [
+        # Both forced adders sit past the widening cut, and the must-busy
+        # fold still sees them under either subtracter period.
+        assert adder == [2, 2]
+        expected = [
             area_lower_bound(system, library, assignment, candidate)
             for candidate in candidates
         ]
+        calls = counted_type_bounds(monkeypatch)
+        bounds = CandidateBounds(system, library, assignment)
+        assert [bounds.area(candidate) for candidate in candidates] == expected
+        assert calls.count("adder") == 1

@@ -9,6 +9,7 @@ from repro import (
     DataFlowGraph,
     OpKind,
     Process,
+    ResourceAssignment,
     SystemSpec,
     default_library,
 )
@@ -70,3 +71,37 @@ def make_two_process_system(deadline_a: int = 8, deadline_b: int = 8) -> SystemS
 @pytest.fixture
 def two_process_system():
     return make_two_process_system()
+
+
+def long_block_system():
+    """A 300-step block whose two forced adders sit past the widening cut.
+
+    With adder period 4 the block spans 75 windows.  A subtracter period
+    of 4 leaves the interval analysis's widening limit at its floor of 64
+    windows, so the upper profile's tail is widened; a subtracter period
+    of 300 raises the limit to 75 and folds it exactly.  The must-busy
+    profile folds over the whole block either way.
+    """
+    library = default_library()
+    system = SystemSpec(name="long")
+    graph = DataFlowGraph(name="g1")
+    for i in range(299):
+        graph.add(f"s{i}", OpKind.SUB)
+        if i:
+            graph.add_edge(f"s{i - 1}", f"s{i}")
+    for add in ("a0", "a1"):
+        graph.add(add, OpKind.ADD)
+        graph.add_edge("s298", add)
+    system.add_process(
+        Process(name="p1", blocks=[Block(name="main", graph=graph, deadline=300)])
+    )
+    small = DataFlowGraph(name="g2")
+    small.add("a0", OpKind.ADD)
+    small.add("s0", OpKind.SUB)
+    system.add_process(
+        Process(name="p2", blocks=[Block(name="main", graph=small, deadline=300)])
+    )
+    assignment = ResourceAssignment(library)
+    assignment.make_global("adder", ["p1", "p2"])
+    assignment.make_global("subtracter", ["p1", "p2"])
+    return system, library, assignment
