@@ -44,25 +44,25 @@ def slot_steps(slot: int, period: int, horizon: int) -> list:
     return list(range(slot, horizon, period))
 
 
-def _fold_padded(array: np.ndarray, period: int) -> np.ndarray:
-    """Pad-to-multiple + reshape-max fold shared by every eq. 7 variant.
+def _fold_chunks(array: np.ndarray, period: int) -> np.ndarray:
+    """Chunk-maximum fold of the last axis shared by every eq. 7 variant.
 
-    Maximum is exact and order-free, so the reshaped column maximum is
-    value-identical to the historical chunked stride loop for floats and
-    integers alike.  That loop folded chunks into a zeros accumulator,
-    which floors every slot at the dtype's zero — empty slots stay 0 and
+    The stride loop of :func:`modulo_max_reference`, one numpy call per
+    period-long chunk for all rows at once: each chunk (the ragged tail
+    into the leading slots) is maxed in place into a zeros accumulator.
+    Maximum is exact and the arguments come in the reference's order,
+    so the result equals it byte for byte: empty slots stay 0 and a
     negative cancellation residue (e.g. ``-1e-17`` from a hidden
-    displacement) clamps to 0 exactly as before; the final ``maximum``
-    with 0 reproduces that floor bit-for-bit.
+    displacement) clamps to 0.
     """
-    remainder = array.size % period
-    if remainder:
-        pad = np.zeros(period - remainder, dtype=array.dtype)
-        array = np.concatenate((array, pad))
-    if not array.size:
-        return np.zeros(period, dtype=array.dtype)
-    folded = array.reshape(-1, period).max(axis=0)
-    return np.maximum(folded, 0, out=folded)
+    if period < 1:
+        raise PeriodError(f"period must be >= 1, got {period}")
+    folded = np.zeros(array.shape[:-1] + (period,), dtype=array.dtype)
+    for offset in range(0, array.shape[-1], period):
+        chunk = array[..., offset : offset + period]
+        head = folded[..., : chunk.shape[-1]]
+        np.maximum(head, chunk, out=head)
+    return folded
 
 
 def modulo_max(values: Sequence[float], period: int) -> np.ndarray:
@@ -78,10 +78,8 @@ def modulo_max(values: Sequence[float], period: int) -> np.ndarray:
         congruent step inside the range (period longer than the range)
         are 0.
     """
-    if period < 1:
-        raise PeriodError(f"period must be >= 1, got {period}")
     count(MODULO_MAX_TRANSFORMS)
-    return _fold_padded(np.asarray(values, dtype=float), period)
+    return _fold_chunks(np.asarray(values, dtype=float), period)
 
 
 def modulo_max_reference(values: Sequence[float], period: int) -> np.ndarray:
@@ -89,8 +87,8 @@ def modulo_max_reference(values: Sequence[float], period: int) -> np.ndarray:
 
     Kept as the oracle for the kernel property tests and the per-kernel
     benchmark (``benchmarks/bench_kernels.py``); the production
-    :func:`modulo_max` is the vectorized pad + reshape-max form and must
-    stay value-identical to this loop.
+    :func:`modulo_max` is the vectorized chunk-maximum form and must
+    stay byte-identical to this loop.
     """
     if period < 1:
         raise PeriodError(f"period must be >= 1, got {period}")
@@ -104,48 +102,26 @@ def modulo_max_reference(values: Sequence[float], period: int) -> np.ndarray:
 
 def modulo_max_int(values: Sequence[int], period: int) -> np.ndarray:
     """Integer variant of :func:`modulo_max` (for final usage counts)."""
-    if period < 1:
-        raise PeriodError(f"period must be >= 1, got {period}")
-    return _fold_padded(np.asarray(values, dtype=int), period)
+    return _fold_chunks(np.asarray(values, dtype=int), period)
 
 
 def modulo_max_rows(matrix: np.ndarray, period: int) -> np.ndarray:
     """Row-wise modulo-maximum transformation (eq. 7, batched form).
 
-    Folds every row of a ``(n, horizon)`` matrix onto the period in one
-    pad + reshape-max pass: the batched core of the array-backed force
-    kernels (:mod:`repro.scheduling.kernels`).  Each output row is
-    value-identical to ``modulo_max(matrix[i], period)`` — maximum is
-    exact, so batching cannot perturb a single bit.
+    Folds every row of a ``(n, horizon)`` matrix onto the period with
+    one maximum per period-long chunk: the batched core of the
+    array-backed force kernels (:mod:`repro.scheduling.kernels`).  Each
+    output row is byte-identical to ``modulo_max(matrix[i], period)`` —
+    maximum is exact, so batching cannot perturb a single bit.
 
     Returns a ``(n, period)`` array of the same dtype kind (floats stay
     float64, ints stay int64 — no silent downcasts).
     """
-    if period < 1:
-        raise PeriodError(f"period must be >= 1, got {period}")
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise PeriodError(f"expected a 2-d row matrix, got shape {matrix.shape}")
-    n, horizon = matrix.shape
-    count(MODULO_MAX_TRANSFORMS, n)
-    if not n:
-        return np.zeros((0, period), dtype=matrix.dtype)
-    remainder = horizon % period
-    full = horizon - remainder
-    if full:
-        # Fold the whole-period prefix, then max the ragged tail into the
-        # leading columns — same result as padding with zeros (max is
-        # exact; the implicit pad can never win against the relu below),
-        # without allocating the padded copy.
-        folded = matrix[:, :full].reshape(n, -1, period).max(axis=1)
-        if remainder:
-            np.maximum(
-                folded[:, :remainder], matrix[:, full:], out=folded[:, :remainder]
-            )
-    else:
-        folded = np.zeros((n, period), dtype=matrix.dtype)
-        folded[:, :remainder] = matrix
-    return np.maximum(folded, 0, out=folded)
+    count(MODULO_MAX_TRANSFORMS, matrix.shape[0])
+    return _fold_chunks(matrix, period)
 
 
 def modulo_delta(

@@ -59,12 +59,7 @@ from ..resources.assignment import ResourceAssignment
 from ..resources.library import ResourceLibrary
 from ..scheduling.fallback import degraded_block_schedule, frames_state_hash
 from ..scheduling.forces import DEFAULT_LOOKAHEAD
-from ..scheduling.kernels import (
-    IncrementStack,
-    increment_stacks,
-    row_dots,
-    row_self_dots,
-)
+from ..scheduling.kernels import increment_stacks, row_dots, row_self_dots
 from ..scheduling.schedule import BlockSchedule
 from ..scheduling.state import BlockState, ReductionEffect
 from ..validation.budget import RunBudget
@@ -85,6 +80,34 @@ class _Entry:
     #: ``(frames.version(), hash)`` memo for ``_system_state_hash``; the
     #: frame version pins exactly when the hash can be reused.
     hash_memo: Optional[Tuple[int, int]] = None
+
+
+class _RowTable:
+    """The displacement rows of one (block, type), allocated once.
+
+    One row per slot side whose operation was mobile at construction and
+    whose static footprint (the operation's type plus its direct
+    neighbours' types) holds the type, in block-local side order
+    (``2 * (slot - block start) + side``, so each low end before its high
+    end).  ``row_of`` maps a block-local side to its row (0 for a side
+    without one), ``cols`` a row to its flat side column, and ``cells``
+    a row to the value cell of the type's current position in the side's
+    type order.  ``pos`` is the type's row of the block's holds mask,
+    which says which rows hold a current displacement.  A rebuild
+    overwrites rows in place.
+    """
+
+    __slots__ = ("pos", "row_of", "cols", "delta", "cells")
+
+    def __init__(
+        self, pos: int, sides: np.ndarray, width: int, start: int, n: int, horizon: int
+    ) -> None:
+        self.pos = pos
+        self.row_of = np.zeros(width, dtype=np.intp)
+        self.row_of[sides] = np.arange(sides.size)
+        self.cols = start + (sides >> 1) + n * (sides & 1)
+        self.delta = np.empty((sides.size, horizon))
+        self.cells = np.zeros(sides.size, dtype=np.intp)
 
 
 class _SystemKernel:
@@ -116,24 +139,28 @@ class _SystemKernel:
 
     Rows and folds go stale separately.  Each slot side (one frame end
     of one operation) keeps its eq. 5 displacement rows — sums of
-    increments, independent of the distribution — in per-(block,
-    type) stacks (:class:`~repro.scheduling.kernels.IncrementStack`,
-    renumbered to flat side columns and value cells), and its per-type
-    force values in a persistent (type-position × slot-side) matrix
-    whose column sums, in type-order position, are the constants.  A
-    commit invalidates the two differently:
+    increments, independent of the distribution — in per-(block, type)
+    row tables (:class:`_RowTable`) allocated once at construction:
+    one row per slot side whose static footprint holds the type, a
+    per-block holds mask over the block's slot sides, and each row's
+    value cell.  Its per-type force values live in a persistent
+    (type-position × slot-side) matrix whose column sums, in type-order
+    position, are the constants.  A commit invalidates the two
+    differently:
 
-    * **rows** of the operations in the effect's ``dropped_ops`` (the
-      changed operations and their direct neighbours) are rebuilt, in
-      one :func:`~repro.scheduling.kernels.increment_stacks` batch per
-      block; every other row stays valid, because a row reads only the
-      frames of its operation and of that operation's neighbours;
+    * **rows** of the frame ends in the effect's ``dropped_ends`` (both
+      ends of the changed operations, and each neighbour's end that cut
+      one) are rebuilt, in one :func:`~repro.scheduling.kernels
+      .increment_stacks` batch per block, and overwrite their table
+      rows in place; every other row stays valid, because a row reads
+      only the frames of its operation and of the neighbours it cuts;
     * **folds** of each touched type — and, on a non-``clean`` coupling
       scope, of the same type in same-process siblings that hold rows
-      of it — are redone for the type's whole stack in one vectorized
+      of it — are redone for the type's held rows in one vectorized
       pass against the current distribution: the modulo-max / eq. 9 /
       §5.2 terms or the Hooke dots, and an in-place rewrite of the
-      ``G`` rows.  Only the affected constants are re-summed.
+      ``G`` rows.  The block then re-sums its constants over its own
+      column range.
 
     Guarded (conditional-branch) operations keep their
     :meth:`~repro.scheduling.state.BlockState.placement_deltas` rows and
@@ -142,7 +169,10 @@ class _SystemKernel:
 
     The telemetry counts that work: ``force_cache_misses`` counts slot
     sides built (also the count of ``force_eval_seconds``) and
-    ``force_cache_hits`` slot sides re-folded without a rebuild.
+    ``force_cache_hits`` slot sides re-folded without a rebuild.  The
+    ``G`` rows of a type whose ``S`` the coupling rebuilt (a
+    ``"system"`` scope in :meth:`note_commit`) are re-dotted at the
+    next scan.
     Decisions agree with the brute-force
     :class:`~repro.core.reference.ReferenceScheduler`, pinned by the
     ``tests/core/test_*_parity.py`` suites; the persistent state equals a
@@ -171,31 +201,42 @@ class _SystemKernel:
         self._op_at: List[str] = []
         self._entry_of: List[int] = []
         self._bounds: List[Tuple[int, int]] = []
-        n = 0
+        n = sum(len(entry.state.graph.op_ids) for entry in entries)
         # Per entry: the longest type order any of its frame ends can
         # have (the most distinct types among an operation and its direct
-        # neighbours), and type -> the guarded operations whose footprint
-        # holds it (rebuilt whenever that type moves).
+        # neighbours), type -> the guarded operations whose footprint
+        # holds it (rebuilt whenever that type moves), the row tables,
+        # and the holds mask (table position × block-local side).
         self._positions: List[int] = []
         self._guarded_by_type: List[Dict[str, Tuple[str, ...]]] = []
+        self._tables: List[Dict[str, _RowTable]] = []
+        self._held: List[np.ndarray] = []
+        start = 0
         for index, entry in enumerate(entries):
             state = entry.state
             type_of = state.dist.type_of
             mapping: Dict[str, int] = {}
             positions = 1
             guarded: Dict[str, List[str]] = {}
+            # Type -> the block-local sides of the mobile operations whose
+            # footprint holds it (an operation fixed now is never built).
+            sides: Dict[str, List[int]] = {}
             order = state.graph.topological_order()
             self._op_at.extend(order)
             self._entry_of.extend([index] * len(order))
-            self._bounds.append((n, n + len(order)))
-            for op_id in order:
-                mapping[op_id] = n
-                n += 1
+            self._bounds.append((start, start + len(order)))
+            for local, op_id in enumerate(order):
+                mapping[op_id] = start + local
                 _latency, preds, succs = state.links[op_id]
                 footprint = {type_of[op_id]}
                 footprint.update(type_of[pred] for pred, _ in preds)
                 footprint.update(type_of[succ] for succ in succs)
                 positions = max(positions, len(footprint))
+                if not state.frames.is_fixed(op_id):
+                    for type_name in footprint:
+                        sides.setdefault(type_name, []).extend(
+                            (2 * local, 2 * local + 1)
+                        )
                 if op_id in state.guarded_ops:
                     for type_name in footprint:
                         guarded.setdefault(type_name, []).append(op_id)
@@ -204,6 +245,18 @@ class _SystemKernel:
             self._guarded_by_type.append(
                 {name: tuple(ops) for name, ops in guarded.items()}
             )
+            width = 2 * len(order)
+            horizon = state.dist.horizon
+            self._tables.append(
+                {
+                    name: _RowTable(
+                        pos, np.asarray(sides[name]), width, start, n, horizon
+                    )
+                    for pos, name in enumerate(sorted(sides))
+                }
+            )
+            self._held.append(np.zeros((len(sides), width), dtype=bool))
+            start += len(order)
         self._n = n
         # Row 0 holds the low frame end, row 1 the high end: fusing the
         # two sides into (2, n) arrays halves the per-scan numpy call
@@ -218,22 +271,19 @@ class _SystemKernel:
         # end), so a constant is the sum of its column, in row order.
         self._values = np.zeros((max(self._positions, default=1), 2 * n))
         self._values_flat = self._values.reshape(-1)
-        # Per flat column: the side's type order, and the balanced types
-        # holding a G row for it.
-        self._order_of: List[Tuple[str, ...]] = [()] * (2 * n)
+        # Per flat column: the balanced types holding a G row for it.
         self._assigned: List[Tuple[str, ...]] = [()] * (2 * n)
-        # Scratch column mask for removing rows from a stack.
-        self._marks = np.zeros(2 * n, dtype=bool)
         # Per entry: type order -> its balanced types (those holding a
         # G row), a static property of the entry's process.
         self._balanced_part: List[Dict[Tuple[str, ...], Tuple[str, ...]]] = [
             {} for _ in entries
         ]
-        # Per entry: the row stacks, the operations holding rows, and
-        # what the commits since the last scan made stale.
-        self._stacks: List[Dict[str, IncrementStack]] = [{} for _ in entries]
-        self._built: List[set] = [set() for _ in entries]
-        self._drop: List[set] = [set() for _ in entries]
+        # Per entry: what the commits since the last scan made stale
+        # (operation -> mask of its ends, 1 low and 2 high), starting
+        # with both ends of every mobile operation.
+        self._drop: List[Dict[str, int]] = [
+            dict.fromkeys(entry.state.frames.unfixed(), 3) for entry in entries
+        ]
         self._refold: List[set] = [set() for _ in entries]
 
         # A commit only perturbs the committed entry (and, for a
@@ -263,6 +313,12 @@ class _SystemKernel:
         # those whose scores go stale when the type's ``S`` bumps.
         self._touched: List[Tuple[str, ...]] = [() for _ in entries]
         self._subscribers: Dict[str, Set[int]] = {}
+        # Per entry: the other blocks of its process (eq. 9's sibling
+        # maximum is all zeros without any).
+        self._siblings = [
+            tuple(i for i in coupling.process_entries(e.process_name) if i != index)
+            for index, e in enumerate(entries)
+        ]
         # Every slot's score persists between scans; only the dirty cone
         # is rescored.
         self._scores_g = np.zeros(n, dtype=float)
@@ -280,7 +336,8 @@ class _SystemKernel:
         self._top: Dict[str, int] = {}
         self._free: Dict[str, List[int]] = {}
         self._gslot: Dict[str, np.ndarray] = {}
-        self._seen_version: Dict[str, int] = {}
+        # Balanced types whose S the coupling rebuilt since the last scan.
+        self._bumped: Set[str] = set()
         for type_name in balanced:
             period = coupling.type_period[type_name]
             self._g[type_name] = np.zeros((16, period), dtype=float)
@@ -288,7 +345,6 @@ class _SystemKernel:
             self._top[type_name] = 1  # row 0: permanent all-zero sentinel
             self._free[type_name] = []
             self._gslot[type_name] = np.zeros((2, n), dtype=np.int64)
-            self._seen_version[type_name] = coupling.s_version(type_name)
         self._gslot_flat: Dict[str, np.ndarray] = {
             name: rows.reshape(-1) for name, rows in self._gslot.items()
         }
@@ -336,20 +392,17 @@ class _SystemKernel:
         track = want_detail or collect is not None
         coupling = self.coupling
 
-        # (1) Sync to S, remembering which types bumped this scan.
-        bumped: List[str] = []
-        for type_name in self._balanced_types:
-            version = coupling.s_version(type_name)
-            if version != self._seen_version[type_name]:
-                self._seen_version[type_name] = version
-                bumped.append(type_name)
-                top = self._top[type_name]
-                if top > 1:
-                    np.matmul(
-                        self._g[type_name][:top],
-                        coupling.system_distribution(type_name),
-                        out=self._gdots[type_name][:top],
-                    )
+        # (1) Sync to S: re-dot the G rows of the types whose S the
+        # commits since the last scan rebuilt.
+        bumped = self._bumped
+        for type_name in bumped:
+            top = self._top[type_name]
+            if top > 1:
+                np.matmul(
+                    self._g[type_name][:top],
+                    coupling.system_distribution(type_name),
+                    out=self._gdots[type_name][:top],
+                )
 
         # (2) The rescore set: the commit's dirty cone plus every entry
         # subscribed to a bumped type.
@@ -361,6 +414,7 @@ class _SystemKernel:
             for type_name in bumped:
                 stale.update(self._subscribers.get(type_name, ()))
             rescore = sorted(stale)
+        bumped.clear()
 
         # (3) Classify the dirty entries (the rescore set contains every
         # one of them); a clean rescored entry's live slots and
@@ -472,15 +526,18 @@ class _SystemKernel:
         """
         if not self._refresh(index, self.entries[index], kinds):
             return
-        # ``_assigned[col]`` is nonempty exactly when
-        # ``gslot[type][col] > 0`` for the type.
-        assigned = self._assigned
-        n = self._n
-        touched: set = set()
-        for slot in self._live_slots[index].tolist():
-            touched.update(assigned[slot])
-            touched.update(assigned[slot + n])
-        new = tuple(sorted(touched))
+        # A live side holds a G row of a balanced type its process shares
+        # exactly when it holds a row of the type; fixed sides hold none.
+        holding = self._held[index].any(axis=1)
+        process_name = self.entries[index].process_name
+        shared = self.coupling.shared
+        new = tuple(
+            name
+            for name, table in self._tables[index].items()
+            if holding[table.pos]
+            and name in self._g
+            and (process_name, name) in shared
+        )
         old = self._touched[index]
         if new != old:
             subscribers = self._subscribers
@@ -498,9 +555,10 @@ class _SystemKernel:
     ) -> None:
         """Mark exactly the rows and folds the committed reduction staled.
 
-        In the committing block the records of ``effect.dropped_ops``
-        (changed frames and their direct neighbours) lose their rows, and
-        every touched type re-folds: its distribution moved.  For a
+        In the committing block the frame ends of ``effect.dropped_ends``
+        (both ends of each changed operation, and each neighbour's end
+        that cut one) lose their rows, and every touched type re-folds:
+        its distribution moved.  For a
         touched **global** type the perturbation travels through the
         coupling — but only as far as the re-folded arrays actually
         changed, which :meth:`_GlobalCoupling.refresh` reports per type:
@@ -516,47 +574,54 @@ class _SystemKernel:
           value that reads the type.  Blocks of **other** processes keep
           valid folds even when ``S`` changed (``"system"``), because
           their ``delta_S`` only reads their own process's coupling
-          state; the S-version bump re-dots their G rows at the next
-          scan.
+          state; a ``"system"`` scope means the coupling rebuilt ``S``,
+          so the type's G rows are re-dotted at the next scan.
 
         With global balancing disabled the force of a block depends only
         on its own ``Q``, so no cross-block invalidation is needed at all.
         The committed entry, and on a non-``clean`` scope the siblings it
         staled, reclassify at the next scan.
         """
-        self._stale(entry_index, effect.dropped_ops, effect.touched_types)
+        self._stale(entry_index, effect.dropped_ends, effect.touched_types)
         dirty = self._dirty
         dirty.add(entry_index)
         if not (self.alignment and self.balancing):
             return
-        siblings = self.coupling.process_entries(
-            self.entries[entry_index].process_name
-        )
+        siblings = self._siblings[entry_index]
         for type_name, scope in scopes.items():
             if scope == "clean":
                 continue
+            if scope == "system":
+                self._bumped.add(type_name)
             for index in siblings:
-                if index != entry_index and (
-                    type_name in self._stacks[index]
-                    or type_name in self._guarded_by_type[index]
-                ):
+                # A sibling holding a row of the type, or a guarded
+                # operation whose footprint holds it, reads the type.
+                table = self._tables[index].get(type_name)
+                if (
+                    table is not None and self._held[index][table.pos].any()
+                ) or type_name in self._guarded_by_type[index]:
                     self._stale(index, (), (type_name,))
                     dirty.add(index)
 
-    def _stale(self, index: int, ops: Iterable[str], types: Iterable[str]) -> None:
-        """Queue rows to rebuild and types to re-fold for one entry.
+    def _stale(
+        self, index: int, ends: Iterable[Tuple[str, int]], types: Iterable[str]
+    ) -> None:
+        """Queue frame ends to rebuild and types to re-fold for one entry.
 
-        Guarded operations whose footprint holds a moved type are
-        rebuilt rather than re-folded.
+        The queue maps each operation to a mask of its ends (1 the low
+        end, 2 the high end).  Guarded operations whose footprint holds
+        a moved type are rebuilt, both ends, rather than re-folded.
         """
         drop = self._drop[index]
-        drop.update(ops)
+        for op_id, end in ends:
+            drop[op_id] = drop.get(op_id, 0) | (1 << end)
         refold = self._refold[index]
         guarded = self._guarded_by_type[index]
         for type_name in types:
             refold.add(type_name)
             if guarded:
-                drop.update(guarded.get(type_name, ()))
+                for op_id in guarded.get(type_name, ()):
+                    drop[op_id] = 3
 
     # -- rows and folds --------------------------------------------------
     def _refresh(
@@ -567,160 +632,145 @@ class _SystemKernel:
     ) -> bool:
         """Bring one entry's rows, folds and constants up to date.
 
-        Drops the rows of the queued records (an operation that fixed
-        also leaves the live slots), builds rows for the candidates
-        among them, re-folds each queued type's whole stack
-        and each other type's new rows, then re-sums the constants of
-        the slot sides any fold wrote.  A constant is the sum of its
-        per-type values in type-order position, added column by column
-        of the value matrix from zero: the same additions in the same
-        order as a fresh evaluation.  Returns whether rows were dropped
-        or built, i.e. whether the entry's G-row assignment may have
-        moved.
+        Clears the holds of the queued frame ends' rows (an operation
+        that fixed clears both ends and leaves the live slots), rebuilds
+        the rows of the mobile ones in place, re-folds each queued
+        type's held rows and each other type's rebuilt ones, then
+        re-sums the entry's constants over its column range.  A constant
+        is the sum of its per-type values in type-order position, added
+        row by row of the value matrix from zero: the same additions in
+        the same order as a fresh evaluation.  Returns whether rows were
+        dropped or built, i.e. whether the entry's G-row assignment may
+        have moved.
         """
-        n = self._n
         slots_map = self.slot_of[index]
-        stacks = self._stacks[index]
-        built = self._built[index]
+        tables = self._tables[index]
+        held = self._held[index]
         drop = self._drop[index]
-        # Per type: the flat columns whose rows the drops removed.
-        removed: Dict[str, List[int]] = {}
-        # Every candidate keeps its rows until an effect drops them, so
-        # only a drop (or the first refresh) leaves candidates without.
-        stale = bool(drop) or not built
+        start, end = self._bounds[index]
+        registry_active = _ambient._active is not None
+        # Block-local sides (``2 * (slot - start) + side``) to rebuild: the
+        # dropped ends of the operations that stay mobile, in slot order.
+        fresh: List[int] = []
+        # Sides of the operations that fixed, whose rows are released.
+        cleared: List[int] = []
         if drop:
-            order_of = self._order_of
             frames = entry.state.frames
-            fixed = False
-            for op_id in drop:
-                if op_id not in built:
-                    continue
-                built.discard(op_id)
+            live = self._live
+            for op_id, ends in drop.items():
                 slot = slots_map[op_id]
-                for col in (slot, slot + n):
-                    for type_name in order_of[col]:
-                        removed.setdefault(type_name, []).append(col)
+                if not live[slot]:
+                    continue
+                side = 2 * (slot - start)
                 lo, hi = frames.frame(op_id)
                 if lo == hi:
                     self._release(slot)
-                    fixed = True
+                    cleared.append(side)
+                    cleared.append(side + 1)
+                else:
+                    if ends & 1:
+                        fresh.append(side)
+                    if ends & 2:
+                        fresh.append(side + 1)
             drop.clear()
-            if fixed:
-                start, end = self._bounds[index]
-                live = np.flatnonzero(self._live[start:end])
-                live += start
-                self._live_slots[index] = live
+            held[:, cleared + fresh] = False
+            fresh.sort()
+            if cleared:
+                slots = np.flatnonzero(live[start:end])
+                slots += start
+                self._live_slots[index] = slots
                 self._live_stale = True
-        fresh = (
-            [op_id for op_id in entry.state.frames.unfixed() if op_id not in built]
-            if stale
-            else []
-        )
-        new: Dict[str, IncrementStack] = {}
+        refold = self._refold[index]
+        hits = 0
+        if refold and registry_active:
+            # Sides re-folded without a rebuild: those still holding a
+            # row of a queued type (rebuilt sides hold none yet).
+            positions = [tables[name].pos for name in refold if name in tables]
+            hits = int(np.count_nonzero(held[positions].any(axis=0)))
+        new: Dict[str, np.ndarray] = {}
         if fresh:
-            registry_active = _ambient._active is not None
             started = time.perf_counter() if registry_active else 0.0
             new = self._build(index, entry, fresh)
-            built.update(fresh)
             if registry_active:
-                rows = 2 * len(fresh)
+                rows = len(fresh)
                 observe_many(
                     FORCE_EVAL_SECONDS, (time.perf_counter() - started) / rows, rows
                 )
             if kinds is not None:
-                for op_id in fresh:
-                    kinds[slots_map[op_id]] = CACHE_FRESH
+                for side in fresh:
+                    kinds[start + side // 2] = CACHE_FRESH
 
-        refold = self._refold[index]
-        written: List[np.ndarray] = []
-        marks = self._marks
-        for type_name in set(removed).union(new):
-            stack = stacks.get(type_name)
-            cols = removed.get(type_name)
-            if cols is not None:
-                old = stacks[type_name]
-                marks[cols] = True
-                stack = old.restricted(~marks[old.index[0]])
-                marks[cols] = False
-            batch = new.get(type_name)
-            if batch is not None:
-                if type_name not in refold:
-                    # Surviving rows of an unmoved type keep their values.
-                    self._fold(index, entry, type_name, batch)
-                    written.append(batch.index[0])
-                if stack is None:
-                    # The batch's rows are views of one array for all its
-                    # types; a copy sizes the stored stack exactly.
-                    batch.delta = batch.delta.copy()
-                    stack = batch
-                else:
-                    stack = stack.extended(batch)
-            if stack is None:
-                del stacks[type_name]
-            else:
-                stacks[type_name] = stack
-        for type_name in sorted(refold):
-            stack = stacks.get(type_name)
-            if stack is not None:
-                self._fold(index, entry, type_name, stack)
-                written.append(stack.index[0])
+        folded = False
+        for type_name, rows in new.items():
+            if type_name not in refold:
+                # Held rows of an unmoved type keep their values.
+                self._fold(index, entry, type_name, tables[type_name], rows)
+                folded = True
+        for type_name in refold:
+            table = tables.get(type_name)
+            if table is not None:
+                rows = table.row_of[held[table.pos]]
+                if rows.size:
+                    self._fold(index, entry, type_name, table, rows)
+                    folded = True
         refold.clear()
-        if not written:
-            return bool(removed)
-        sides = written[0] if len(written) == 1 else np.unique(np.concatenate(written))
-        consts = np.zeros(sides.size, dtype=float)
-        for column in self._values[: self._positions[index], sides]:
-            consts += column
-        self._const_flat[sides] = consts
-        rows_built = 2 * len(fresh)
-        if rows_built:
-            count(FORCE_CACHE_MISSES, rows_built)
-        if sides.size > rows_built:
-            count(FORCE_CACHE_HITS, int(sides.size) - rows_built)
-        return bool(removed) or bool(fresh)
+        if not folded:
+            return bool(cleared)
+        # The value matrix as (position, side, slot): one reduction over
+        # the entry's slot range re-sums both sides' constants.
+        values = self._values.reshape(-1, 2, self._n)
+        np.add.reduce(
+            values[: self._positions[index], :, start:end],
+            axis=0,
+            out=self._const[:, start:end],
+            initial=0.0,
+        )
+        if fresh:
+            count(FORCE_CACHE_MISSES, len(fresh))
+        if hits:
+            count(FORCE_CACHE_HITS, hits)
+        return bool(cleared or fresh)
 
     def _build(
-        self, index: int, entry: _Entry, fresh: List[str]
-    ) -> Dict[str, IncrementStack]:
-        """Rows of both frame ends of a block's record-less candidates.
+        self, index: int, entry: _Entry, fresh: List[int]
+    ) -> Dict[str, np.ndarray]:
+        """Rows of a block's row-less frame ends, given as block-local sides.
 
         One :func:`~repro.scheduling.kernels.increment_stacks` batch
-        covers every (op, frame-end) pair.  Each side's type order and
-        ``eta`` are stored and its stale values cleared.  A side keeps
-        its G rows when its balanced-type tuple is unchanged; otherwise
-        it releases the old rows and allocates new ones, in row order.
-        Returns the new rows as one stack per displaced type.
+        covers every frame end; each displaced type's rows overwrite
+        their table rows in place and become held.  Each operation's
+        ``eta`` is stored and each side's stale values cleared.  A side
+        keeps its G rows when its balanced-type tuple is unchanged;
+        otherwise it releases the old rows and allocates new ones, in
+        row order.  Returns, per displaced type, the table rows written.
         """
         coupling = self.coupling
         state = entry.state
         frames = state.frames
         n = self._n
-        slots_map = self.slot_of[index]
+        start = self._bounds[index][0]
+        op_at = self._op_at
         pairs: List[Tuple[str, int]] = []
         cols: List[int] = []
         slots: List[int] = []
         etas: List[float] = []
-        for op_id in fresh:
+        for side in fresh:
+            slot = start + (side >> 1)
+            op_id = op_at[slot]
             lo, hi = frames.frame(op_id)
-            pairs.append((op_id, lo))
-            pairs.append((op_id, hi))
-            slot = slots_map[op_id]
-            cols.append(slot)
-            cols.append(slot + n)
+            pairs.append((op_id, hi if side & 1 else lo))
+            cols.append(slot + n * (side & 1))
             slots.append(slot)
             etas.append(1.0 if hi - lo + 1 <= 2 else 0.5)
         type_orders, batch = increment_stacks(state, pairs)
-        cols_arr = np.asarray(cols, dtype=np.intp)
         self._eta[slots] = etas
-        self._values[:, cols_arr] = 0.0
+        self._values[:, cols] = 0.0
 
         process_name = entry.process_name
         balanced_part = self._balanced_part[index]
         balancing = self.alignment and self.balancing
-        order_of = self._order_of
         assigned = self._assigned
         for col, order in zip(cols, type_orders):
-            order_of[col] = order
             part = balanced_part.get(order)
             if part is None:
                 part = balanced_part[order] = tuple(
@@ -739,42 +789,53 @@ class _SystemKernel:
                 self._gslot_flat[type_name][col] = self._alloc_row(type_name)
             assigned[col] = part
 
-        # Renumber each stack's (batch row, type position) index into
-        # (flat side column, flat value cell).
+        # Each (batch row, type position) goes to its table row, held,
+        # with the value cell ``position * 2n + flat side column``.
+        tables = self._tables[index]
+        held = self._held[index]
+        sides = np.asarray(fresh, dtype=np.intp)
         width = 2 * n
-        for stack in batch.values():
-            rows, cells = stack.index
-            stack_cols = cols_arr[rows]
-            cells *= width
-            cells += stack_cols
-            rows[:] = stack_cols
-        return batch
+        written: Dict[str, np.ndarray] = {}
+        for type_name, stack in batch.items():
+            batch_rows, cells = stack.index
+            table = tables[type_name]
+            at = sides[batch_rows]
+            rows = table.row_of[at]
+            table.delta[rows] = stack.delta
+            table.cells[rows] = cells * width + table.cols[rows]
+            held[table.pos, at] = True
+            written[type_name] = rows
+        return written
 
     def _fold(
-        self, index: int, entry: _Entry, type_name: str, stack: IncrementStack
+        self,
+        index: int,
+        entry: _Entry,
+        type_name: str,
+        table: _RowTable,
+        rows: np.ndarray,
     ) -> None:
-        """Fold every row of a stack against the current distributions.
+        """Fold the given rows of a table against the current distributions.
 
         Mirrors :meth:`~repro.core.reference.ReferenceScheduler
         ._placement_force` branch for branch: aligned shared types take
         the modulo maximum of the tentative distribution and, under
-        balancing, eq. 9's sibling maximum minus the old process maximum
-        (the ``w * delta_S`` rows go to ``G`` in place, with their
-        current-``S`` dots); every other type takes the Hooke dots.
-        The stored rows are only read: the tentative distribution
+        balancing, eq. 9's sibling maximum (skipped for a single-block
+        process, whose sibling maximum is all zeros) minus the old
+        process maximum (the ``w * delta_S`` rows go to ``G`` in place,
+        with their current-``S`` dots); every other type takes the Hooke
+        dots.  The stored rows are only read: the tentative distribution
         ``delta + D`` is a new array.
         """
         coupling = self.coupling
         base = entry.state.dist.array(type_name)
-        deltas = stack.delta
-        cols, cells = stack.index
+        deltas = table.delta[rows]
         weights = self.weights
         weight = 1.0 if weights is None else float(weights.get(type_name, 1.0))
         lookahead = self.lookahead
-        count(FORCE_EVALUATIONS, len(cols))
+        count(FORCE_EVALUATIONS, len(rows))
         if self.alignment and (entry.process_name, type_name) in coupling.shared:
-            period = coupling.type_period[type_name]
-            q_new = modulo_max_rows(deltas + base, period)
+            q_new = modulo_max_rows(deltas + base, coupling.type_period[type_name])
             if not self.balancing:
                 q_old = coupling.block_q(index, type_name)
                 q_new -= q_old
@@ -782,13 +843,13 @@ class _SystemKernel:
                     row_dots(q_new, q_old) + lookahead * row_self_dots(q_new)
                 )
             else:
-                others = coupling.other_blocks_max(index, type_name)
-                m_old = coupling.process_max(entry.process_name, type_name)
-                np.maximum(others, q_new, out=q_new)
-                q_new -= m_old
+                if self._siblings[index]:
+                    others = coupling.other_blocks_max(index, type_name)
+                    np.maximum(others, q_new, out=q_new)
+                q_new -= coupling.process_max(entry.process_name, type_name)
                 vals = (weight * lookahead) * row_self_dots(q_new)
                 q_new *= weight
-                ids = self._gslot_flat[type_name][cols]
+                ids = self._gslot_flat[type_name][table.cols[rows]]
                 self._g[type_name][ids] = q_new
                 self._gdots[type_name][ids] = row_dots(
                     q_new, coupling.system_distribution(type_name)
@@ -797,7 +858,7 @@ class _SystemKernel:
             vals = weight * (
                 row_dots(deltas, base) + lookahead * row_self_dots(deltas)
             )
-        self._values_flat[cells] = vals
+        self._values_flat[table.cells[rows]] = vals
 
     def _release(self, slot: int) -> None:
         """Free both sides' G rows of an operation that fixed; its slot
@@ -807,7 +868,6 @@ class _SystemKernel:
             for type_name in self._assigned[col]:
                 self._free_row(type_name, col)
             self._assigned[col] = ()
-            self._order_of[col] = ()
 
     def _free_row(self, type_name: str, col: int) -> None:
         gslot = self._gslot_flat[type_name]
@@ -1213,7 +1273,6 @@ class _GlobalCoupling:
         self._m_rows: Dict[str, np.ndarray] = {}
         self._m_rowidx: Dict[Tuple[str, str], int] = {}
         self._s: Dict[str, np.ndarray] = {}
-        self._s_version: Dict[str, int] = {}
         self._others: Dict[Tuple[int, str], np.ndarray] = {}
         self._process_entries: Dict[str, List[int]] = {}
         for index, entry in enumerate(entries):
@@ -1247,14 +1306,6 @@ class _GlobalCoupling:
 
     def system_distribution(self, type_name: str) -> np.ndarray:
         return self._s[type_name]
-
-    def s_version(self, type_name: str) -> int:
-        """Monotonic version of ``S``; bumps whenever the sum is rebuilt.
-
-        The selection engine compares it per scan to find the types whose
-        stored ``w * delta_S`` rows must be re-dotted against the new S.
-        """
-        return self._s_version.get(type_name, 0)
 
     def other_blocks_max(self, entry_index: int, type_name: str) -> np.ndarray:
         """Max of the sibling blocks' Q arrays (eq. 9 without this block).
@@ -1290,7 +1341,9 @@ class _GlobalCoupling:
           was hidden under the modulo maximum); nothing downstream moved.
         * ``"process"`` — ``Q`` changed but the process maximum ``M`` did
           not, so the system distribution ``S`` is also unchanged.
-        * ``"system"`` — ``M`` (and therefore ``S``) changed.
+        * ``"system"`` — ``M`` (and therefore ``S``) changed: ``S`` was
+          rebuilt, and the selection engine re-dots the type's stored
+          ``w * delta_S`` rows against it.
         """
         entry = self.entries[entry_index]
         scopes: Dict[str, str] = {}
@@ -1301,7 +1354,7 @@ class _GlobalCoupling:
             key = (entry_index, type_name)
             old_q = self._q.get(key)
             new_q = self._fold(entry_index, type_name)
-            if old_q is not None and np.array_equal(old_q, new_q):
+            if old_q is not None and (old_q == new_q).all():
                 # Hidden displacement: Q, M, S all stay put — skip the
                 # rebuilds entirely.
                 scopes[type_name] = "clean"
@@ -1342,7 +1395,7 @@ class _GlobalCoupling:
                 np.maximum(result, self.block_q(index, type_name), out=result)
         key = (process_name, type_name)
         old = self._m.get(key)
-        changed = old is None or not np.array_equal(old, result)
+        changed = old is None or not (old == result).all()
         self._m[key] = result
         if changed:
             rows = self._m_rows.get(type_name)
@@ -1372,4 +1425,3 @@ class _GlobalCoupling:
         else:
             result = np.zeros(period, dtype=float)
         self._s[type_name] = result
-        self._s_version[type_name] = self._s_version.get(type_name, 0) + 1

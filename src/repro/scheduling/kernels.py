@@ -14,8 +14,9 @@ every scheduler:
 * :func:`increment_stacks` builds the per-type displacement rows
   (:class:`IncrementStack`) of a batch of placements.  A row is the
   plain sum of its increments and never reads the type's current
-  distribution, so the coupled scheduler keeps the stacks across
-  commits and only re-folds them when the distribution moves;
+  distribution, so the coupled scheduler copies the rows into its row
+  tables, keeps them across commits and only re-folds them when the
+  distribution moves;
 * :func:`row_dots` and :func:`row_self_dots` fold displacement rows
   into Hooke terms with one matrix product per displaced type;
 * :class:`PlacementKernel` is the FDS driver: one call returns the
@@ -90,8 +91,8 @@ class IncrementStack:
 
     Row ``i`` of the stack belongs to batch row ``index[0, i]``, where
     the type sits at position ``index[1, i]`` of that row's type order
-    (a consumer may renumber both into its own coordinates; the coupled
-    kernel stores flat slot-side columns and value cells).
+    (a consumer maps both into its own coordinates; the coupled kernel
+    writes each row into its row table with the row's value cell).
     ``delta[i]`` is the row's finished displacement: the sum of its
     increments ``override - current`` in override order, or, for a
     guarded placement, the branch-max row of
@@ -105,19 +106,6 @@ class IncrementStack:
     def __init__(self, index: np.ndarray, delta: np.ndarray) -> None:
         self.index = index
         self.delta = delta
-
-    def restricted(self, keep: np.ndarray) -> Optional["IncrementStack"]:
-        """The rows ``keep`` marks, or ``None`` when no row is left."""
-        if not keep.any():
-            return None
-        return IncrementStack(self.index[:, keep], self.delta[keep])
-
-    def extended(self, other: "IncrementStack") -> "IncrementStack":
-        """These rows followed by ``other``'s, in new arrays."""
-        return IncrementStack(
-            np.concatenate((self.index, other.index), axis=1),
-            np.concatenate((self.delta, other.delta)),
-        )
 
 
 def increment_stacks(

@@ -33,18 +33,27 @@ class ReductionEffect:
     ``changed_ops`` are the operations whose frames changed (the reduced
     operation plus everything reached by precedence propagation);
     ``touched_types`` are the resource types whose distribution graph
-    changed.  ``dropped_ops`` are the changed operations plus their
-    direct predecessors and successors: exactly the operations whose
-    override sets (:func:`repro.scheduling.kernels.increment_stacks`)
-    the commit invalidated, because an override set reads only the
-    frames of its operation and of that operation's direct neighbours.
-    The coupled kernel rebuilds the rows of ``dropped_ops`` and re-folds
+    changed.  ``dropped_ends`` are the ``(operation, end)`` frame ends
+    (end 0 the low end, 1 the high end) whose override sets
+    (:func:`repro.scheduling.kernels.increment_stacks`) the commit may
+    have changed: both ends of every changed operation, and each frame
+    end of a direct neighbour that cut a changed operation under that
+    operation's old frame.  An override set reads only its operation's
+    frame and the frames of the neighbours its frame end cuts; frames
+    only narrow, so a frame end that did not cut a neighbour's old frame
+    cannot cut its new one, and its row never read the frame that
+    moved.  ``dropped_ops`` are the operations with a dropped end.  The
+    coupled kernel rebuilds the rows of ``dropped_ends`` and re-folds
     ``touched_types``.
     """
 
     changed_ops: FrozenSet[str]
     touched_types: FrozenSet[str]
-    dropped_ops: FrozenSet[str] = frozenset()
+    dropped_ends: FrozenSet[Tuple[str, int]] = frozenset()
+
+    @property
+    def dropped_ops(self) -> FrozenSet[str]:
+        return frozenset(op_id for op_id, _end in self.dropped_ends)
 
 
 class BlockState:
@@ -52,10 +61,10 @@ class BlockState:
 
     A tentative placement ``(op, start)`` displaces through override
     rows (:meth:`placement_deltas`).  The override set reads only the
-    frames of the operation and its direct neighbours, so it stays
-    valid across commits until one of those frames moves;
-    :meth:`commit_reduce_effect` reports exactly those operations as
-    ``dropped_ops``.  The distributions the rows displace may move in
+    frames of the operation and of the direct neighbours it cuts, so it
+    stays valid across commits until one of those frames moves;
+    :meth:`commit_reduce_effect` reports exactly those frame ends as
+    ``dropped_ends``.  The distributions the rows displace may move in
     the meantime — consumers read them at use time.
     """
 
@@ -146,23 +155,33 @@ class BlockState:
         """Like :meth:`commit_reduce`, but also reports the changed ops.
 
         Incremental schedulers need both halves of the perturbation: the
-        operations whose frames moved (their own and their neighbors'
-        rows are stale) and the types whose distributions moved.
-        The effect also names the operations whose displacement records
-        went stale: every changed operation and its direct predecessors
-        and successors.
+        operations whose frames moved and the types whose distributions
+        moved.  The effect also names the frame ends whose displacement
+        records went stale (see :class:`ReductionEffect`).  Frames stay
+        precedence-consistent (``lo(succ) >= lo(op) + latency(op)`` and
+        ``hi(pred) <= hi(op) - latency(pred)``), so of an unchanged
+        neighbour only one end can have cut a changed operation ``o``:
+        a predecessor ``p``'s high end, when ``hi(p) + latency(p)``
+        exceeds ``o``'s old low end, or a successor's low end ``s``,
+        when ``s - latency(o)`` is below ``o``'s old high end.
         """
         count(FRAME_REDUCTIONS)
-        changed_ops = self.frames.reduce(op_id, lo, hi)
-        touched = self.dist.refresh(changed_ops)
-        dropped = set(changed_ops)
-        links = self.links
-        for oid in changed_ops:
-            _latency, preds, succs = links[oid]
-            dropped.update(pred for pred, _pred_latency in preds)
-            dropped.update(succs)
+        frames = self.frames
+        old_frames = frames.reduce_frames(op_id, lo, hi)
+        touched = self.dist.refresh(old_frames)
+        dropped: Set[Tuple[str, int]] = set()
+        for oid, (old_lo, old_hi) in old_frames.items():
+            dropped.add((oid, 0))
+            dropped.add((oid, 1))
+            latency, preds, succs = self.links[oid]
+            for pred, pred_latency in preds:
+                if frames._hi[pred] + pred_latency > old_lo:
+                    dropped.add((pred, 1))
+            for succ in succs:
+                if frames._lo[succ] - latency < old_hi:
+                    dropped.add((succ, 0))
         return ReductionEffect(
-            frozenset(changed_ops), frozenset(touched), frozenset(dropped)
+            frozenset(old_frames), frozenset(touched), frozenset(dropped)
         )
 
     def commit_fix(self, op_id: str, start: int) -> Set[str]:

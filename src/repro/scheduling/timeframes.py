@@ -156,13 +156,20 @@ class FrameTable:
         the reduction empties any frame; the table is left unchanged in
         that case.
         """
+        return set(self.reduce_frames(op_id, new_lo, new_hi))
+
+    def reduce_frames(
+        self, op_id: str, new_lo: int, new_hi: int
+    ) -> Dict[str, Tuple[int, int]]:
+        """Like :meth:`reduce`, but maps each changed operation to its
+        frame before the reduction, read from the undo log."""
         lo, hi = self._lo[op_id], self._hi[op_id]
         if new_lo <= lo and new_hi >= hi:
             # Superset request: nothing can shrink (frames only ever
             # narrow) and the clamped bounds equal the current frame, so
             # skip the clamp arithmetic entirely.  This is the hot exit
             # for ``fix`` on an already-fixed operation.
-            return set()
+            return {}
         new_lo = max(lo, new_lo)
         new_hi = min(hi, new_hi)
         if new_lo > new_hi:
@@ -171,7 +178,7 @@ class FrameTable:
             )
         undo: List[Tuple[str, int, int]] = []
         try:
-            changed = self._apply(op_id, new_lo, new_hi, undo)
+            self._apply(op_id, new_lo, new_hi, undo)
         except InfeasibleError:
             for oid, old_lo, old_hi in reversed(undo):
                 self._lo[oid], self._hi[oid] = old_lo, old_hi
@@ -184,7 +191,9 @@ class FrameTable:
             self._unfixed_stale = True
             raise
         self._version += 1
-        return changed
+        # Every undo record is a changed frame; an operation changed
+        # twice keeps its first (oldest) record, written last here.
+        return {oid: (old_lo, old_hi) for oid, old_lo, old_hi in reversed(undo)}
 
     def fix(self, op_id: str, start: int) -> Set[str]:
         """Pin an operation to a single start step (classic FDS placement)."""
@@ -196,14 +205,13 @@ class FrameTable:
         new_lo: int,
         new_hi: int,
         undo: List[Tuple[str, int, int]],
-    ) -> Set[str]:
+    ) -> None:
         undo.append((op_id, self._lo[op_id], self._hi[op_id]))
         was_mobile = self._lo[op_id] != self._hi[op_id]
         self._lo[op_id], self._hi[op_id] = new_lo, new_hi
         if was_mobile and new_lo == new_hi:
             self._unfixed_count -= 1
             self._unfixed_stale = True
-        changed: Set[str] = {op_id}
         worklist: List[str] = [op_id]
         while worklist:
             oid = worklist.pop()
@@ -221,7 +229,6 @@ class FrameTable:
                     if earliest_succ_start == hi_succ:
                         self._unfixed_count -= 1
                         self._unfixed_stale = True
-                    changed.add(succ)
                     worklist.append(succ)
             for pred in self.graph.predecessors(oid):
                 latest_pred_start = self._hi[oid] - self._latency[pred]
@@ -236,9 +243,7 @@ class FrameTable:
                     if lo_pred == latest_pred_start:
                         self._unfixed_count -= 1
                         self._unfixed_stale = True
-                    changed.add(pred)
                     worklist.append(pred)
-        return changed
 
     # ------------------------------------------------------------------
     # Tentative neighbor frames (for force evaluation)

@@ -45,8 +45,8 @@ def _corpus12():
 
 #: Subject -> (builder, upper bound on package calls per iteration).
 PINS = {
-    "paper": (_paper, 111),
-    "corpus12": (_corpus12, 126),
+    "paper": (_paper, 93),
+    "corpus12": (_corpus12, 103),
 }
 
 

@@ -6,7 +6,11 @@ change to the selection engine that moves a counter — rows re-folded
 and built, force evaluations, the scoreboard's rescored/skipped split —
 or a start fails here, so a refactor that claims "no observable
 change" has to prove it.  A change that moves a counter on purpose
-re-pins the literals and says why.
+re-pins the literals and says why.  The last such move: a commit now
+rebuilds a neighbour's frame end only where it cut a changed
+operation's old frame, so rows built, force evaluations and modulo-max
+transforms fell and the kept rows re-fold as hits, while iterations,
+areas and starts stayed put.
 
 ``force_cache_misses`` counts the slot sides (frame ends) whose rows the
 kernel built and ``force_cache_hits`` those it re-folded without a
@@ -132,11 +136,11 @@ PINS = {
         "25887dd0b5ffb0e5",
         {
             "distribution_rebuilds": 1252,
-            "force_cache_hits": 29342,
-            "force_cache_misses": 7034,
-            "force_evaluations": 40323,
+            "force_cache_hits": 30864,
+            "force_cache_misses": 5014,
+            "force_evaluations": 39325,
             "frame_reductions": 1150,
-            "modulo_max_transforms": 41587,
+            "modulo_max_transforms": 40589,
             "scheduler_iterations": 1150,
             "selection_rescored": 5067,
             "selection_skipped": 688,
@@ -165,11 +169,11 @@ PINS = {
         "246b9c201a33393a",
         {
             "distribution_rebuilds": 1062,
-            "force_cache_hits": 3908,
-            "force_cache_misses": 4612,
-            "force_evaluations": 11620,
+            "force_cache_hits": 4507,
+            "force_cache_misses": 3381,
+            "force_evaluations": 10343,
             "frame_reductions": 925,
-            "modulo_max_transforms": 6085,
+            "modulo_max_transforms": 5574,
             "scheduler_iterations": 925,
             "selection_rescored": 2173,
             "selection_skipped": 39497,
@@ -182,11 +186,11 @@ PINS = {
         "5bea855279f48267",
         {
             "distribution_rebuilds": 2062,
-            "force_cache_hits": 7091,
-            "force_cache_misses": 8888,
-            "force_evaluations": 22182,
+            "force_cache_hits": 8265,
+            "force_cache_misses": 6548,
+            "force_evaluations": 19727,
             "frame_reductions": 1772,
-            "modulo_max_transforms": 11377,
+            "modulo_max_transforms": 10400,
             "scheduler_iterations": 1772,
             "selection_rescored": 6664,
             "selection_skipped": 156452,
@@ -199,11 +203,11 @@ PINS = {
         "f1ced58d8fa92d61",
         {
             "distribution_rebuilds": 493,
-            "force_cache_hits": 2919,
-            "force_cache_misses": 2136,
-            "force_evaluations": 5759,
+            "force_cache_hits": 3215,
+            "force_cache_misses": 1468,
+            "force_evaluations": 5265,
             "frame_reductions": 482,
-            "modulo_max_transforms": 6267,
+            "modulo_max_transforms": 5773,
             "scheduler_iterations": 482,
             "selection_rescored": 2516,
             "selection_skipped": 382,
@@ -216,11 +220,11 @@ PINS = {
         "8e2905942823a541",
         {
             "distribution_rebuilds": 315,
-            "force_cache_hits": 3796,
-            "force_cache_misses": 1154,
-            "force_evaluations": 5281,
+            "force_cache_hits": 3916,
+            "force_cache_misses": 863,
+            "force_evaluations": 5092,
             "frame_reductions": 311,
-            "modulo_max_transforms": 5621,
+            "modulo_max_transforms": 5432,
             "scheduler_iterations": 311,
             "selection_rescored": 1965,
             "selection_skipped": 843,

@@ -9,6 +9,8 @@ from repro.core.modulo import (
     modulo_delta,
     modulo_max,
     modulo_max_int,
+    modulo_max_reference,
+    modulo_max_rows,
     slot_steps,
 )
 
@@ -73,6 +75,61 @@ class TestModuloMax:
         folded = modulo_max_int([1, 0, 2, 3, 1, 0], 3)
         assert folded.dtype.kind == "i"
         assert folded.tolist() == [3, 1, 2]
+
+
+def _random_rows(rng, rows, horizon):
+    """Rows with zeros, negative zeros and ``-1e-17`` cancellation
+    residue among positive values."""
+    matrix = rng.random((rows, horizon)) * 3
+    pick = rng.random((rows, horizon))
+    matrix[pick < 0.2] = 0.0
+    matrix[(pick >= 0.2) & (pick < 0.3)] = -0.0
+    matrix[(pick >= 0.3) & (pick < 0.4)] = -1e-17
+    return matrix
+
+
+class TestChunkedFold:
+    """Every production fold equals the scalar-stride reference byte for
+    byte: horizon below the period, whole multiples of it, and ragged
+    tails."""
+
+    CASES = [(3, 5), (5, 5), (6, 3), (12, 4), (7, 3), (11, 4), (1, 1), (0, 3)]
+
+    @pytest.mark.parametrize("horizon,period", CASES)
+    def test_shapes_match_reference(self, horizon, period):
+        rng = np.random.default_rng(horizon * 31 + period)
+        matrix = _random_rows(rng, 4, horizon)
+        self._check(matrix, period)
+
+    def test_random_horizons_and_periods_match_reference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            horizon = int(rng.integers(0, 40))
+            period = int(rng.integers(1, 20))
+            rows = int(rng.integers(0, 5))
+            self._check(_random_rows(rng, rows, horizon), period)
+
+    def test_cancellation_residue_clamps_to_zero(self):
+        values = np.array([-1e-17, 0.0, -1e-17, -1e-17, 0.0, -1e-17])
+        for period in (1, 2, 3, 4, 6, 8):
+            want = np.zeros(period).tobytes()
+            assert modulo_max(values, period).tobytes() == want
+            assert modulo_max_rows(values[None, :], period)[0].tobytes() == want
+            assert modulo_max_reference(values, period).tobytes() == want
+
+    @staticmethod
+    def _check(matrix, period):
+        folded = modulo_max_rows(matrix, period)
+        assert folded.shape == (matrix.shape[0], period)
+        for row, values in zip(folded, matrix):
+            want = modulo_max_reference(values, period)
+            assert row.tobytes() == want.tobytes()
+            assert modulo_max(values, period).tobytes() == want.tobytes()
+            counts = np.rint(values * 4).astype(int)
+            assert (
+                modulo_max_int(counts, period).tobytes()
+                == modulo_max_reference(counts, period).astype(int).tobytes()
+            )
 
 
 class TestModuloDelta:

@@ -7,9 +7,11 @@ scalar :meth:`BlockState.placement_deltas` oracle.  Random
 frame-end commits drive the paper system, the guarded workload and
 random blocks; after every commit each mobile operation's two frame-end
 rows must equal the oracle bit for bit, with the displaced types in
-first-occurrence order.  A commit reports, as ``dropped_ops``, every
-operation whose override set it may have changed: the changed
-operations and their direct neighbours.  The coupled kernel keeps rows
+first-occurrence order.  A commit reports, as ``dropped_ends``, every
+frame end whose override set it may have changed: both ends of the
+changed operations and each neighbour's frame end that cut a changed
+operation's old frame.  Every other mobile frame end's row must come
+out of the commit bit for bit unchanged.  The coupled kernel keeps rows
 across commits on that rule; ``tests/core/test_kernel_state.py`` pins
 its persistent state.
 """
@@ -39,6 +41,25 @@ def expected_order(state, op_id, start):
         if type_of[oid] not in order:
             order.append(type_of[oid])
     return tuple(order)
+
+
+def frame_end_rows(state, skip):
+    """``(op, end) -> (type order, row bytes per type)`` of every
+    mobile operation outside ``skip``, end 0 the low frame end."""
+    candidates = []
+    for op_id in state.frames.unfixed():
+        if op_id not in skip:
+            lo, hi = state.frames.frame(op_id)
+            candidates.extend([(op_id, lo), (op_id, hi)])
+    type_orders, stacks = increment_stacks(state, candidates)
+    rows = {}
+    for type_name, stack in stacks.items():
+        for row, delta in zip(stack.index[0].tolist(), stack.delta):
+            rows.setdefault(row, {})[type_name] = delta.tobytes()
+    return {
+        (op_id, row % 2): (type_orders[row], rows[row])
+        for row, (op_id, _start) in enumerate(candidates)
+    }
 
 
 def check_frame_ends(state, skip=frozenset()):
@@ -91,12 +112,17 @@ def drive(state, seed):
             break
         op_id = mobile[int(rng.integers(len(mobile)))]
         lo, hi = state.frames.frame(op_id)
+        before = frame_end_rows(state, skip)
         if rng.integers(2):
             effect = state.commit_reduce_effect(op_id, lo + 1, hi)
         else:
             effect = state.commit_reduce_effect(op_id, lo, hi - 1)
         assert effect.changed_ops <= effect.dropped_ops
         check_frame_ends(state, skip)
+        after = frame_end_rows(state, skip)
+        for key, rows in after.items():
+            if key not in effect.dropped_ends:
+                assert rows == before[key], f"{key} moved but was not dropped"
         multi += any(
             repeats_a_type(state, op_id, end)
             for op_id in state.frames.unfixed()
