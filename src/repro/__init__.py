@@ -40,7 +40,6 @@ _EXPORTS = {
     "binding.instances": ["InstanceBinding", "bind_instances"],
     "core.auto_assignment": ["auto_assignment"],
     "core.offsets": ["optimize_offsets"],
-    "core.period_search": ["optimize_periods"],
     "core.periods": [
         "PeriodAssignment",
         "enumerate_period_assignments",

@@ -1204,42 +1204,28 @@ def _comparison_record(result: CandidateResult) -> dict:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from .analysis.compare import compare_scopes, render_comparison
+    from .analysis.compare import render_comparison
     from .api import load_problem
     from .obs.profile import render_profile
     from .parallel.engine import ExplorationEngine
-    from .scheduling.forces import area_weights
 
     problem = load_problem(args.file)
     tracer = _tracer_for(args)
-    if args.workers > 1:
-        engine = ExplorationEngine(
-            problem, workers=args.workers, prune=False, tracer=tracer
+    engine = ExplorationEngine(
+        problem, workers=args.workers, prune=False, tracer=tracer
+    )
+    outcome = engine.compare()
+    print(
+        render_comparison(
+            _comparison_record(outcome.global_result),
+            _comparison_record(outcome.local_result),
         )
-        outcome = engine.compare()
-        print(
-            render_comparison(
-                _comparison_record(outcome.global_result),
-                _comparison_record(outcome.local_result),
-            )
-        )
-        telemetry = outcome.telemetry
-    else:
-        comparison = compare_scopes(
-            problem.system,
-            problem.library,
-            problem.assignment,
-            problem.periods,
-            weights=area_weights(problem.library),
-            tracer=tracer,
-        )
-        print(comparison.render())
-        telemetry = tracer.summary() if tracer is not None else None
-    if args.profile and telemetry is not None:
+    )
+    if args.profile:
         print()
         print(
             render_profile(
-                telemetry, title=f"profile: {args.file} (both runs)"
+                outcome.telemetry, title=f"profile: {args.file} (both runs)"
             )
         )
     _finish_trace(args, tracer)

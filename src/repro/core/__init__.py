@@ -12,7 +12,6 @@ _EXPORTS = {
     "merging": ["merge_system", "schedule_merged"],
     "modulo": ["fold", "modulo_delta", "modulo_max", "modulo_max_int", "slot_steps"],
     "offsets": ["OffsetOutcome", "optimize_offsets"],
-    "period_search": ["SearchOutcome", "optimize_periods"],
     "periods": [
         "PeriodAssignment",
         "candidate_periods",

@@ -4,13 +4,13 @@ The ``repro.parallel`` subsystem evaluates many scheduling candidates
 for one problem at once:
 
 * :class:`ExplorationEngine` — fans candidates over a process pool
-  (``workers=1`` keeps the exact in-process serial path), prunes
-  candidates with admissible area lower bounds, retries crashed or
-  timed-out jobs once, and merges per-worker telemetry into one
+  (``workers=1`` runs the same sweep loop over an in-process executor),
+  prunes candidates with admissible area lower bounds, retries crashed
+  or timed-out jobs once, and merges per-worker telemetry into one
   ``repro profile``-compatible summary (:mod:`repro.parallel.engine`);
 * :class:`SweepJob` / :class:`JobResult` — the picklable job protocol;
-  problems travel as ``.sys`` text, results as plain data
-  (:mod:`repro.parallel.jobs`);
+  problems travel as ``.sys`` text, results as plain data, and
+  :func:`evaluate` schedules one candidate (:mod:`repro.parallel.jobs`);
 * :class:`SweepJournal` — crash-safe JSONL checkpoints; a sweep given a
   ``checkpoint`` path journals every finished candidate durably and can
   resume exactly-once after being killed mid-run
@@ -40,6 +40,7 @@ _EXPORTS = {
         "JobResult",
         "JobTimeout",
         "SweepJob",
+        "evaluate",
         "inject_fault",
         "parse_fault",
         "run_job",

@@ -15,6 +15,8 @@ alongside it.
 Loading tolerates a truncated final line (the classic torn-write tail of
 a crash) by dropping it: the candidate simply re-runs, which is safe —
 journaling is exactly-once for *completed* work, at-least-once overall.
+A journaled ``failed`` candidate is not completed work: a resumed sweep
+runs it again and journals the new outcome after it.
 """
 
 from __future__ import annotations
@@ -74,7 +76,9 @@ class SweepJournal:
         Malformed lines (torn tail after a crash) are dropped with a
         warning — the affected candidate just re-runs.  A duplicate key
         keeps the first occurrence, preserving the outcome that actually
-        completed first.
+        completed first, unless that occurrence is a failure: a resumed
+        sweep runs a journaled failure again, and the rerun's record
+        supersedes it.
         """
         if not os.path.exists(self.path):
             return {}
@@ -100,7 +104,9 @@ class SweepJournal:
                 dropped += 1
                 continue
             entry["periods"] = periods
-            records.setdefault(candidate_key(periods), entry)
+            known = records.get(candidate_key(periods))
+            if known is None or known["status"] == "failed":
+                records[candidate_key(periods)] = entry
         if dropped:
             _log.warning(
                 "sweep checkpoint %s: dropped %d unreadable line(s) "

@@ -11,9 +11,10 @@ Two orthogonal accelerations:
   ``ProcessPoolExecutor``; the problem travels as ``.sys`` text, results
   stream back unordered, and per-worker telemetry merges into one
   aggregate (:func:`repro.obs.merge_telemetry`).  Workers trace their
-  runs only under an enabled engine tracer.  ``workers=1`` keeps
-  everything in-process with a single shared scheduler — the exact
-  serial path the CLI always had.
+  runs only under an enabled engine tracer.  ``workers=1`` swaps the
+  pool for an in-process executor that schedules each candidate on the
+  caller's problem and tracer as it is submitted; the sweep loop is
+  the same one.
 * **Pruning** — each candidate's admissible area lower bound
   (:class:`repro.analysis.bounds.CandidateBounds`, which computes each
   type's bound once per period) is computed up front (no scheduling
@@ -27,7 +28,8 @@ Two orthogonal accelerations:
 Failure policy: a candidate that raises, times out, or loses its worker
 process is retried once (configurable) and then recorded as a failed
 candidate; the rest of the sweep is unaffected, and no candidate is
-lost or evaluated twice.
+lost or evaluated twice.  A failed candidate in a checkpoint journal is
+not restored: a resumed sweep runs it again.
 
 The winner tie-break is deterministic and documented: among equal-area
 schedules, the lexicographically smallest ``sorted(periods.items())``
@@ -38,13 +40,19 @@ tie-break over the full space matters.  See docs/parallel.md.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.bounds import CandidateBounds
 from ..core.periods import PeriodAssignment
@@ -53,12 +61,12 @@ from ..errors import ReproError
 from ..obs.events import EVENT_CANDIDATE, EVENT_PRUNE
 from ..obs.logconfig import get_logger
 from ..obs.merge import merge_telemetry
-from ..obs.metrics import CANDIDATE_SECONDS, INCUMBENT_AREA, merge_gauge_summary
+from ..obs.metrics import INCUMBENT_AREA, merge_gauge_summary
 from ..obs.tracer import as_tracer
-from ..resources.assignment import ResourceAssignment
 from ..scheduling.forces import area_weights
+from . import jobs
 from .checkpoint import SweepJournal
-from .jobs import JobTimeout, SweepJob, _deadline, inject_fault, run_jobs
+from .jobs import JobResult, SweepJob
 from .retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -92,8 +100,32 @@ class SweepInterrupted(Exception):
     stops appending to the checkpoint journal a successor may own."""
 
 
+#: The engine's default retry: a failed candidate runs twice, back to back.
+_TWO_ATTEMPTS = RetryPolicy(max_attempts=2, base_delay=0.0)
+
+
 def _lexkey(periods: Dict[str, int]) -> LexKey:
     return tuple(sorted(periods.items()))
+
+
+def _lost(spec: "_Spec", error: str) -> JobResult:
+    """The failed result of a job whose chunk never reported back."""
+    return JobResult(job_id=spec.order, ok=False, error=error, attempt=spec.attempt)
+
+
+class _InlineExecutor(Executor):
+    """An executor that runs each call in-process as it is submitted.
+
+    ``workers=1`` sweeps use it in place of a process pool, so the one
+    sweep loop sees an already-settled future."""
+
+    def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - surfaced like a worker's
+            future.set_exception(exc)
+        return future
 
 
 def _journal_int(value: object) -> int:
@@ -201,7 +233,7 @@ class ExplorationEngine:
         problem: The :class:`repro.api.Problem` whose design space is
             explored.
         workers: Worker process count; 1 (the default) evaluates
-            in-process with one shared scheduler — identical to the
+            in-process on ``problem`` and ``tracer`` — identical to the
             plain serial sweep.
         prune: Skip candidates whose area lower bound meets or exceeds
             the best area found so far (sound; see module docstring).
@@ -215,23 +247,22 @@ class ExplorationEngine:
             single candidates schedule in well under ~50 ms and IPC
             starts to dominate.  At most ``workers`` chunks are in
             flight, so every dispatch sees the incumbent of all
-            finished candidates.
+            finished candidates.  Ignored at ``workers=1``, which has no
+            worker calls to batch.
         timeout: Per-job wall-clock budget in seconds (enforced via
             ``SIGALRM`` where available).
-        retries: How often a crashed/raised/timed-out candidate is
-            re-dispatched before being recorded as failed.
-        retry_policy: Optional :class:`repro.parallel.retry.RetryPolicy`
-            governing both the attempt ceiling (it overrides
-            ``retries``) and the exponential backoff slept before each
-            re-dispatch; without one, retries are immediate (the
-            historical behavior).
+        retry_policy: The :class:`repro.parallel.retry.RetryPolicy`
+            giving a crashed, raised or timed-out candidate its attempts
+            and the backoff slept before each re-dispatch.  The default
+            runs a candidate at most twice, with no wait.
         checkpoint: Optional path of a JSONL sweep journal
             (:class:`repro.parallel.checkpoint.SweepJournal`).  Every
             finished candidate is durably appended before its result is
             surfaced; if the file already holds records (a previous run
             of the same sweep died), those candidates are skipped
             exactly-once and the incumbent area bound is restored so
-            pruning stays sound.  See docs/robustness.md.
+            pruning stays sound.  A journaled ``failed`` candidate runs
+            again.  See docs/robustness.md.
         tracer: Optional :class:`repro.obs.Tracer`; receives one event
             per candidate and the merged worker counters.  Workers
             trace their runs only when this tracer is enabled.
@@ -254,8 +285,7 @@ class ExplorationEngine:
         interval_bounds: bool = True,
         chunk_size: int = 1,
         timeout: Optional[float] = None,
-        retries: int = 1,
-        retry_policy: Optional[RetryPolicy] = None,
+        retry_policy: RetryPolicy = _TWO_ATTEMPTS,
         checkpoint: Optional[str] = None,
         tracer: "Optional[Tracer | NullTracer]" = None,
         fault_for: Optional[Callable[[Dict[str, int]], Optional[str]]] = None,
@@ -272,15 +302,10 @@ class ExplorationEngine:
         self.chunk_size = chunk_size
         self.timeout = timeout
         self.retry_policy = retry_policy
-        if retry_policy is not None:
-            self.retries = retry_policy.retries
-        else:
-            self.retries = max(0, retries)
         self.checkpoint = checkpoint
         self.tracer = as_tracer(tracer)
         self.fault_for = fault_for
         self.stop_when = stop_when
-        self._problem_text: Optional[str] = None
         self._journal: Optional[SweepJournal] = None
 
     # ------------------------------------------------------------------
@@ -328,7 +353,8 @@ class ExplorationEngine:
             fresh: List[_Spec] = []
             for spec in specs:
                 entry = journaled.get(spec.lexkey)
-                if entry is None:
+                # A journaled failure is never final: it runs again.
+                if entry is None or entry["status"] == STATUS_FAILED:
                     fresh.append(spec)
                 else:
                     restored.append(self._restored_record(spec, entry))
@@ -445,7 +471,7 @@ class ExplorationEngine:
         return result, certificate
 
     # ------------------------------------------------------------------
-    # Serial path
+    # The sweep loop
     # ------------------------------------------------------------------
     def _run(
         self,
@@ -454,281 +480,142 @@ class ExplorationEngine:
         prune: bool,
         initial_best: Optional[float] = None,
     ) -> List[CandidateResult]:
-        if self.workers <= 1:
-            return self._run_serial(specs, on_result, prune, initial_best)
-        return self._run_parallel(specs, on_result, prune, initial_best)
+        """Evaluate ``specs`` in order over this engine's executor.
 
-    def _check_stop(self) -> None:
-        if self.stop_when is not None and self.stop_when():
-            raise SweepInterrupted("sweep stopped by stop_when")
-
-    def _run_serial(
-        self,
-        specs: List[_Spec],
-        on_result: Optional[Callable[[CandidateResult], None]],
-        prune: bool,
-        initial_best: Optional[float] = None,
-    ) -> List[CandidateResult]:
-        scheduler = ModuloSystemScheduler(
-            self.problem.library,
-            weights=area_weights(self.problem.library),
-            tracer=self.tracer,
-        )
-        records: List[CandidateResult] = []
-        best_area: Optional[float] = initial_best
-        for spec in specs:
-            self._check_stop()
-            if prune and best_area is not None and spec.bound >= best_area:
-                record = self._pruned_record(spec)
-            else:
-                record = self._evaluate_inline(scheduler, spec)
-                while (
-                    record.status == STATUS_FAILED
-                    and spec.attempt <= self.retries
-                ):
-                    spec = replace(spec, attempt=spec.attempt + 1)
-                    self._backoff(spec.attempt)
-                    record = self._evaluate_inline(scheduler, spec)
-                if record.status == STATUS_OK and (
-                    best_area is None or record.area < best_area
-                ):
-                    best_area = record.area
-                    if self.tracer.enabled:
-                        self.tracer.set_gauge(INCUMBENT_AREA, best_area)
-                # An attempt abandoned while it evaluated drops its late
-                # record: a successor may already own the journal.
-                self._check_stop()
-            records.append(record)
-            self._emit(record, on_result)
-        return records
-
-    def _evaluate_inline(
-        self, scheduler: ModuloSystemScheduler, spec: _Spec
-    ) -> CandidateResult:
-        started = time.perf_counter()
-        try:
-            with _deadline(self.timeout):
-                inject_fault(spec.fault)
-                if spec.local:
-                    result = scheduler.schedule(
-                        self.problem.system,
-                        ResourceAssignment.all_local(self.problem.library),
-                    )
-                else:
-                    result = scheduler.schedule(
-                        self.problem.system,
-                        self.problem.assignment,
-                        PeriodAssignment(dict(spec.periods)),
-                    )
-        except JobTimeout as exc:
-            return self._failed_record(spec, str(exc), started)
-        except Exception as exc:  # noqa: BLE001 - candidate isolation
-            return self._failed_record(
-                spec, f"{type(exc).__name__}: {exc}", started
+        ``workers=1`` runs each candidate in-process as it is submitted;
+        otherwise a process pool holds at most ``workers`` chunks in
+        flight.  The rules are the same either way: a candidate is
+        pruned against the incumbent when it is taken off the queue, a
+        failed attempt is requeued at the front (one backoff per batch
+        of retries), every record is journaled before it is surfaced,
+        and ``stop_when`` is polled before each candidate and before an
+        evaluated record is journaled.
+        """
+        if self.workers == 1:
+            start: Callable[[], Executor] = _InlineExecutor
+            run_chunk: Callable[[List[SweepJob]], List[JobResult]] = (
+                self._run_inline
             )
-        wall = time.perf_counter() - started
-        telemetry = dict(result.telemetry)
-        # With a shared in-process tracer the per-run counter/instrument
-        # snapshots are cumulative; drop them here and overlay the tracer
-        # totals once in _aggregate.
-        telemetry["counters"] = {}
-        telemetry.pop("gauges", None)
-        telemetry.pop("histograms", None)
-        if self.tracer.enabled:
-            self.tracer.observe(CANDIDATE_SECONDS, wall)
-        return CandidateResult(
-            order=spec.order,
-            periods=dict(spec.periods),
-            bound=spec.bound,
-            status=STATUS_OK,
-            area=result.total_area(),
-            iterations=result.iterations,
-            wall_time=wall,
-            instance_counts=result.instance_counts(),
-            attempts=spec.attempt,
-            worker_pid=os.getpid(),
-            telemetry=telemetry,
-        )
+            text, chunk_size = "", 1
+        else:
+            from ..api import dumps_problem
 
-    # ------------------------------------------------------------------
-    # Parallel path
-    # ------------------------------------------------------------------
-    def _run_parallel(
-        self,
-        specs: List[_Spec],
-        on_result: Optional[Callable[[CandidateResult], None]],
-        prune: bool,
-        initial_best: Optional[float] = None,
-    ) -> List[CandidateResult]:
+            start = partial(ProcessPoolExecutor, max_workers=self.workers)
+            run_chunk = jobs.run_jobs
+            text, chunk_size = dumps_problem(self.problem), self.chunk_size
         records: List[CandidateResult] = []
         pending = deque(specs)
-        inflight: Dict[object, List[_Spec]] = {}
-        best_area: Optional[float] = initial_best
-
-        def finish(record: CandidateResult) -> None:
-            nonlocal best_area
-            if record.status == STATUS_OK and (
-                best_area is None or record.area < best_area
-            ):
-                best_area = record.area
-                if self.tracer.enabled:
-                    self.tracer.set_gauge(INCUMBENT_AREA, best_area)
-            records.append(record)
-            self._emit(record, on_result)
-
-        def handle_failure(
-            spec: _Spec, error: str, requeue: List[_Spec], wall: float = 0.0
-        ) -> None:
-            if spec.attempt <= self.retries:
-                _log.warning(
-                    "candidate %s failed (attempt %d, retrying): %s",
-                    spec.periods,
-                    spec.attempt,
-                    error,
-                )
-                requeue.append(replace(spec, attempt=spec.attempt + 1))
-                return
-            _log.warning(
-                "candidate %s failed permanently after %d attempts: %s",
-                spec.periods,
-                spec.attempt,
-                error,
-            )
-            finish(
-                CandidateResult(
-                    order=spec.order,
-                    periods=dict(spec.periods),
-                    bound=spec.bound,
-                    status=STATUS_FAILED,
-                    error=error,
-                    wall_time=wall,
-                    attempts=spec.attempt,
-                )
-            )
-
-        def next_chunk() -> List[_Spec]:
-            chunk: List[_Spec] = []
-            while pending and len(chunk) < self.chunk_size:
-                spec = pending.popleft()
-                if (
-                    prune
-                    and not spec.local
-                    and best_area is not None
-                    and spec.bound >= best_area
-                ):
-                    finish(self._pruned_record(spec))
-                    continue
-                chunk.append(spec)
-            return chunk
-
-        pool = ProcessPoolExecutor(max_workers=self.workers)
-
-        def dispatch() -> None:
-            nonlocal pool
-            while pending and len(inflight) < self.workers:
-                chunk = next_chunk()
-                if not chunk:
-                    continue
-                jobs = [self._job_for(spec) for spec in chunk]
-                try:
-                    future = pool.submit(run_jobs, jobs)
-                except BrokenProcessPool:
-                    pool.shutdown(wait=False)
-                    pool = ProcessPoolExecutor(max_workers=self.workers)
-                    future = pool.submit(run_jobs, jobs)
-                inflight[future] = chunk
-
+        inflight: Dict["Future[List[JobResult]]", List[_Spec]] = {}
+        best_area = initial_best
+        executor = start()
         try:
-            dispatch()
-            while inflight:
-                self._check_stop()
+            while True:
+                while pending and len(inflight) < self.workers:
+                    chunk: List[_Spec] = []
+                    while pending and len(chunk) < chunk_size:
+                        spec = pending.popleft()
+                        self._check_stop()
+                        if prune and best_area is not None and spec.bound >= best_area:
+                            records.append(self._pruned_record(spec))
+                            self._emit(records[-1], on_result)
+                        else:
+                            chunk.append(spec)
+                    if chunk:
+                        batch = [self._job_for(spec, text) for spec in chunk]
+                        try:
+                            future = executor.submit(run_chunk, batch)
+                        except BrokenProcessPool:
+                            executor.shutdown(wait=False)
+                            executor = start()
+                            future = executor.submit(run_chunk, batch)
+                        inflight[future] = chunk
+                if not inflight:
+                    return records
                 done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
-                requeue: List[_Spec] = []
+                settled: List[Tuple[_Spec, JobResult]] = []
                 broken = False
                 for future in done:
                     chunk = inflight.pop(future)
-                    try:
-                        results = future.result()
-                    except BrokenProcessPool as exc:
-                        broken = True
-                        for spec in chunk:
-                            handle_failure(
-                                spec, f"worker crashed: {exc}", requeue
-                            )
+                    error = future.exception()
+                    if error is None:
+                        settled.extend(zip(chunk, future.result()))
                         continue
-                    except Exception as exc:  # noqa: BLE001
-                        for spec in chunk:
-                            handle_failure(
-                                spec,
-                                f"{type(exc).__name__}: {exc}",
-                                requeue,
-                            )
-                        continue
-                    for spec, result in zip(chunk, results):
-                        if result.ok:
-                            finish(
-                                CandidateResult(
-                                    order=spec.order,
-                                    periods=dict(spec.periods),
-                                    bound=spec.bound,
-                                    status=STATUS_OK,
-                                    area=result.area,
-                                    iterations=result.iterations,
-                                    wall_time=result.wall_time,
-                                    instance_counts=dict(
-                                        result.instance_counts
-                                    ),
-                                    attempts=result.attempt,
-                                    worker_pid=result.worker_pid,
-                                    telemetry=dict(result.telemetry),
-                                )
-                            )
-                        else:
-                            handle_failure(
-                                spec,
-                                result.error or "unknown worker failure",
-                                requeue,
-                                wall=result.wall_time,
-                            )
+                    if isinstance(error, BrokenProcessPool):
+                        broken, why = True, f"worker crashed: {error}"
+                    else:
+                        why = f"{type(error).__name__}: {error}"
+                    settled.extend((spec, _lost(spec, why)) for spec in chunk)
                 if broken:
                     # A broken pool kills every in-flight job; reclaim
                     # their specs so none are lost, then start fresh.
                     for chunk in inflight.values():
-                        for spec in chunk:
-                            handle_failure(spec, "worker pool broken", requeue)
+                        settled.extend(
+                            (spec, _lost(spec, "worker pool broken"))
+                            for spec in chunk
+                        )
                     inflight.clear()
-                    pool.shutdown(wait=False)
-                    pool = ProcessPoolExecutor(max_workers=self.workers)
-                # Retries go to the front so transient failures resolve
-                # before the sweep moves on.
+                    executor.shutdown(wait=False)
+                    executor = start()
+                requeue: List[_Spec] = []
+                for spec, result in settled:
+                    if not result.ok and spec.attempt < self.retry_policy.max_attempts:
+                        _log.warning(
+                            "candidate %s failed (attempt %d, retrying): %s",
+                            spec.periods,
+                            spec.attempt,
+                            result.error,
+                        )
+                        requeue.append(replace(spec, attempt=spec.attempt + 1))
+                        continue
+                    # An attempt abandoned while it evaluated drops its
+                    # late record: a successor may already own the journal.
+                    self._check_stop()
+                    record = self._evaluated_record(spec, result)
+                    if record.status == STATUS_OK and (
+                        best_area is None or record.area < best_area
+                    ):
+                        best_area = record.area
+                        if self.tracer.enabled:
+                            self.tracer.set_gauge(INCUMBENT_AREA, best_area)
+                    records.append(record)
+                    self._emit(record, on_result)
                 if requeue:
+                    # Retries go to the front so transient failures
+                    # resolve before the sweep moves on.
                     self._backoff(max(spec.attempt for spec in requeue))
-                pending.extendleft(reversed(requeue))
-                dispatch()
+                    pending.extendleft(reversed(requeue))
         finally:
-            pool.shutdown(wait=False)
-        return records
+            executor.shutdown(wait=False)
+
+    def _run_inline(self, batch: List[SweepJob]) -> List[JobResult]:
+        """Evaluate jobs on this engine's problem and tracer."""
+        results = [jobs.evaluate(self.problem, job, self.tracer) for job in batch]
+        for result in results:
+            if result.ok:
+                # The shared tracer's snapshots are cumulative; drop
+                # them here and overlay its totals once in _aggregate.
+                result.telemetry["counters"] = {}
+                result.telemetry.pop("gauges", None)
+                result.telemetry.pop("histograms", None)
+        return results
+
+    def _check_stop(self) -> None:
+        if self.stop_when is not None and self.stop_when():
+            raise SweepInterrupted("sweep stopped by stop_when")
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
     def _backoff(self, attempt: int) -> None:
         """Sleep the policy's delay before re-running attempt ``attempt``."""
-        policy = self.retry_policy
-        if policy is None or attempt <= 1:
-            return
-        delay = policy.delay_for(min(attempt, policy.max_attempts))
+        delay = self.retry_policy.delay_for(attempt)
         if delay > 0:
             time.sleep(delay)
 
-    def _job_for(self, spec: _Spec) -> SweepJob:
-        if self._problem_text is None:
-            from ..api import dumps_problem
-
-            self._problem_text = dumps_problem(self.problem)
+    def _job_for(self, spec: _Spec, text: str) -> SweepJob:
         return SweepJob(
             job_id=spec.order,
-            problem_text=self._problem_text,
+            problem_text=text,
             periods=tuple(spec.periods.items()),
             local=spec.local,
             timeout=self.timeout,
@@ -737,18 +624,28 @@ class ExplorationEngine:
             traced=self.tracer.enabled,
         )
 
-    def _failed_record(
-        self, spec: _Spec, error: str, started: float
-    ) -> CandidateResult:
+    @staticmethod
+    def _evaluated_record(spec: _Spec, result: JobResult) -> CandidateResult:
+        if not result.ok:
+            _log.warning(
+                "candidate %s failed permanently after %d attempts: %s",
+                spec.periods,
+                spec.attempt,
+                result.error,
+            )
         return CandidateResult(
             order=spec.order,
             periods=dict(spec.periods),
             bound=spec.bound,
-            status=STATUS_FAILED,
-            error=error,
-            wall_time=time.perf_counter() - started,
+            status=STATUS_OK if result.ok else STATUS_FAILED,
+            area=result.area,
+            iterations=result.iterations,
+            wall_time=result.wall_time,
+            instance_counts=dict(result.instance_counts),
+            error=result.error,
             attempts=spec.attempt,
-            worker_pid=os.getpid(),
+            worker_pid=result.worker_pid,
+            telemetry=dict(result.telemetry),
         )
 
     def _pruned_record(self, spec: _Spec) -> CandidateResult:
@@ -832,15 +729,11 @@ class ExplorationEngine:
             record.telemetry for record in records if record.telemetry
         )
         if self.workers <= 1 and self.tracer.enabled:
-            # Serial runs share the engine tracer; its registry already
-            # holds the sweep-total counts and instrument values.
-            telemetry["counters"] = self.tracer.counters.as_dict()
-            gauges = self.tracer.metrics.gauges_dict()
-            if gauges:
-                telemetry["gauges"] = gauges
-            histograms = self.tracer.metrics.histograms_dict()
-            if histograms:
-                telemetry["histograms"] = histograms
+            # Serial runs share the engine tracer; its summary already
+            # holds the sweep-total counts, volumes and instruments.
+            shared = self.tracer.summary()
+            del shared["phase_times"]
+            telemetry.update(shared)
         elif self.workers > 1 and self.tracer.enabled:
             # Mirror the merged worker instruments into the engine tracer
             # so its registry reflects the whole sweep.

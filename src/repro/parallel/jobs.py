@@ -8,14 +8,15 @@ number, optional fault injection).  Workers reconstruct the live
 memoized — so nothing crosses the process boundary except strings,
 numbers, and plain containers.
 
-:func:`run_jobs` is the function a :class:`concurrent.futures.
-ProcessPoolExecutor` executes: it runs a chunk of jobs back to back and
-returns one :class:`JobResult` per job.  Failures never propagate as
-exceptions — a job that raises (or exceeds its timeout) yields a result
-record with ``ok=False`` and the error text, so one bad candidate cannot
-abort a sweep.  Per-job timeouts are enforced with ``SIGALRM`` where the
-platform provides it (Unix main threads); elsewhere the timeout is
-recorded but not enforced.
+:func:`evaluate` schedules one candidate of a live problem; it is the
+only code that does, for the engine's in-process executor and for
+:func:`run_jobs`, the function a :class:`concurrent.futures.
+ProcessPoolExecutor` executes on a chunk of jobs.  Scheduling failures
+never propagate as exceptions — a job that raises (or exceeds its
+timeout) yields a result record with ``ok=False`` and the error text,
+so one bad candidate cannot abort a sweep.  Per-job timeouts are
+enforced with ``SIGALRM`` where the platform provides it (Unix main
+threads); elsewhere the timeout is recorded but not enforced.
 
 The ``fault`` field deliberately injects failures so the engine's (and
 the scheduling service's) retry, timeout, and crash-recovery paths stay
@@ -70,6 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from types import FrameType
 
     from ..api import Problem
+    from ..obs.tracer import NullTracer
 
 
 class JobTimeout(Exception):
@@ -83,7 +85,8 @@ class SweepJob:
     Attributes:
         job_id: Caller-chosen identity, echoed on the result record.
         problem_text: The problem in ``.sys`` form
-            (:func:`repro.api.dumps_problem`).
+            (:func:`repro.api.dumps_problem`); empty for a job the engine
+            evaluates in-process on its own problem.
         periods: Candidate period assignment as ``(type, period)`` pairs
             in the candidate's own order; ignored for local jobs.
         local: Schedule the traditional all-local baseline instead of
@@ -318,14 +321,22 @@ class FaultPlan:
         return None
 
 
-def run_job(job: SweepJob) -> JobResult:
-    """Execute one job; always returns a record, never raises."""
+def evaluate(
+    problem: "Problem", job: SweepJob, tracer: "Optional[Tracer | NullTracer]"
+) -> JobResult:
+    """Schedule one candidate of ``problem``; always returns a record.
+
+    The one place a candidate is scheduled, in-process or in a worker:
+    the job's deadline and fault directive apply, the global (or, for a
+    ``local`` job, the all-local) assignment is scheduled with area
+    weights, and a raising or timed-out run becomes an ``ok=False``
+    record.  An enabled ``tracer`` receives the run and the candidate's
+    end-to-end latency.
+    """
     started = time.perf_counter()
     try:
         with _deadline(job.timeout):
             inject_fault(job.fault)
-            problem = _problem_for(job.problem_text)
-            tracer = Tracer() if job.traced else None
             scheduler = ModuloSystemScheduler(
                 problem.library,
                 weights=area_weights(problem.library),
@@ -342,40 +353,44 @@ def run_job(job: SweepJob) -> JobResult:
                     problem.assignment,
                     PeriodAssignment(dict(job.periods)),
                 )
-        wall = time.perf_counter() - started
-        telemetry = dict(result.telemetry)
-        if tracer is not None:
-            # The candidate's end-to-end latency joins the run's
-            # histograms so the sweep-level merge can report
-            # per-candidate quantiles.
-            tracer.observe(CANDIDATE_SECONDS, wall)
-            telemetry["histograms"] = tracer.metrics.histograms_dict()
+    except Exception as exc:  # noqa: BLE001 - isolate any candidate failure
         return JobResult(
             job_id=job.job_id,
-            ok=True,
-            area=result.total_area(),
-            iterations=result.iterations,
-            wall_time=wall,
-            instance_counts=result.instance_counts(),
-            telemetry=telemetry,
+            ok=False,
+            error=(
+                str(exc)
+                if isinstance(exc, JobTimeout)
+                else f"{type(exc).__name__}: {exc}"
+            ),
+            wall_time=time.perf_counter() - started,
             worker_pid=os.getpid(),
             attempt=job.attempt,
         )
-    except JobTimeout as exc:
-        return _failure(job, str(exc), started)
-    except Exception as exc:  # noqa: BLE001 - isolate any candidate failure
-        return _failure(job, f"{type(exc).__name__}: {exc}", started)
-
-
-def _failure(job: SweepJob, error: str, started: float) -> JobResult:
+    wall = time.perf_counter() - started
+    if tracer is not None and tracer.enabled:
+        tracer.observe(CANDIDATE_SECONDS, wall)
     return JobResult(
         job_id=job.job_id,
-        ok=False,
-        error=error,
-        wall_time=time.perf_counter() - started,
+        ok=True,
+        area=result.total_area(),
+        iterations=result.iterations,
+        wall_time=wall,
+        instance_counts=result.instance_counts(),
+        telemetry=dict(result.telemetry),
         worker_pid=os.getpid(),
         attempt=job.attempt,
     )
+
+
+def run_job(job: SweepJob) -> JobResult:
+    """Evaluate one job in a worker: resolve its problem text and tracer."""
+    tracer = Tracer() if job.traced else None
+    result = evaluate(_problem_for(job.problem_text), job, tracer)
+    if tracer is not None and result.ok:
+        # The candidate's latency joins the run's histograms so the
+        # sweep-level merge can report per-candidate quantiles.
+        result.telemetry["histograms"] = tracer.metrics.histograms_dict()
+    return result
 
 
 def run_jobs(jobs: List[SweepJob]) -> List[JobResult]:

@@ -18,6 +18,10 @@ Determinism rules the payloads obey:
   serial order is deterministic.  Candidate-level progress is journaled
   to the job's sweep journal, so a killed sweep resumes exactly-once
   and the restored + fresh outcomes equal the uninterrupted run's.
+* A sweep payload never holds a ``failed`` candidate: the attempt
+  raises at the first one, once it is journaled, so the store retries
+  it (the resumed sweep runs the journaled failure again) or ends the
+  job ``failed``.  A failure is never cached as the answer for a key.
 * Options are validated against a per-kind whitelist at submit time
   (:func:`validate_options`); result-*affecting* knobs only.  Wall
   deadlines are rejected — a time-based budget degrades schedules
@@ -47,7 +51,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple, cast
 
 from ..errors import SpecificationError
-from ..parallel.engine import ExplorationEngine, SweepInterrupted
+from ..parallel.engine import (
+    STATUS_FAILED,
+    ExplorationEngine,
+    ExplorationError,
+    SweepInterrupted,
+)
 from ..parallel.jobs import inject_fault, parse_fault
 from ..validation.budget import RunBudget
 from .cachekey import key_of_canonical
@@ -55,6 +64,7 @@ from .cachekey import key_of_canonical
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..api import Problem
     from ..core.result import SystemSchedule
+    from ..parallel.engine import CandidateResult
     from .jobstore import JobSpec
 
 #: Version tag stamped into every payload (bump with CACHE_KEY_FORMAT).
@@ -399,8 +409,17 @@ def _run_sweep(
         stop_when=context.should_stop,
     )
 
+    def refuse_failure(record: "CandidateResult") -> None:
+        # Stop at the first failure, once it is journaled: every record
+        # after it would be pruned against another incumbent than an
+        # uninterrupted run's, and the resumed attempt reruns it.
+        if record.status == STATUS_FAILED:
+            raise ExplorationError(
+                f"sweep candidate {record.periods} failed: {record.error}"
+            )
+
     try:
-        outcome = engine.sweep(candidates)
+        outcome = engine.sweep(candidates, on_result=refuse_failure)
     except SweepInterrupted:
         raise JobCancelled(context.job_id) from None
     if context.should_stop():

@@ -9,11 +9,14 @@ profile-compatible summary.
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.compare import compare_scopes
+from repro.cli import main
 from repro.core.scheduler import ModuloSystemScheduler
 from repro.obs import Tracer
 from repro.parallel import (
@@ -22,7 +25,10 @@ from repro.parallel import (
     STATUS_PRUNED,
     ExplorationEngine,
     ExplorationError,
+    RetryPolicy,
+    SweepInterrupted,
     SweepJob,
+    SweepJournal,
     run_job,
 )
 from repro.scheduling.forces import area_weights
@@ -38,6 +44,121 @@ def plain_sweep(problem, candidates):
         result = scheduler.schedule(problem.system, problem.assignment, periods)
         results.append((periods.as_dict, result.total_area()))
     return results
+
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+class TestLoopContract:
+    """One sweep loop serves every worker count: its rules, per count."""
+
+    #: ``(evaluated, pruned)`` of the pruned small sweep.  Two workers
+    #: dispatch two equal-bound candidates before either reports.
+    PRUNED = {1: (1, 15), 2: (2, 14)}
+
+    def test_pruned_counts(self, workers, small_problem, small_candidates):
+        outcome = ExplorationEngine(small_problem, workers=workers).sweep(
+            small_candidates
+        )
+        assert (outcome.evaluated, outcome.pruned) == self.PRUNED[workers]
+        assert outcome.best_area == 5.0
+
+    def test_retry_then_fail(self, workers, small_problem, small_candidates):
+        target = small_candidates[-1].as_dict
+        outcome = ExplorationEngine(
+            small_problem,
+            workers=workers,
+            prune=False,
+            fault_for=lambda periods: "raise:boom" if periods == target else None,
+        ).sweep(small_candidates)
+        failed = [r for r in outcome.results if r.status == STATUS_FAILED]
+        assert [(r.periods, r.attempts) for r in failed] == [(target, 2)]
+        assert "boom" in failed[0].error
+        assert outcome.evaluated == len(small_candidates) - 1
+        assert [r.order for r in outcome.results] == list(
+            range(len(small_candidates))
+        )
+
+    def test_stop_before_the_first_candidate(
+        self, workers, tmp_path, small_problem, small_candidates
+    ):
+        path = tmp_path / "ck.jsonl"
+        seen = []
+        engine = ExplorationEngine(
+            small_problem,
+            workers=workers,
+            checkpoint=path,
+            stop_when=lambda: True,
+        )
+        with pytest.raises(SweepInterrupted):
+            engine.sweep(small_candidates, on_result=seen.append)
+        assert seen == []
+        assert SweepJournal(path).load() == {}
+
+    def test_late_record_is_dropped(
+        self, workers, tmp_path, small_problem, small_candidates
+    ):
+        """``stop_when`` turns true while the candidate evaluates: its
+        record is neither journaled nor surfaced."""
+        path = tmp_path / "ck.jsonl"
+        polls = []
+
+        def stop_when():
+            polls.append(time.monotonic())
+            return polls[-1] - polls[0] > 0.25
+
+        seen = []
+        engine = ExplorationEngine(
+            small_problem,
+            workers=workers,
+            prune=False,
+            checkpoint=path,
+            fault_for=lambda periods: "sleep:0.5",
+            stop_when=stop_when,
+        )
+        with pytest.raises(SweepInterrupted):
+            engine.sweep(small_candidates[:1], on_result=seen.append)
+        assert seen == []
+        assert SweepJournal(path).load() == {}
+
+
+@pytest.mark.parametrize(
+    "name, workers, sweep_line, best_line",
+    [
+        (
+            "paper_system",
+            1,
+            "sweep: 7 evaluated, 66 pruned, 0 failed (workers: 1)",
+            "best: {'adder': 15, 'multiplier': 15, 'subtracter': 3} (area 13)",
+        ),
+        (
+            "paper_system",
+            2,
+            "sweep: 7 evaluated, 66 pruned, 0 failed (workers: 2)",
+            "best: {'adder': 15, 'multiplier': 15, 'subtracter': 3} (area 13)",
+        ),
+        (
+            "diffeq_pair",
+            1,
+            "sweep: 1 evaluated, 45 pruned, 0 failed (workers: 1)",
+            "best: {'multiplier': 15, 'adder': 3, 'subtracter': 3} (area 6)",
+        ),
+        (
+            "diffeq_pair",
+            2,
+            "sweep: 2 evaluated, 44 pruned, 0 failed (workers: 2)",
+            "best: {'multiplier': 15, 'adder': 3, 'subtracter': 3} (area 6)",
+        ),
+    ],
+)
+def test_sweep_command_lines(name, workers, sweep_line, best_line, capsys):
+    """``repro sweep examples/*.sys``: the counts and best of each
+    worker count."""
+    argv = ["sweep", str(EXAMPLES / f"{name}.sys"), "--workers", str(workers)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [sweep_line, best_line]
 
 
 class TestSerialPath:
@@ -258,7 +379,7 @@ class TestCompare:
         engine = ExplorationEngine(
             small_problem,
             workers=1,
-            retries=0,
+            retry_policy=RetryPolicy(max_attempts=1),
             fault_for=lambda periods: "raise:broken" if periods else None,
         )
         with pytest.raises(ExplorationError):

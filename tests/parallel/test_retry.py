@@ -63,13 +63,6 @@ class TestPolicyMath:
 
 
 class TestEngineIntegration:
-    def test_policy_overrides_engine_retries(self, small_problem):
-        policy = RetryPolicy(max_attempts=4, base_delay=0.0)
-        engine = ExplorationEngine(
-            small_problem, retries=9, retry_policy=policy
-        )
-        assert engine.retries == 3
-
     def test_failed_candidate_exhausts_the_policy(
         self, small_problem, small_candidates
     ):
