@@ -47,16 +47,22 @@ def slot_steps(slot: int, period: int, horizon: int) -> list:
 def _fold_chunks(array: np.ndarray, period: int) -> np.ndarray:
     """Chunk-maximum fold of the last axis shared by every eq. 7 variant.
 
-    The stride loop of :func:`modulo_max_reference`, one numpy call per
-    period-long chunk for all rows at once: each chunk (the ragged tail
-    into the leading slots) is maxed in place into a zeros accumulator.
-    Maximum is exact and the arguments come in the reference's order,
-    so the result equals it byte for byte: empty slots stay 0 and a
-    negative cancellation residue (e.g. ``-1e-17`` from a hidden
-    displacement) clamps to 0.
+    The stride loop of :func:`modulo_max_reference` for all rows at
+    once: when the period divides the horizon, one maximum reduction
+    over the ``(..., chunks, period)`` view from an initial 0; otherwise
+    one numpy call per period-long chunk, each (the ragged tail into the
+    leading slots) maxed in place into a zeros accumulator.  Both take
+    the maxima from 0 in chunk order, the reference's order, and
+    maximum is exact, so the result equals it byte for byte: empty
+    slots stay 0 and a negative cancellation residue (e.g. ``-1e-17``
+    from a hidden displacement) clamps to 0.
     """
     if period < 1:
         raise PeriodError(f"period must be >= 1, got {period}")
+    horizon = array.shape[-1]
+    if horizon and not horizon % period:
+        chunks = array.reshape(array.shape[:-1] + (horizon // period, period))
+        return np.maximum.reduce(chunks, axis=-2, initial=0)
     folded = np.zeros(array.shape[:-1] + (period,), dtype=array.dtype)
     for offset in range(0, array.shape[-1], period):
         chunk = array[..., offset : offset + period]

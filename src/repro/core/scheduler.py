@@ -94,14 +94,30 @@ class _RowTable:
     a row to the value cell of the type's current position in the side's
     type order.  ``pos`` is the type's row of the block's holds mask,
     which says which rows hold a current displacement.  A rebuild
-    overwrites rows in place.
+    overwrites rows in place.  ``weight`` is the type's force weight and
+    ``period`` its period when its rows fold through the coupling (an
+    aligned type the process shares globally), else 0.
     """
 
-    __slots__ = ("pos", "row_of", "cols", "delta", "cells")
+    __slots__ = (
+        "name", "weight", "period", "pos", "row_of", "cols", "delta", "cells"
+    )
 
     def __init__(
-        self, pos: int, sides: np.ndarray, width: int, start: int, n: int, horizon: int
+        self,
+        name: str,
+        weight: float,
+        period: int,
+        pos: int,
+        sides: np.ndarray,
+        width: int,
+        start: int,
+        n: int,
+        horizon: int,
     ) -> None:
+        self.name = name
+        self.weight = weight
+        self.period = period
         self.pos = pos
         self.row_of = np.zeros(width, dtype=np.intp)
         self.row_of[sides] = np.arange(sides.size)
@@ -211,6 +227,8 @@ class _SystemKernel:
         self._guarded_by_type: List[Dict[str, Tuple[str, ...]]] = []
         self._tables: List[Dict[str, _RowTable]] = []
         self._held: List[np.ndarray] = []
+        weights = self.weights
+        shared = coupling.shared
         start = 0
         for index, entry in enumerate(entries):
             state = entry.state
@@ -247,14 +265,16 @@ class _SystemKernel:
             )
             width = 2 * len(order)
             horizon = state.dist.horizon
-            self._tables.append(
-                {
-                    name: _RowTable(
-                        pos, np.asarray(sides[name]), width, start, n, horizon
-                    )
-                    for pos, name in enumerate(sorted(sides))
-                }
-            )
+            tables: Dict[str, _RowTable] = {}
+            for pos, name in enumerate(sorted(sides)):
+                weight = 1.0 if weights is None else float(weights.get(name, 1.0))
+                folds = self.alignment and (entry.process_name, name) in shared
+                period = coupling.type_period[name] if folds else 0
+                rows = np.asarray(sides[name])
+                tables[name] = _RowTable(
+                    name, weight, period, pos, rows, width, start, n, horizon
+                )
+            self._tables.append(tables)
             self._held.append(np.zeros((len(sides), width), dtype=bool))
             start += len(order)
         self._n = n
@@ -400,7 +420,7 @@ class _SystemKernel:
             if top > 1:
                 np.matmul(
                     self._g[type_name][:top],
-                    coupling.system_distribution(type_name),
+                    coupling._s[type_name],
                     out=self._gdots[type_name][:top],
                 )
 
@@ -427,7 +447,7 @@ class _SystemKernel:
         count(SELECTION_RESCORED, len(rescore))
         count(SELECTION_SKIPPED, len(self.entries) - len(rescore))
         if self._live_stale:
-            self._live_idx = np.flatnonzero(self._live)
+            self._live_idx = self._live.nonzero()[0]
             self._live_stale = False
 
         # (4) Refold the rescored entries' live slots: constants plus the
@@ -435,7 +455,10 @@ class _SystemKernel:
         # subscribes to hold a G row among these slots; every other type
         # would gather the all-zero sentinel row, so skipping it is exact.
         live_slots = self._live_slots
-        if len(rescore) == 1:
+        if len(rescore) == len(live_slots):
+            # Every entry's live slots, in scan order: the live index.
+            cat_slots = self._live_idx
+        elif len(rescore) == 1:
             cat_slots = live_slots[rescore[0]]
         elif rescore:
             cat_slots = np.concatenate([live_slots[index] for index in rescore])
@@ -488,7 +511,7 @@ class _SystemKernel:
         scores_v = self._scores_g[idx]
         if total > 1:
             prefix = np.maximum.accumulate(scores_v[:-1])
-            front = np.nonzero(scores_v[1:] > prefix)[0]
+            front = (scores_v[1:] > prefix).nonzero()[0]
             positions = [0] + (front + 1).tolist()
         else:
             positions = [0]
@@ -528,7 +551,7 @@ class _SystemKernel:
             return
         # A live side holds a G row of a balanced type its process shares
         # exactly when it holds a row of the type; fixed sides hold none.
-        holding = self._held[index].any(axis=1)
+        holding = np.logical_or.reduce(self._held[index], axis=1)
         process_name = self.entries[index].process_name
         shared = self.coupling.shared
         new = tuple(
@@ -655,15 +678,15 @@ class _SystemKernel:
         # Sides of the operations that fixed, whose rows are released.
         cleared: List[int] = []
         if drop:
-            frames = entry.state.frames
+            lo_of = entry.state.frames._lo
+            hi_of = entry.state.frames._hi
             live = self._live
             for op_id, ends in drop.items():
                 slot = slots_map[op_id]
                 if not live[slot]:
                     continue
                 side = 2 * (slot - start)
-                lo, hi = frames.frame(op_id)
-                if lo == hi:
+                if lo_of[op_id] == hi_of[op_id]:
                     self._release(slot)
                     cleared.append(side)
                     cleared.append(side + 1)
@@ -676,7 +699,7 @@ class _SystemKernel:
             held[:, cleared + fresh] = False
             fresh.sort()
             if cleared:
-                slots = np.flatnonzero(live[start:end])
+                slots = live[start:end].nonzero()[0]
                 slots += start
                 self._live_slots[index] = slots
                 self._live_stale = True
@@ -686,7 +709,7 @@ class _SystemKernel:
             # Sides re-folded without a rebuild: those still holding a
             # row of a queued type (rebuilt sides hold none yet).
             positions = [tables[name].pos for name in refold if name in tables]
-            hits = int(np.count_nonzero(held[positions].any(axis=0)))
+            hits = int(np.count_nonzero(np.logical_or.reduce(held[positions], axis=0)))
         new: Dict[str, np.ndarray] = {}
         if fresh:
             started = time.perf_counter() if registry_active else 0.0
@@ -704,14 +727,14 @@ class _SystemKernel:
         for type_name, rows in new.items():
             if type_name not in refold:
                 # Held rows of an unmoved type keep their values.
-                self._fold(index, entry, type_name, tables[type_name], rows)
+                self._fold(index, entry, tables[type_name], rows)
                 folded = True
         for type_name in refold:
             table = tables.get(type_name)
             if table is not None:
                 rows = table.row_of[held[table.pos]]
                 if rows.size:
-                    self._fold(index, entry, type_name, table, rows)
+                    self._fold(index, entry, table, rows)
                     folded = True
         refold.clear()
         if not folded:
@@ -746,7 +769,8 @@ class _SystemKernel:
         """
         coupling = self.coupling
         state = entry.state
-        frames = state.frames
+        lo_of = state.frames._lo
+        hi_of = state.frames._hi
         n = self._n
         start = self._bounds[index][0]
         op_at = self._op_at
@@ -757,7 +781,8 @@ class _SystemKernel:
         for side in fresh:
             slot = start + (side >> 1)
             op_id = op_at[slot]
-            lo, hi = frames.frame(op_id)
+            lo = lo_of[op_id]
+            hi = hi_of[op_id]
             pairs.append((op_id, hi if side & 1 else lo))
             cols.append(slot + n * (side & 1))
             slots.append(slot)
@@ -796,46 +821,46 @@ class _SystemKernel:
         sides = np.asarray(fresh, dtype=np.intp)
         width = 2 * n
         written: Dict[str, np.ndarray] = {}
-        for type_name, stack in batch.items():
-            batch_rows, cells = stack.index
+        for type_name, (batch_rows, positions, delta) in batch.items():
             table = tables[type_name]
             at = sides[batch_rows]
             rows = table.row_of[at]
-            table.delta[rows] = stack.delta
-            table.cells[rows] = cells * width + table.cols[rows]
+            table.delta[rows] = delta
+            table.cells[rows] = positions * width + table.cols[rows]
             held[table.pos, at] = True
             written[type_name] = rows
         return written
 
     def _fold(
-        self,
-        index: int,
-        entry: _Entry,
-        type_name: str,
-        table: _RowTable,
-        rows: np.ndarray,
+        self, index: int, entry: _Entry, table: _RowTable, rows: np.ndarray
     ) -> None:
         """Fold the given rows of a table against the current distributions.
 
         Mirrors :meth:`~repro.core.reference.ReferenceScheduler
-        ._placement_force` branch for branch: aligned shared types take
-        the modulo maximum of the tentative distribution and, under
-        balancing, eq. 9's sibling maximum (skipped for a single-block
-        process, whose sibling maximum is all zeros) minus the old
-        process maximum (the ``w * delta_S`` rows go to ``G`` in place,
-        with their current-``S`` dots); every other type takes the Hooke
-        dots.  The stored rows are only read: the tentative distribution
-        ``delta + D`` is a new array.
+        ._placement_force` branch for branch: aligned shared types (a
+        table with a ``period``) take the modulo maximum of the
+        tentative distribution and, under balancing, eq. 9's sibling
+        maximum (skipped for a single-block process, whose sibling
+        maximum is all zeros) minus the old process maximum (the
+        ``w * delta_S`` rows go to ``G`` in place, with their current-``S``
+        dots); every other type takes the Hooke dots.  The stored rows
+        are only read: the gathered copy becomes the tentative
+        distribution ``delta + D`` in place.
         """
-        coupling = self.coupling
-        base = entry.state.dist.array(type_name)
+        type_name = table.name
+        base = entry.state.dist._sums[type_name]
         deltas = table.delta[rows]
-        weights = self.weights
-        weight = 1.0 if weights is None else float(weights.get(type_name, 1.0))
+        weight = table.weight
         lookahead = self.lookahead
         count(FORCE_EVALUATIONS, len(rows))
-        if self.alignment and (entry.process_name, type_name) in coupling.shared:
-            q_new = modulo_max_rows(deltas + base, coupling.type_period[type_name])
+        if not table.period:
+            vals = weight * (
+                row_dots(deltas, base) + lookahead * row_self_dots(deltas)
+            )
+        else:
+            coupling = self.coupling
+            deltas += base
+            q_new = modulo_max_rows(deltas, table.period)
             if not self.balancing:
                 q_old = coupling.block_q(index, type_name)
                 q_new -= q_old
@@ -846,18 +871,12 @@ class _SystemKernel:
                 if self._siblings[index]:
                     others = coupling.other_blocks_max(index, type_name)
                     np.maximum(others, q_new, out=q_new)
-                q_new -= coupling.process_max(entry.process_name, type_name)
+                q_new -= coupling._m[(entry.process_name, type_name)]
                 vals = (weight * lookahead) * row_self_dots(q_new)
                 q_new *= weight
                 ids = self._gslot_flat[type_name][table.cols[rows]]
                 self._g[type_name][ids] = q_new
-                self._gdots[type_name][ids] = row_dots(
-                    q_new, coupling.system_distribution(type_name)
-                )
-        else:
-            vals = weight * (
-                row_dots(deltas, base) + lookahead * row_self_dots(deltas)
-            )
+                self._gdots[type_name][ids] = row_dots(q_new, coupling._s[type_name])
         self._values_flat[table.cells[rows]] = vals
 
     def _release(self, slot: int) -> None:
@@ -1237,11 +1256,13 @@ class ModuloSystemScheduler:
 class _GlobalCoupling:
     """Modulo-transformed and balanced distributions of all global types.
 
-    Maintains, per (block, global type), the block's modulo-max transform
-    ``Q`` (eq. 7); per (process, type) the block maximum ``M`` (eq. 9); and
-    per type the system sum ``S`` over the sharing group (§5.2).  The
-    sibling maxima of eq. 9 (``other_blocks_max``) are memoized per
-    ``(block, type)`` and invalidated only when a sibling's ``Q`` changes.
+    Maintains, per (block, global type the block uses and its process
+    shares), the block's modulo-max transform ``Q`` (eq. 7), folded for
+    every such pair at construction; per (process, type) the block
+    maximum ``M`` (eq. 9); and per type the system sum ``S`` over the
+    sharing group (§5.2).  The sibling maxima of eq. 9
+    (``other_blocks_max``) are memoized per ``(block, type)`` and
+    invalidated only when a sibling's ``Q`` changes.
     """
 
     def __init__(
@@ -1319,14 +1340,11 @@ class _GlobalCoupling:
         if cached is not None:
             return cached
         process_name = self.entries[entry_index].process_name
-        period = self.type_period[type_name]
-        result = np.zeros(period, dtype=float)
-        entries = self.entries
+        result = np.zeros(self.type_period[type_name], dtype=float)
         for index in self._process_entries.get(process_name, ()):
-            if index == entry_index:
-                continue
-            if type_name in entries[index].state.dist.type_names:
-                np.maximum(result, self.block_q(index, type_name), out=result)
+            q = self._q.get((index, type_name)) if index != entry_index else None
+            if q is not None:
+                np.maximum(result, q, out=result)
         self._others[key] = result
         return result
 
@@ -1345,25 +1363,41 @@ class _GlobalCoupling:
           rebuilt, and the selection engine re-dots the type's stored
           ``w * delta_S`` rows against it.
         """
-        entry = self.entries[entry_index]
+        process_name = self.entries[entry_index].process_name
+        blocks = self._process_entries[process_name]
         scopes: Dict[str, str] = {}
         shared = self.shared
         for type_name in touched_types:
-            if (entry.process_name, type_name) not in shared:
+            if (process_name, type_name) not in shared:
                 continue
             key = (entry_index, type_name)
             old_q = self._q.get(key)
             new_q = self._fold(entry_index, type_name)
-            if old_q is not None and (old_q == new_q).all():
+            # A distribution sums non-negative rows and their differences
+            # from +0.0 (x - x is +0.0), so it holds no -0.0 and no NaN,
+            # nor does its Q: equal bytes are equal values.
+            if old_q is not None and old_q.tobytes() == new_q.tobytes():
                 # Hidden displacement: Q, M, S all stay put — skip the
                 # rebuilds entirely.
                 scopes[type_name] = "clean"
                 continue
             self._q[key] = new_q
-            for index in self._process_entries.get(entry.process_name, ()):
+            if len(blocks) == 1:
+                # A one-block process's maximum is its Q (the maximum
+                # with zeros of an array without -0.0 or NaN is the
+                # array), so M changed with it: write its row of the
+                # type's M stack and re-sum S.
+                m_key = (process_name, type_name)
+                self._m[m_key] = new_q
+                m_rows = self._m_rows[type_name]
+                m_rows[self._m_rowidx[m_key]] = new_q
+                self._s[type_name] = np.add.reduce(m_rows, axis=0)
+                scopes[type_name] = "system"
+                continue
+            for index in blocks:
                 if index != entry_index:
                     self._others.pop((index, type_name), None)
-            if self._rebuild_process(entry.process_name, type_name):
+            if self._rebuild_process(process_name, type_name):
                 self._rebuild_system(type_name)
                 scopes[type_name] = "system"
             else:
@@ -1379,20 +1413,19 @@ class _GlobalCoupling:
         ]
 
     def _fold(self, entry_index: int, type_name: str) -> np.ndarray:
-        entry = self.entries[entry_index]
+        sums = self.entries[entry_index].state.dist._sums
         period = self.type_period[type_name]
-        if type_name not in entry.state.dist.type_names:
+        if type_name not in sums:
             return np.zeros(period, dtype=float)
-        return modulo_max(entry.state.dist.array(type_name), period)
+        return modulo_max(sums[type_name], period)
 
     def _rebuild_process(self, process_name: str, type_name: str) -> bool:
         """Recompute the process maximum ``M``; returns whether it changed."""
-        period = self.type_period[type_name]
-        result = np.zeros(period, dtype=float)
-        entries = self.entries
+        result = np.zeros(self.type_period[type_name], dtype=float)
         for index in self._process_entries.get(process_name, ()):
-            if type_name in entries[index].state.dist.type_names:
-                np.maximum(result, self.block_q(index, type_name), out=result)
+            q = self._q.get((index, type_name))
+            if q is not None:
+                np.maximum(result, q, out=result)
         key = (process_name, type_name)
         old = self._m.get(key)
         changed = old is None or not (old == result).all()

@@ -489,7 +489,9 @@ class ExplorationEngine:
         failed attempt is requeued at the front (one backoff per batch
         of retries), every record is journaled before it is surfaced,
         and ``stop_when`` is polled before each candidate and before an
-        evaluated record is journaled.
+        evaluated record is journaled.  A sweep that ends normally has
+        nothing in flight and joins the pool's workers; one that raises
+        cancels what is queued and leaves without waiting.
         """
         if self.workers == 1:
             start: Callable[[], Executor] = _InlineExecutor
@@ -530,7 +532,7 @@ class ExplorationEngine:
                             future = executor.submit(run_chunk, batch)
                         inflight[future] = chunk
                 if not inflight:
-                    return records
+                    break
                 done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
                 settled: List[Tuple[_Spec, JobResult]] = []
                 broken = False
@@ -584,8 +586,11 @@ class ExplorationEngine:
                     # resolve before the sweep moves on.
                     self._backoff(max(spec.attempt for spec in requeue))
                     pending.extendleft(reversed(requeue))
-        finally:
-            executor.shutdown(wait=False)
+        except BaseException:
+            executor.shutdown(wait=False, cancel_futures=True)
+            raise
+        executor.shutdown(wait=True)
+        return records
 
     def _run_inline(self, batch: List[SweepJob]) -> List[JobResult]:
         """Evaluate jobs on this engine's problem and tracer."""

@@ -40,6 +40,8 @@ def occupancy_row(lo: int, hi: int, occupancy: int, horizon: int) -> np.ndarray:
     """
     if lo > hi:
         raise SchedulingError(f"empty frame [{lo}, {hi}]")
+    if lo < 0:
+        raise SchedulingError(f"frame [{lo}, {hi}] starts before step 0")
     if hi + occupancy > horizon:
         raise SchedulingError(
             f"frame [{lo}, {hi}] with occupancy {occupancy} exceeds horizon {horizon}"
@@ -138,7 +140,8 @@ class BlockDistributions:
         self._sums: Dict[str, np.ndarray] = {}
         self._ops_of_type: Dict[str, List[str]] = {}
         self._guarded_types: Set[str] = set()
-        self._row_cache: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {}
+        # Zero-padded tentative-row bands by (frame width, occupancy).
+        self._bands: Dict[Tuple[int, int], np.ndarray] = {}
         for op in graph:
             rtype = library.type_of(op)
             self.type_of[op.op_id] = rtype.name
@@ -195,27 +198,28 @@ class BlockDistributions:
             ) from None
 
     def tentative_row(self, op_id: str, lo: int, hi: int) -> np.ndarray:
-        """Row the operation would have with frame ``[lo, hi]``.
+        """Row the operation would have with frame ``[lo, hi]`` (read-only).
 
-        Rows are memoized per operation and ``(lo, hi)`` — the same
-        tentative placements are evaluated over and over between commits —
-        and must therefore be treated as read-only by callers.  The memo
-        keeps live frames only: frames never widen, so :meth:`refresh`
-        drops every key of a changed operation that no longer fits inside
-        its frame.
+        A read-only view ``band[horizon - lo : 2 * horizon - lo]`` of the
+        block's zero-padded band for the frame's ``(width, occupancy)``:
+        the :func:`occupancy_pattern` at ``horizon`` in ``2 * horizon``
+        zeros, so the view holds the pattern at ``lo`` and zeros
+        elsewhere, exactly :func:`occupancy_row`'s row.  Every frame of
+        one width and occupancy shares the band.
         """
-        rows = self._row_cache.get(op_id)
-        if rows is None:
-            rows = self._row_cache[op_id] = {}
-        row = rows.get((lo, hi))
-        if row is None:
-            occupancy = self.occupancy_of[op_id]
-            if lo > hi or hi + occupancy > self.horizon:
-                occupancy_row(lo, hi, occupancy, self.horizon)  # raises
-            row = np.zeros(self.horizon, dtype=float)
-            row[lo : hi + occupancy] = occupancy_pattern(hi - lo + 1, occupancy)
-            rows[(lo, hi)] = row
-        return row
+        occupancy = self.occupancy_of[op_id]
+        horizon = self.horizon
+        if lo < 0 or lo > hi or hi + occupancy > horizon:
+            occupancy_row(lo, hi, occupancy, horizon)  # raises
+        key = (hi - lo + 1, occupancy)
+        band = self._bands.get(key)
+        if band is None:
+            pattern = occupancy_pattern(*key)
+            band = np.zeros(2 * horizon, dtype=float)
+            band[horizon : horizon + pattern.size] = pattern
+            band.setflags(write=False)
+            self._bands[key] = band
+        return band[horizon - lo : 2 * horizon - lo]
 
     def tentative_array(
         self, type_name: str, override: Mapping[str, np.ndarray]
@@ -236,20 +240,14 @@ class BlockDistributions:
         """Recompute rows of operations whose frames changed.
 
         Returns the names of the resource types whose distribution graph
-        was affected.  Memoized tentative rows of the changed operations
-        that fall outside their new frames are dropped: a frame only
-        narrows, so those keys can never be asked for again.  Rows are
-        folded into the type sums in sorted op order, so the sums' last
-        bits do not follow the set's hash order.
+        was affected.  Rows are folded into the type sums in sorted op
+        order, so the sums' last bits do not follow the set's hash order.
         """
         touched: Set[str] = set()
+        lo_of = self.frames._lo
+        hi_of = self.frames._hi
         for op_id in sorted(changed_ops):
-            lo, hi = self.frames.frame(op_id)
-            memo = self._row_cache.get(op_id)
-            if memo:
-                for key in [k for k in memo if k[0] < lo or k[1] > hi]:
-                    del memo[key]
-            new_row = self.tentative_row(op_id, lo, hi)
+            new_row = self.tentative_row(op_id, lo_of[op_id], hi_of[op_id])
             type_name = self.type_of[op_id]
             if type_name not in self._guarded_types:
                 self._sums[type_name] += new_row - self._rows[op_id]

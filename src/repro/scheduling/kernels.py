@@ -11,8 +11,8 @@ thousands of interpreter round-trips per run.
 This module builds the displacements of a whole batch one way, for
 every scheduler:
 
-* :func:`increment_stacks` builds the per-type displacement rows
-  (:class:`IncrementStack`) of a batch of placements.  A row is the
+* :func:`increment_stacks` builds the per-type displacement rows of a
+  batch of placements, the only code that builds them.  A row is the
   plain sum of its increments and never reads the type's current
   distribution, so the coupled scheduler copies the rows into its row
   tables, keeps them across commits and only re-folds them when the
@@ -64,10 +64,13 @@ from .state import BlockState
 __all__ = [
     "row_dots",
     "row_self_dots",
-    "IncrementStack",
     "increment_stacks",
     "PlacementKernel",
 ]
+
+#: One displaced type's rows of a batch: ``(batch rows, type-order
+#: positions, displacement rows)`` (see :func:`increment_stacks`).
+Stack = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def row_dots(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -86,46 +89,35 @@ def row_self_dots(matrix: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", matrix, matrix)
 
 
-class IncrementStack:
-    """The displacement rows of one displaced type over a batch of placements.
+def increment_stacks(
+    state: BlockState, candidates: Sequence[Tuple[str, int]]
+) -> Tuple[List[Tuple[str, ...]], Dict[str, Stack]]:
+    """Per-type displacement rows of a batch of tentative placements.
 
-    Row ``i`` of the stack belongs to batch row ``index[0, i]``, where
-    the type sits at position ``index[1, i]`` of that row's type order
+    Returns each candidate's displaced-type order and, per displaced
+    type in first-seen order, a ``(batch rows, positions, delta)``
+    stack: stack row ``i`` belongs to batch row ``batch_rows[i]``, where
+    the type sits at position ``positions[i]`` of that row's type order
     (a consumer maps both into its own coordinates; the coupled kernel
     writes each row into its row table with the row's value cell).
     ``delta[i]`` is the row's finished displacement: the sum of its
     increments ``override - current`` in override order, or, for a
     guarded placement, the branch-max row of
     :meth:`BlockState.placement_deltas` (branch-max recombination is
-    not an additive update).  No row reads the type's distribution, so
-    a stack stays valid while that distribution moves.
-    """
+    not an additive update), entered as ``row - 0``.  No row reads the
+    type's distribution, so a stack stays valid while that distribution
+    moves.
 
-    __slots__ = ("index", "delta")
-
-    def __init__(self, index: np.ndarray, delta: np.ndarray) -> None:
-        self.index = index
-        self.delta = delta
-
-
-def increment_stacks(
-    state: BlockState, candidates: Sequence[Tuple[str, int]]
-) -> Tuple[List[Tuple[str, ...]], Dict[str, IncrementStack]]:
-    """Per-type displacement stacks of a batch of tentative placements.
-
-    Returns each candidate's displaced-type order and one
-    :class:`IncrementStack` per displaced type, types in first-seen
-    order.  Overrides follow :meth:`BlockState.placement_deltas`: the
+    Overrides follow :meth:`BlockState.placement_deltas`: the
     operation's own single-step row, then each predecessor whose frame
     the placement cuts from above and each successor it cuts from
     below, both in graph order; a type's first override opens its
     position in the type order, later ones are further increments.
-    Override rows are memoized tentative rows and current rows of the
-    distribution, never new arrays, until all first increments of the
-    batch come out of one stacked subtraction, and all further ones out
-    of another; ``add.at`` then adds each further increment into its
-    row, in override order.  A guarded candidate's rows are
-    :meth:`BlockState.placement_deltas`, entered as ``row - 0``.
+    Override rows are tentative-row views and current rows of the
+    distribution, never new arrays, until each type's increments come
+    out of one stacked subtraction, first increments ahead of further
+    ones; one ``add.at`` then adds each further increment into its
+    row, in override order.
     """
     dist = state.dist
     tentative_row = dist.tentative_row
@@ -136,87 +128,68 @@ def increment_stacks(
     links = state.links
     interned = state._orders
     guarded = state.guarded_ops
-    horizon = dist.horizon
     type_orders: List[Tuple[str, ...]] = [()] * len(candidates)
-    # Per type: batch rows, type-order positions, and the (override,
-    # current) first rows, or (guarded row, zero), of the stack rows.
-    by_type: Dict[str, Tuple[List[int], List[int], List[np.ndarray]]] = {}
-    # Per type: the stack row of each further override and its
-    # (override, current) rows, in override order.
-    extra: Dict[str, Tuple[List[int], List[np.ndarray]]] = {}
-
-    def override(row: int, order: List[str], oid: str, new_row: np.ndarray) -> None:
-        type_name = type_of[oid]
-        if type_name in order:
-            at = extra.get(type_name)
-            if at is None:
-                at = extra[type_name] = ([], [])
-            at[0].append(len(by_type[type_name][0]) - 1)
-            at[1].append(new_row)
-            at[1].append(current[oid])
-            return
-        group = by_type.get(type_name)
-        if group is None:
-            group = by_type[type_name] = ([], [], [])
-        group[0].append(row)
-        group[1].append(len(order))
-        group[2].append(new_row)
-        group[2].append(current[oid])
-        order.append(type_name)
-
+    # Per type: batch rows and type-order positions of the stack rows,
+    # the (override, current) rows of their first increments, and the
+    # stack row and (override, current) rows of each further increment.
+    by_type: Dict[str, tuple] = {}
+    zero: Optional[np.ndarray] = None
     for row, (op_id, start) in enumerate(candidates):
         if op_id in guarded:
             deltas = state.placement_deltas(op_id, start)
             type_orders[row] = tuple(deltas)
-            zero = np.zeros(horizon)
+            if zero is None:
+                zero = np.zeros(dist.horizon)
             for position, (type_name, delta) in enumerate(deltas.items()):
                 group = by_type.get(type_name)
                 if group is None:
-                    group = by_type[type_name] = ([], [], [])
+                    group = by_type[type_name] = ([], [], [], [], [], [], [])
                 group[0].append(row)
                 group[1].append(position)
                 group[2].append(delta)
-                group[2].append(zero)
+                group[3].append(zero)
             continue
         latency, preds, succs = links[op_id]
-        order: List[str] = []
-        override(row, order, op_id, tentative_row(op_id, start, start))
+        overrides = [(op_id, tentative_row(op_id, start, start))]
         for pred, pred_latency in preds:
             new_hi = start - pred_latency
             if new_hi < hi_of[pred]:
-                override(row, order, pred, tentative_row(pred, lo_of[pred], new_hi))
+                overrides.append((pred, tentative_row(pred, lo_of[pred], new_hi)))
         finish = start + latency
         for succ in succs:
             if finish > lo_of[succ]:
-                override(row, order, succ, tentative_row(succ, finish, hi_of[succ]))
+                overrides.append((succ, tentative_row(succ, finish, hi_of[succ])))
+        order: List[str] = []
+        for oid, new_row in overrides:
+            type_name = type_of[oid]
+            group = by_type.get(type_name)
+            if group is None:
+                group = by_type[type_name] = ([], [], [], [], [], [], [])
+            if type_name in order:
+                group[4].append(len(group[0]) - 1)
+                group[5].append(new_row)
+                group[6].append(current[oid])
+            else:
+                group[0].append(row)
+                group[1].append(len(order))
+                group[2].append(new_row)
+                group[3].append(current[oid])
+                order.append(type_name)
         key = tuple(order)
         type_orders[row] = interned.setdefault(key, key)
-    if not by_type:
-        return type_orders, {}
-    first = _pair_differences([group[2] for group in by_type.values()], horizon)
-    further = _pair_differences([extra[name][1] for name in extra], horizon)
-    stacks: Dict[str, IncrementStack] = {}
-    end = 0
-    for type_name, (rows, positions, _pairs) in by_type.items():
-        begin, end = end, end + len(rows)
-        stacks[type_name] = IncrementStack(
-            np.array((rows, positions), dtype=np.intp), first[begin:end]
-        )
-    offset = 0
-    for type_name, (at, _pairs) in extra.items():
-        np.add.at(stacks[type_name].delta, at, further[offset : offset + len(at)])
-        offset += len(at)
+    stacks: Dict[str, Stack] = {}
+    for type_name, group in by_type.items():
+        rows, positions, new, old, at, new_more, old_more = group
+        firsts = len(rows)
+        if at:
+            diffs = np.subtract(new + new_more, old + old_more)
+            delta = diffs[:firsts]
+            np.add.at(delta, at, diffs[firsts:])
+        else:
+            delta = np.subtract(new, old)
+        index = np.array((rows, positions), dtype=np.intp)
+        stacks[type_name] = (index[0], index[1], delta)
     return type_orders, stacks
-
-
-def _pair_differences(groups: List[List[np.ndarray]], horizon: int) -> np.ndarray:
-    """``first - second`` of every (first, second) row pair of every
-    group, groups in order, as one stacked subtraction."""
-    flat = [row for group in groups for row in group]
-    if not flat:
-        return np.empty((0, horizon), dtype=float)
-    pairs = np.concatenate(flat).reshape(-1, 2, horizon)
-    return pairs[:, 0] - pairs[:, 1]
 
 
 class PlacementKernel:
@@ -266,10 +239,9 @@ class PlacementKernel:
         count(FORCE_EVALUATIONS, sum(len(order) for order in type_orders))
         depth = max((len(order) for order in type_orders), default=0)
         values = np.zeros((depth, len(candidates)))
-        for type_name, stack in stacks.items():
+        for type_name, (rows, positions, deltas) in stacks.items():
             base = dist.array(type_name)
-            deltas = stack.delta
-            values[stack.index[1], stack.index[0]] = self._weight(type_name) * (
+            values[positions, rows] = self._weight(type_name) * (
                 row_dots(deltas, base) + self.lookahead * row_self_dots(deltas)
             )
         totals = np.zeros(len(candidates))

@@ -147,9 +147,12 @@ class BlockState:
     def commit_reduce(self, op_id: str, lo: int, hi: int) -> Set[str]:
         """Reduce a frame for real, propagate, refresh distributions.
 
-        Returns the resource type names whose distribution graph changed.
+        Returns the resource type names whose distribution graph changed:
+        the ``touched_types`` of :meth:`commit_reduce_effect`, without the
+        dropped frame ends only the coupled kernel reads.
         """
-        return set(self.commit_reduce_effect(op_id, lo, hi).touched_types)
+        count(FRAME_REDUCTIONS)
+        return self.dist.refresh(self.frames.reduce_frames(op_id, lo, hi))
 
     def commit_reduce_effect(self, op_id: str, lo: int, hi: int) -> ReductionEffect:
         """Like :meth:`commit_reduce`, but also reports the changed ops.

@@ -47,6 +47,10 @@ class FrameTable:
             if latency < 1:
                 raise SchedulingError(f"operation {op.op_id!r}: latency must be >= 1")
             self._latency[op.op_id] = latency
+        # Adjacency read once: the graph is fixed while its frames are
+        # reduced, and propagation walks it on every commit.
+        self._succs = {oid: graph.successors(oid) for oid in self._latency}
+        self._preds = {oid: graph.predecessors(oid) for oid in self._latency}
         self._topo = graph.topological_order()
         self._lo: Dict[str, int] = {}
         self._hi: Dict[str, int] = {}
@@ -67,12 +71,12 @@ class FrameTable:
     def _compute_initial_frames(self) -> None:
         for oid in self._topo:
             self._lo[oid] = max(
-                (self._lo[p] + self._latency[p] for p in self.graph.predecessors(oid)),
+                (self._lo[p] + self._latency[p] for p in self._preds[oid]),
                 default=0,
             )
         for oid in reversed(self._topo):
             bound = self.deadline - self._latency[oid]
-            for succ in self.graph.successors(oid):
+            for succ in self._succs[oid]:
                 bound = min(bound, self._hi[succ] - self._latency[oid])
             self._hi[oid] = bound
             if self._hi[oid] < self._lo[oid]:
@@ -212,12 +216,14 @@ class FrameTable:
         if was_mobile and new_lo == new_hi:
             self._unfixed_count -= 1
             self._unfixed_stale = True
+        succs_of = self._succs
+        preds_of = self._preds
         worklist: List[str] = [op_id]
         while worklist:
             oid = worklist.pop()
             lat = self._latency[oid]
             earliest_succ_start = self._lo[oid] + lat
-            for succ in self.graph.successors(oid):
+            for succ in succs_of[oid]:
                 if self._lo[succ] < earliest_succ_start:
                     hi_succ = self._hi[succ]
                     undo.append((succ, self._lo[succ], hi_succ))
@@ -230,7 +236,7 @@ class FrameTable:
                         self._unfixed_count -= 1
                         self._unfixed_stale = True
                     worklist.append(succ)
-            for pred in self.graph.predecessors(oid):
+            for pred in preds_of[oid]:
                 latest_pred_start = self._hi[oid] - self._latency[pred]
                 if self._hi[pred] > latest_pred_start:
                     lo_pred = self._lo[pred]

@@ -117,6 +117,16 @@ class TestChunkedFold:
             assert modulo_max_rows(values[None, :], period)[0].tobytes() == want
             assert modulo_max_reference(values, period).tobytes() == want
 
+    @pytest.mark.parametrize("horizon,period", [(12, 4), (12, 12), (14, 4), (3, 5)])
+    def test_uniform_rows_match_reference(self, horizon, period):
+        """Rows of only zeros, only negative zeros or only ``-1e-17``
+        residue, on divisible (one reduction) and ragged (chunk loop)
+        horizons, match the reference byte for byte, the sign of a zero
+        included; the residue clamps to ``+0.0``."""
+        matrix = np.array([[0.0] * horizon, [-0.0] * horizon, [-1e-17] * horizon])
+        self._check(matrix, period)
+        assert modulo_max_rows(matrix, period)[2].tobytes() == bytes(8 * period)
+
     @staticmethod
     def _check(matrix, period):
         folded = modulo_max_rows(matrix, period)

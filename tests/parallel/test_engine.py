@@ -9,12 +9,17 @@ profile-compatible summary.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.compare import compare_scopes
 from repro.cli import main
 from repro.core.scheduler import ModuloSystemScheduler
@@ -224,6 +229,34 @@ class TestParallelPath:
         assert [
             (record.periods, record.area) for record in parallel.results
         ] == [(record.periods, record.area) for record in serial.results]
+
+    def test_parallel_sweep_joins_its_workers(self, small_problem, small_candidates):
+        """A sweep that returns normally shuts its pool down waiting, so
+        no worker process outlives it."""
+        before = set(multiprocessing.active_children())
+        ExplorationEngine(small_problem, workers=2, prune=False).sweep(
+            small_candidates
+        )
+        assert not set(multiprocessing.active_children()) - before
+
+    def test_parallel_cli_sweep_writes_nothing_on_stderr(self):
+        """Without the join, the interpreter's exit hook could write to
+        the pool's closed wakeup pipe and print ``OSError: [Errno 9]``
+        after correct output."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )
+        command = [sys.executable, "-m", "repro", "sweep"]
+        command += [str(EXAMPLES / "diffeq_pair.sys"), "--workers", "2"]
+        for _ in range(10):
+            result = subprocess.run(
+                command, env=env, capture_output=True, text=True, timeout=300
+            )
+            assert result.returncode == 0
+            assert "best:" in result.stdout
+            assert result.stderr == ""
 
     def test_parallel_telemetry_merges_workers(
         self, small_problem, small_candidates

@@ -71,9 +71,11 @@ class TestOccupancyRow:
             assert not got[hi + occ :].any()
 
     def test_tentative_rows_equal_occupancy_rows_bit_for_bit(self):
-        """Tentative rows are placed from shared per-(width, occupancy)
-        patterns; every frame of every op, multicycle occupancy
-        included, must give exactly ``occupancy_row``'s row."""
+        """Every frame of every op, multicycle occupancy included, gives
+        exactly ``occupancy_row``'s row, as a read-only view of the
+        block's zero-padded band for the frame's ``(width, occupancy)``:
+        one buffer per key, shared by every frame of that width and
+        occupancy."""
         library = ResourceLibrary(
             [
                 resource_type("adder", [OpKind.ADD], latency=1, area=1.0),
@@ -88,19 +90,30 @@ class TestOccupancyRow:
         frames = FrameTable(graph, library.latency_of, 12)
         dist = BlockDistributions(graph, library, frames)
         assert sorted(dist.occupancy_of.values()) == [1, 1, 3]
+        bands = {}
         for op_id in graph.op_ids:
+            occupancy = dist.occupancy_of[op_id]
             first, last = frames.frame(op_id)
             for lo in range(first, last + 1):
                 for hi in range(lo, last + 1):
-                    want = occupancy_row(lo, hi, dist.occupancy_of[op_id], 12)
+                    want = occupancy_row(lo, hi, occupancy, 12)
                     got = dist.tentative_row(op_id, lo, hi)
                     assert got.tobytes() == want.tobytes(), (op_id, lo, hi)
+                    assert not got.flags.writeable
+                    with pytest.raises(ValueError):
+                        got[lo] = 0.0
+                    band = bands.setdefault((hi - lo + 1, occupancy), got.base)
+                    assert got.base is band, (op_id, lo, hi)
+                    assert band.size == 2 * 12
+        # The adders share each width's band; the multiplier has its own.
+        assert {occupancy for _width, occupancy in bands} == {1, 3}
+        one_step = dist.tentative_row("a1", 0, 0).base
+        assert dist.tentative_row("a2", 5, 5).base is one_step
+        assert dist.tentative_row("m1", 1, 1).base is not one_step
 
-    def test_tentative_row_cached_instance_reused(self):
-        __, dist = make_block_distributions()
-        first = dist.tentative_row("a1", 1, 2)
-        second = dist.tentative_row("a1", 1, 2)
-        assert first is second
+    def test_negative_start_rejected(self):
+        with pytest.raises(SchedulingError, match="before step 0"):
+            occupancy_row(-1, 2, 1, 6)
 
 
 def make_block_distributions(deadline=6):
@@ -167,30 +180,26 @@ class TestBlockDistributions:
         assert dist.array("adder").sum() == pytest.approx(mass_before)
 
 
-def memo_keys(dist, op_id):
-    return set(dist._row_cache.get(op_id, {}))
+class TestTentativeRowBands:
+    """Current rows are the band views of the operations' frames too,
+    so a commit installs a view and allocates no row."""
 
-
-class TestTentativeRowMemo:
-    """The tentative-row memo keeps live frames only: frames never
-    widen, so refresh drops every key a changed op can no longer ask
-    for, and a dropped key recomputes to the same row."""
-
-    def test_refresh_drops_keys_outside_the_new_frame(self):
+    def test_refresh_installs_the_new_band_view(self):
         frames, dist = make_block_distributions()
         lo, hi = frames.frame("a1")
-        for key in [(lo, lo), (lo, hi), (hi, hi)]:
-            dist.tentative_row("a1", *key)
         dist.refresh(frames.reduce("a1", lo, lo))
-        assert memo_keys(dist, "a1") == {(lo, lo)}
+        row = dist.row("a1")
+        assert row.base is dist.tentative_row("a2", 5, 5).base
+        assert row.tobytes() == occupancy_row(lo, lo, 1, dist.horizon).tobytes()
+        assert not row.flags.writeable
 
-    def test_paper_schedule_leaves_only_live_keys(self, monkeypatch):
+    def test_paper_schedule_rows_are_band_views(self, monkeypatch):
         states = []
 
         class RecordingState(BlockState):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                states.append((self, self.frames.frames()))
+                states.append(self)
 
         monkeypatch.setattr(scheduler_module, "BlockState", RecordingState)
         system, library = paper_system()
@@ -198,18 +207,12 @@ class TestTentativeRowMemo:
             system, paper_assignment(library), paper_periods()
         )
         assert states
-        pruned = 0
-        for state, initial in states:
+        for state in states:
             dist = state.dist
             for op_id in state.graph.op_ids:
                 lo, hi = state.frames.frame(op_id)
-                keys = memo_keys(dist, op_id)
-                assert all(lo <= k_lo and k_hi <= hi for k_lo, k_hi in keys)
-                first = initial[op_id]
-                if first in keys:
-                    continue
-                pruned += 1
-                row = dist.tentative_row(op_id, *first)
-                want = occupancy_row(*first, dist.occupancy_of[op_id], dist.horizon)
+                row = dist.row(op_id)
+                want = occupancy_row(lo, hi, dist.occupancy_of[op_id], dist.horizon)
                 assert row.tobytes() == want.tobytes()
-        assert pruned > 0
+                assert not row.flags.writeable
+                assert row.base is dist._bands[(hi - lo + 1, dist.occupancy_of[op_id])]

@@ -125,7 +125,7 @@ def test_row_dot_helpers_match_scalar_dots(seed):
 
 
 # ---------------------------------------------------------------------------
-# Delta batches: stack.delta vs BlockState.placement_deltas (bit parity)
+# Delta batches: stack deltas vs BlockState.placement_deltas (bit parity)
 # ---------------------------------------------------------------------------
 def assert_batch_matches_scalar(state, candidates):
     """Checks every stack row of the batch, and each candidate's type
@@ -134,11 +134,12 @@ def assert_batch_matches_scalar(state, candidates):
     assert len(type_orders) == len(candidates)
     horizon = state.dist.horizon
     rows = {}
-    for type_name, stack in stacks.items():
-        deltas = stack.delta
-        assert deltas.shape == (stack.index.shape[1], horizon)
+    for type_name, (batch_rows, positions, deltas) in stacks.items():
+        assert deltas.shape == (len(batch_rows), horizon)
+        assert len(positions) == len(batch_rows)
         assert deltas.dtype == np.float64
-        for (row, position), delta in zip(stack.index.T.tolist(), deltas):
+        pairs = zip(batch_rows.tolist(), positions.tolist())
+        for (row, position), delta in zip(pairs, deltas):
             assert type_orders[row][position] == type_name
             assert (row, type_name) not in rows, "one stack row per displacement"
             rows[row, type_name] = delta

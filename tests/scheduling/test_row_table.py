@@ -53,8 +53,8 @@ def frame_end_rows(state, skip):
             candidates.extend([(op_id, lo), (op_id, hi)])
     type_orders, stacks = increment_stacks(state, candidates)
     rows = {}
-    for type_name, stack in stacks.items():
-        for row, delta in zip(stack.index[0].tolist(), stack.delta):
+    for type_name, (batch_rows, _positions, deltas) in stacks.items():
+        for row, delta in zip(batch_rows.tolist(), deltas):
             rows.setdefault(row, {})[type_name] = delta.tobytes()
     return {
         (op_id, row % 2): (type_orders[row], rows[row])
@@ -73,8 +73,9 @@ def check_frame_ends(state, skip=frozenset()):
         return
     type_orders, stacks = increment_stacks(state, candidates)
     rows = {}
-    for type_name, stack in stacks.items():
-        for (row, position), delta in zip(stack.index.T.tolist(), stack.delta):
+    for type_name, (batch_rows, positions, deltas) in stacks.items():
+        pairs = zip(batch_rows.tolist(), positions.tolist())
+        for (row, position), delta in zip(pairs, deltas):
             assert type_orders[row][position] == type_name
             rows[row, type_name] = delta
     for row, (op_id, start) in enumerate(candidates):
@@ -207,3 +208,38 @@ def test_commit_moving_only_a_neighbour_drops_the_record():
                     check_frame_ends(state, state.guarded_ops)
                     return
     raise AssertionError("no neighbour-only commit found")
+
+
+@pytest.mark.parametrize("subject", ["paper", "guarded", "random"])
+def test_commit_reduce_returns_the_effect_touched_types(subject):
+    """``commit_reduce`` (the FDS/FDLS commit) skips the dropped-end
+    record but commits exactly like ``commit_reduce_effect``: the same
+    touched types, frames, rows and distributions on twin states."""
+    if subject == "paper":
+        system, library = paper_system()
+        pairs = list(zip(states_of(system, library), states_of(system, library)))
+    elif subject == "guarded":
+        pairs = [(guarded_state(), guarded_state())]
+    else:
+        pairs = [(random_state(seed), random_state(seed)) for seed in range(3)]
+    rng = np.random.default_rng(11)
+    commits = 0
+    for plain, recorded in pairs:
+        for _ in range(COMMITS):
+            mobile = plain.frames.unfixed()
+            if not mobile:
+                break
+            op_id = mobile[int(rng.integers(len(mobile)))]
+            lo, hi = plain.frames.frame(op_id)
+            bounds = (lo + 1, hi) if rng.integers(2) else (lo, hi - 1)
+            touched = plain.commit_reduce(op_id, *bounds)
+            effect = recorded.commit_reduce_effect(op_id, *bounds)
+            assert touched == set(effect.touched_types)
+            assert plain.frames.frames() == recorded.frames.frames()
+            for oid in plain.graph.op_ids:
+                assert plain.dist.row(oid).tobytes() == recorded.dist.row(oid).tobytes()
+            for type_name in plain.dist.type_names:
+                want = recorded.dist.array(type_name).tobytes()
+                assert plain.dist.array(type_name).tobytes() == want
+            commits += 1
+    assert commits
